@@ -66,9 +66,7 @@ def _build_stats(reports) -> dict:
 
     ``build_seconds`` counts the wall-clock spent assembling matrix
     forms (the presolve input matrix plus each submodel's backend
-    form); under the legacy object pipeline it is the per-solve
-    conversion cost the array core eliminates, so this section is the
-    before/after axis of the ``REPRO_ARRAY_CORE`` parity run.
+    form).
     """
     return _time_stats(
         f.build_seconds for f in reports if f.attempted

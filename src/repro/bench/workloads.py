@@ -724,39 +724,11 @@ int main(int n) {
 )
 
 
-def _fig9_source() -> str:
-    """Deterministic generated program at the top of the Figure 9
-    size range — the largest models the fig set produces."""
-    from .generator import GeneratorConfig, ProgramGenerator
-
-    config = GeneratorConfig(
-        n_functions=5,
-        body_statements=(5, 9),
-        max_loop_nest=2,
-        max_expr_depth=2,
-    )
-    return ProgramGenerator(9, config).program_source()
-
-
-#: The Figure 9 scaling workload: seeded-generator functions well above
-#: the hand-written six in model size.  Addressable as ``--bench fig9``
-#: (the array-core parity smoke runs it under both pipelines) but kept
-#: out of :data:`ALL_BENCHMARKS` so the default suite — and the
-#: ``suite.n_functions`` CI gate pinned to its function count — is
-#: unchanged.
-FIG9 = Benchmark(
-    name="fig9",
-    entry="main",
-    args=(21,),
-    source=_fig9_source(),
-)
-
 ALL_BENCHMARKS: tuple[Benchmark, ...] = (
     COMPRESS, EQNTOTT, XLISP, SC, ESPRESSO, CC1,
 )
 
 BY_NAME = {b.name: b for b in ALL_BENCHMARKS}
-BY_NAME[FIG9.name] = FIG9
 
 
 def load_benchmark(name: str) -> tuple[Benchmark, Module]:

@@ -36,15 +36,6 @@ from .fingerprint import (
     target_signature,
 )
 
-# Warm-start plumbing lives next to the backends but is an engine-level
-# facility: the store is per process, so pool workers each keep their
-# own, exactly like the circuit breakers.
-from ..solver.warmstart import (  # noqa: E402  (grouped re-export)
-    WARM_CAPABLE,
-    WarmStartStore,
-    warm_start_store,
-)
-
 __all__ = [
     "AllocationEngine",
     "CACHE_MAX_ENTRIES_ENV",
@@ -57,13 +48,10 @@ __all__ = [
     "NAMESPACE_DIR",
     "NON_SEMANTIC_CONFIG_FIELDS",
     "ResultCache",
-    "WARM_CAPABLE",
-    "WarmStartStore",
     "allocation_fingerprint",
     "config_signature",
     "default_max_entries",
     "fingerprint_function",
-    "warm_start_store",
     "frequency_signature",
     "namespace_dirname",
     "target_signature",

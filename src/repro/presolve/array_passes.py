@@ -1,38 +1,44 @@
 """The reduction passes over the CSR array form (:mod:`..solver.matrix`).
 
-:class:`ArrayReducer` is the vectorized twin of
-:class:`~repro.presolve.passes.Reducer`: same passes, same driver
-surface, same fixpoint — but the working state is the model's CSR
-matrix plus flat per-row/per-column arrays instead of dict-of-rows,
-and the hot inner loops are numpy sweeps instead of per-term Python.
+:class:`ArrayReducer` never mutates the original
+:class:`~repro.solver.model.IPModel`: its working state is the model's
+CSR matrix plus flat per-row/per-column arrays, the hot inner loops
+are numpy sweeps, and the surviving rows/columns go back to the
+pipeline for sub-model construction.
 
-Exactness contract (checked by the parity tests): given the same model
-and configuration, object and array reducers fix the same variables to
-the same values, drop the same rows, produce the same components in
-the same order, and therefore the same submodels.  Pass by pass:
+Soundness and determinism, pass by pass (each pass preserves the
+optimal objective value and maps every reduced solution to a feasible
+original one; the same model and configuration always give the same
+fixings, dropped rows, components and submodels):
 
-* **Implication fixing** (pass 1) is a monotone closure — a row that
-  is vacuous/forcing stays vacuous/forcing under any further fixings —
-  so whole-matrix sweeps converge to the same fixpoint as the
-  object pipeline's min-rid worklist, and conflicts surface as
-  :class:`InfeasibleModel` in both.
-* **Duplicate-column merge** (pass 2) is order-sensitive when merged
+* **Implication fixing** (pass 1) is 0-1 activity propagation: a
+  variable whose 0 or 1 value would push a constraint past its bound
+  even with every other variable at its most favourable value is
+  forced; constraints no assignment can violate are vacuous and drop.
+  It is a monotone closure — a row that is vacuous/forcing stays so
+  under any further fixings — so whole-matrix sweeps reach a unique
+  fixpoint, and conflicts surface as :class:`InfeasibleModel`.
+* **Duplicate-column merge** (pass 2) only collapses variables with
+  *identical* columns that are also pairwise mutually exclusive
+  (certified by a ``<=``/``==`` constraint whose slack cannot absorb
+  two of them), so any solution using a non-representative can be
+  rewritten onto the cheapest one.  Merging is order-sensitive when
   columns carry negative coefficients (fixing to 0 moves other rows'
-  minimum activity), so groups run sequentially in exactly the object
-  pipeline's ``sorted(groups.items())`` order over identical tuple
-  keys; the group *construction* and the exclusivity certificates are
-  vectorized, with row activities maintained incrementally.
-* **Dominance** (pass 3) performs no fixings, so whether one row
-  implies another is static for the whole pass; both pipelines pick
-  pivots (and apply the candidate limit) from pass-*start* column
-  degrees, which lets the array form compute every pivot, candidate
-  pair, and implication slack in one whole-matrix batch.  The only
-  sequential part is the replay, in row-id order with a live-implier
-  check — order-sensitivity for mutually-dominating duplicates (the
-  smaller row id survives) lives entirely there.
+  minimum activity), so groups run sequentially in
+  ``sorted(groups.items())`` order; the group *construction* and the
+  exclusivity certificates are vectorized, with row activities
+  maintained incrementally.
+* **Dominance** (pass 3) drops a constraint B when a surviving
+  constraint A bounds it term-wise.  It performs no fixings, so
+  whether one row implies another is static for the whole pass;
+  pivots (and the candidate limit) come from pass-*start* column
+  degrees, which lets every pivot, candidate pair, and implication
+  slack be computed in one whole-matrix batch.  The only sequential
+  part is the replay, in row-id order with a live-implier check —
+  order-sensitivity for mutually-dominating duplicates (the smaller
+  row id survives) lives entirely there.
 * **Components** come from ``scipy.sparse.csgraph`` over the bipartite
-  variable/constraint graph, then re-ordered to the object pipeline's
-  union-find output: components sorted by their smallest original
+  variable/constraint graph, ordered by their smallest original
   variable index, variables ascending, rows in input order.
 """
 
@@ -147,7 +153,7 @@ class ArrayReducer:
 
     def _settle_empty_rows(self, rids: np.ndarray) -> None:
         """Drop satisfied empty rows; an unsatisfiable one is proof of
-        infeasibility (same check as the scalar ``_settle_empty``)."""
+        infeasibility."""
         rhs = self.rhs[rids]
         sense = self.sense[rids]
         bad = (
@@ -168,7 +174,7 @@ class ArrayReducer:
         Each sweep settles empty rows, drops vacuous rows, and applies
         every forcing visible in the current aggregates; sweeps repeat
         until nothing changes.  Propagation is a monotone closure, so
-        this reaches the same fixpoint as the scalar worklist.
+        the fixpoint does not depend on the order forcings are applied.
         """
         changed = False
         while True:
@@ -248,9 +254,9 @@ class ArrayReducer:
         """Collapse identical, mutually-exclusive columns onto their
         cheapest member; the rest are fixed to 0.
 
-        Group keys are the same ``((rid, coef), ...)`` tuples the
-        scalar pass builds, so ``sorted(groups.items())`` visits groups
-        in the identical (order-sensitive) sequence.
+        Group keys are ``((rid, coef), ...)`` tuples, so
+        ``sorted(groups.items())`` visits groups in a fixed
+        (order-sensitive) sequence.
         """
         csc = self.csc
         groups: dict[tuple, list[int]] = {}
@@ -311,10 +317,9 @@ class ArrayReducer:
 
         No fixings occur in this pass, so whether row ``a`` dominates
         row ``b`` is a static property of the pass-start state; pivot
-        choice and the candidate limit use pass-start column degrees
-        (mirroring the scalar pass).  The entire scan — pivots,
-        candidate gathers, sense/rhs preconditions, and the term-wise
-        implication slack of the scalar ``Reducer._implies`` — runs as
+        choice and the candidate limit use pass-start column degrees.
+        The entire scan — pivots, candidate gathers, sense/rhs
+        preconditions, and the term-wise implication slack — runs as
         whole-matrix numpy sweeps, producing an implier list per row.
         Only the *replay* is sequential, in row-id order: a row is
         dropped when any of its impliers is still alive, which is what
@@ -494,9 +499,9 @@ class ArrayReducer:
 
     def components(self) -> list[tuple[list[int], list[int]]]:
         """Connected components via ``csgraph`` over the bipartite
-        variable/constraint graph, re-ordered to match the scalar
-        union-find output: sorted by smallest original variable index,
-        variables ascending, rows in input order."""
+        variable/constraint graph, in a canonical order: sorted by
+        smallest original variable index, variables ascending, rows in
+        input order."""
         cols_alive = np.flatnonzero(self.col_alive)
         rows_alive = np.flatnonzero(self.row_alive & (self.nnz > 0))
         n_c, n_r = cols_alive.size, rows_alive.size

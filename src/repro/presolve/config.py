@@ -9,9 +9,7 @@ individually toggleable so reductions can be ablated and bisected.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field, fields
-
-from ..solver.matrix import array_core_enabled
+from dataclasses import dataclass, fields
 
 #: environment variable controlling the global default ("0" = off)
 PRESOLVE_ENV = "REPRO_PRESOLVE"
@@ -45,25 +43,10 @@ class PresolveConfig:
     #: still appears in more than this many constraints (keeps the
     #: pairwise comparison near-linear on big models)
     dominance_candidate_limit: int = 64
-    #: run the passes on the vectorized CSR reducer
-    #: (:class:`repro.presolve.array_passes.ArrayReducer`); results are
-    #: identical to the object pipeline — ``REPRO_ARRAY_CORE=0`` is the
-    #: escape hatch back to dict-of-rows
-    array_core: bool = field(default_factory=array_core_enabled)
 
     def signature(self) -> dict:
-        """Plain-dict rendering for fingerprints and run reports.
-
-        ``array_core`` is deliberately excluded: the array and object
-        reducers produce identical reductions (that equivalence is
-        test-enforced), so cache fingerprints must not fork on which
-        implementation computed them.
-        """
-        return {
-            f.name: getattr(self, f.name)
-            for f in fields(self)
-            if f.name != "array_core"
-        }
+        """Plain-dict rendering for fingerprints and run reports."""
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 def resolve_presolve_config(presolve) -> PresolveConfig:

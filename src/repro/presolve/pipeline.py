@@ -17,7 +17,6 @@ from ..solver.model import IPModel
 from ..telemetry import define_histogram
 from .array_passes import ArrayReducer
 from .config import PresolveConfig
-from .passes import Reducer
 from .reduction import PresolveReduction, PresolveSummary
 
 STAT_RUNS = define_counter(
@@ -60,8 +59,7 @@ def presolve_model(
     config = config or PresolveConfig()
     start = time.perf_counter()
     STAT_RUNS.incr()
-    reducer_cls = ArrayReducer if config.array_core else Reducer
-    reducer = reducer_cls(model, config)
+    reducer = ArrayReducer(model, config)
     summary = PresolveSummary(
         pre_variables=len(reducer.free_indices()),
         pre_constraints=reducer.n_live_rows(),
@@ -87,7 +85,7 @@ def presolve_model(
     return reduction
 
 
-def _run_passes(reducer, config: PresolveConfig) -> None:
+def _run_passes(reducer: ArrayReducer, config: PresolveConfig) -> None:
     for round_ in range(config.max_rounds):
         changed = False
         if config.fix_implied:
@@ -102,7 +100,7 @@ def _run_passes(reducer, config: PresolveConfig) -> None:
 
 
 def _finish(
-    reducer,
+    reducer: ArrayReducer,
     config: PresolveConfig,
     reduction: PresolveReduction,
     summary: PresolveSummary,
@@ -110,7 +108,7 @@ def _finish(
     summary.vars_fixed = reducer.vars_fixed
     summary.cols_merged = reducer.cols_merged
     summary.cons_dropped = reducer.cons_dropped
-    summary.rounds = getattr(reducer, "rounds", 0)
+    summary.rounds = reducer.rounds
     if reduction.infeasible:
         return
     reduction.fixed = reducer.fixed_dict()

@@ -46,8 +46,7 @@ class PresolveSummary:
     rounds: int = 0
     #: wall-clock spent reducing (not solving)
     seconds: float = 0.0
-    #: wall-clock spent assembling the CSR array form the reducer ran
-    #: on (0 for the object pipeline, which never builds one)
+    #: wall-clock spent assembling the CSR array form presolve ran on
     build_seconds: float = 0.0
 
     def to_dict(self) -> dict:

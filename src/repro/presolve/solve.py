@@ -22,7 +22,6 @@ import time
 from ..obs import define_counter, trace_phase
 from ..solver.model import IPModel
 from ..solver.result import SolveResult, SolveStatus
-from ..solver.warmstart import warm_solve
 from .config import PresolveConfig
 from .pipeline import presolve_model
 
@@ -73,8 +72,7 @@ def solve_reduced(
     build_seconds = summary.build_seconds
     for k in order:
         sub = reduction.submodels[k]
-        res = warm_solve(backend_fn, backend_name, sub.model,
-                         remaining())
+        res = backend_fn(sub.model, time_limit=remaining())
         nodes += res.nodes
         lp_relaxations += res.lp_relaxations
         timed_out |= res.timed_out

@@ -3,6 +3,10 @@
 * ``scipy-highs`` — the production backend (plays the paper's CPLEX).
 * ``branch-bound`` — a from-scratch LP-based branch and bound.
 * ``brute-force`` — exhaustive enumeration, the test oracle.
+
+Every backend reads the model's cached CSR form
+(:class:`~repro.solver.matrix.MatrixModel`) and starts each solve cold:
+the answer depends only on the model and the time limit.
 """
 
 from ..faults import (
@@ -15,16 +19,10 @@ from ..faults import (
 from ..obs import counter
 from .branch_bound import solve_with_branch_bound
 from .brute_force import MAX_BRUTE_VARS, solve_brute_force
-from .matrix import (
-    ARRAY_CORE_ENV,
-    MatrixModel,
-    array_core_enabled,
-    structural_fingerprint,
-)
+from .matrix import MatrixModel
 from .model import Constraint, InfeasibleModel, IPModel, Sense, Variable
 from .result import SolveResult, SolveStatus, complete_values
 from .scipy_backend import solve_with_scipy
-from .warmstart import WARM_CAPABLE, WarmStartStore, warm_solve, warm_start_store
 
 #: Named backend registry used by the allocator configuration.
 BACKENDS = {
@@ -86,7 +84,7 @@ def solve(
         elif config.enabled:
             result = solve_reduced(model, fn, backend, time_limit, config)
         else:
-            result = warm_solve(fn, backend, model, time_limit)
+            result = fn(model, time_limit=time_limit)
     except InfeasibleModel:
         # Proven infeasibility is a valid answer, not a backend fault.
         breaker.record_success()
@@ -99,7 +97,6 @@ def solve(
 
 
 __all__ = [
-    "ARRAY_CORE_ENV",
     "BACKENDS",
     "Constraint",
     "IPModel",
@@ -110,15 +107,9 @@ __all__ = [
     "SolveResult",
     "SolveStatus",
     "Variable",
-    "WARM_CAPABLE",
-    "WarmStartStore",
-    "array_core_enabled",
     "complete_values",
     "solve",
     "solve_brute_force",
     "solve_with_branch_bound",
     "solve_with_scipy",
-    "structural_fingerprint",
-    "warm_solve",
-    "warm_start_store",
 ]

@@ -3,9 +3,9 @@
 This is the didactic/no-dependency counterpart to the HiGHS backend: LP
 relaxations are solved with ``scipy.optimize.linprog`` (dual simplex),
 branching is depth-first on the most fractional variable, and incumbents
-come from (a) integral LP solutions, (b) a greedy rounding heuristic,
-and (c) a caller-provided warm start from a structurally identical
-prior solve (:mod:`repro.solver.warmstart`).
+come from integral LP solutions and a greedy rounding heuristic.  Every
+solve starts cold, so its answer depends only on the model and the
+time limit, never on what the process solved before.
 
 The LP matrices come straight from the model's cached CSR form
 (:meth:`IPModel.matrix`) — no per-solve conversion — and each node
@@ -33,7 +33,6 @@ from scipy.optimize import linprog
 from ..obs import define_counter
 from .model import IPModel
 from .result import SolveResult, SolveStatus, complete_values
-from .warmstart import STAT_REJECTED, STAT_SEEDED
 
 _INT_TOL = 1e-6
 _TOL = 1e-9
@@ -165,40 +164,12 @@ def _round_feasible(model: IPModel, free, x: np.ndarray) -> dict[int, int] | Non
     return values if model.check(values) else None
 
 
-def _seed_incumbent(
-    model: IPModel, free, warm_start: dict[str, int] | None
-) -> tuple[dict[int, int] | None, float]:
-    """Re-validate a warm-start seed ({var name: value}) against this
-    model; a stale or infeasible seed is dropped, never trusted."""
-    if not warm_start:
-        return None, float("inf")
-    try:
-        free_values = {
-            v.index: int(warm_start[v.name]) for v in free
-        }
-    except KeyError:
-        STAT_REJECTED.incr()
-        return None, float("inf")
-    values = complete_values(model, free_values)
-    if not model.check(values):
-        STAT_REJECTED.incr()
-        return None, float("inf")
-    STAT_SEEDED.incr()
-    return values, model.evaluate(values)
-
-
 def solve_with_branch_bound(
     model: IPModel,
     time_limit: float | None = None,
     max_nodes: int = 200_000,
-    warm_start: dict[str, int] | None = None,
 ) -> SolveResult:
-    """Solve a 0-1 :class:`IPModel` by LP-based branch and bound.
-
-    ``warm_start`` maps free-variable *names* to a prior 0/1 solution
-    of a structurally identical model; after re-validation it becomes
-    the starting incumbent, so the bound prunes from the first node.
-    """
+    """Solve a 0-1 :class:`IPModel` by LP-based branch and bound."""
     free = model.free_variables()
     n = len(free)
     start = time.perf_counter()
@@ -216,12 +187,11 @@ def solve_with_branch_bound(
 
     problem, build_seconds = _build_problem(model)
 
-    best_values, best_obj = _seed_incumbent(model, free, warm_start)
+    best_values: dict[int, int] | None = None
+    best_obj = float("inf")
     nodes = 0
     lp_relaxations = 0
     incumbents: list[tuple[float, float]] = []
-    if best_values is not None:
-        incumbents.append((0.0, best_obj))
     timed_out = False
 
     # DFS stack of (lb, ub) bound pairs.

@@ -27,12 +27,8 @@ _CLOCK_STRIDE = 1024
 def solve_brute_force(
     model: IPModel,
     time_limit: float | None = None,
-    warm_start: dict[str, int] | None = None,
 ) -> SolveResult:
-    """Enumerate every 0-1 point.  ``warm_start`` is accepted for
-    interface parity but ignored — enumeration visits everything
-    regardless."""
-    del warm_start
+    """Enumerate every 0-1 point."""
     free = model.free_variables()
     if len(free) > MAX_BRUTE_VARS:
         raise ValueError(

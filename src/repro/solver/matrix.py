@@ -10,31 +10,18 @@ the free columns, and per-row sense/rhs vectors.
 
 :class:`MatrixModel` is that form, with a lossless bridge both ways:
 
-* :meth:`MatrixModel.from_ip` builds the arrays — from the model's
-  flat coefficient buffers (maintained incrementally by
-  ``IPModel.add_constraint``) when the array core is enabled, or by
-  the legacy per-term walk over ``Constraint`` objects when it is not
-  (``REPRO_ARRAY_CORE=0``), so the escape hatch measures exactly what
-  the object pipeline used to pay per solve;
+* :meth:`MatrixModel.from_ip` builds the arrays from the model's flat
+  coefficient buffers (maintained incrementally by
+  ``IPModel.add_constraint``) in one bulk conversion;
 * :meth:`MatrixModel.to_ip` rebuilds an equivalent ``IPModel``
   (variable names/costs/fixings, constraint names/senses/rhs).  Terms
   inside a constraint come back in column order with duplicate
   indices summed — the same normalisation every consumer (presolve
   rows, backend matrices, feasibility checks) already applies.
-
-:func:`structural_fingerprint` hashes the *shape* of the model — the
-sparsity pattern, coefficients, senses, right-hand sides and free
-variable names — but **not** the cost vector or objective constant.
-Two models that differ only in costs share a fingerprint, which is
-precisely the warm-start contract: any feasible point of one is a
-feasible point of the other, so a prior solution can seed the next
-search (see :mod:`repro.solver.warmstart`).
 """
 
 from __future__ import annotations
 
-import hashlib
-import os
 import time
 from dataclasses import dataclass, field
 
@@ -43,21 +30,11 @@ from scipy import sparse
 
 from .model import IPModel, Sense
 
-#: environment variable controlling the array-core default ("0" = the
-#: legacy object pipeline: dict-of-rows presolve, per-solve per-term
-#: backend conversion)
-ARRAY_CORE_ENV = "REPRO_ARRAY_CORE"
-
 #: integer sense codes used in the per-row sense vector
 SENSE_LE, SENSE_GE, SENSE_EQ = 0, 1, 2
 
 _SENSE_CODE = {Sense.LE: SENSE_LE, Sense.GE: SENSE_GE, Sense.EQ: SENSE_EQ}
 _CODE_SENSE = {SENSE_LE: Sense.LE, SENSE_GE: Sense.GE, SENSE_EQ: Sense.EQ}
-
-
-def array_core_enabled() -> bool:
-    """The ``REPRO_ARRAY_CORE`` environment default (unset = on)."""
-    return os.environ.get(ARRAY_CORE_ENV, "1") not in ("", "0")
 
 
 @dataclass(slots=True)
@@ -118,27 +95,11 @@ class MatrixModel:
         orig_to_col[col_index] = np.arange(len(col_index), dtype=np.intp)
 
         n_rows = len(model.constraints)
-        if array_core_enabled() and model._mx_rows is not None:
-            # Fast path: the model maintained flat COO buffers as
-            # constraints were added; one bulk conversion, no per-term
-            # Python work.
-            rows = np.asarray(model._mx_rows, dtype=np.intp)
-            cols = orig_to_col[np.asarray(model._mx_cols, dtype=np.intp)]
-            data = np.asarray(model._mx_data, dtype=np.float64)
-        else:
-            # Legacy path (REPRO_ARRAY_CORE=0): the per-term walk the
-            # backends used to run on every solve.
-            ri: list[int] = []
-            ci: list[int] = []
-            dv: list[float] = []
-            for i, con in enumerate(model.constraints):
-                for coef, var in con.terms:
-                    ri.append(i)
-                    ci.append(orig_to_col[var.index])
-                    dv.append(coef)
-            rows = np.asarray(ri, dtype=np.intp)
-            cols = np.asarray(ci, dtype=np.intp)
-            data = np.asarray(dv, dtype=np.float64)
+        # The model maintained flat COO buffers as constraints were
+        # added: one bulk conversion, no per-term Python work.
+        rows = np.asarray(model._mx_rows, dtype=np.intp)
+        cols = orig_to_col[np.asarray(model._mx_cols, dtype=np.intp)]
+        data = np.asarray(model._mx_data, dtype=np.float64)
         a = sparse.csr_matrix(
             (data, (rows, cols)), shape=(n_rows, len(col_index))
         )
@@ -271,32 +232,9 @@ class MatrixModel:
         )
 
 
-def structural_fingerprint(matrix: MatrixModel) -> str:
-    """Hash of the model *shape*, excluding costs.
-
-    Covers the sparsity pattern, coefficients, senses, right-hand
-    sides and the free-variable name list; deliberately excludes the
-    cost vector and objective constant.  Models that agree on this
-    fingerprint have identical feasible regions over identically-named
-    variables — the warm-start reuse condition.
-    """
-    h = hashlib.sha256()
-    a = matrix.a
-    h.update(np.ascontiguousarray(a.indptr).tobytes())
-    h.update(np.ascontiguousarray(a.indices).tobytes())
-    h.update(np.ascontiguousarray(a.data).tobytes())
-    h.update(np.ascontiguousarray(matrix.sense).tobytes())
-    h.update(np.ascontiguousarray(matrix.rhs).tobytes())
-    h.update("\0".join(matrix.free_names()).encode("utf-8"))
-    return h.hexdigest()
-
-
 __all__ = [
-    "ARRAY_CORE_ENV",
     "MatrixModel",
     "SENSE_EQ",
     "SENSE_GE",
     "SENSE_LE",
-    "array_core_enabled",
-    "structural_fingerprint",
 ]

@@ -84,6 +84,7 @@ class IPModel:
         self._mx_rows: list[int] = []
         self._mx_cols: list[int] = []
         self._mx_data: list[float] = []
+        #: count of fixed variables, so :attr:`n_vars` needs no scan
         self._n_fixed = 0
         self._matrix = None
 
@@ -231,7 +232,7 @@ class IPModel:
     @property
     def n_vars(self) -> int:
         """Number of *free* (unfixed) decision variables."""
-        return sum(1 for v in self.variables if v.fixed is None)
+        return len(self.variables) - self._n_fixed
 
     @property
     def n_constraints(self) -> int:
@@ -243,16 +244,11 @@ class IPModel:
     def matrix(self):
         """The array form of this model (:class:`MatrixModel`).
 
-        With the array core enabled the CSR form is assembled once
-        from the flat coefficient buffers and cached until the model
-        changes; with ``REPRO_ARRAY_CORE=0`` it is rebuilt on every
-        call by the legacy per-term walk, reproducing the conversion
-        cost the object pipeline used to pay on every solve.
+        The CSR form is assembled once from the flat coefficient
+        buffers and cached until the model changes.
         """
-        from .matrix import MatrixModel, array_core_enabled
+        from .matrix import MatrixModel
 
-        if not array_core_enabled():
-            return MatrixModel.from_ip(self)
         if self._matrix is None:
             self._matrix = MatrixModel.from_ip(self)
         return self._matrix

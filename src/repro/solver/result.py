@@ -44,7 +44,7 @@ class SolveResult:
     timed_out: bool = False
     #: wall-clock spent assembling solver-ready matrix form(s) for this
     #: solve (presolve CSR build + per-submodel backend conversion);
-    #: with the array core on, cached builds cost ~0 after the first
+    #: cached builds cost ~0 after the first
     build_seconds: float = 0.0
     #: :class:`repro.presolve.PresolveSummary` when the model went
     #: through the reduction pipeline; None for a direct backend solve.

@@ -29,17 +29,13 @@ def solve_with_scipy(
     model: IPModel,
     time_limit: float | None = None,
     gap: float = 0.0,
-    warm_start: dict[str, int] | None = None,
 ) -> SolveResult:
     """Solve a 0-1 :class:`IPModel` with HiGHS.
 
     ``time_limit`` is in seconds (``None`` = unlimited); ``gap`` is the
     relative MIP gap at which the search may stop ("optimal" is only
-    reported at gap 0).  ``warm_start`` is accepted for interface
-    parity but ignored: :func:`scipy.optimize.milp` exposes no MIP
-    start.
+    reported at gap 0).
     """
-    del warm_start
     matrix = model.matrix()
     free = model.free_variables()
     n = matrix.n_free

@@ -1,9 +1,9 @@
-"""Array-native model core: round-trips, pipeline parity, warm starts.
+"""Array-native model core: the CSR bridge and the presolve reducer.
 
-Covers the CSR matrix bridge (:class:`repro.solver.MatrixModel`), the
-vectorized presolve pipeline's exact agreement with the object
-pipeline, the structural fingerprint's cost-invariance, and the
-warm-start store's node-count and validity guarantees.
+Covers the CSR matrix bridge (:class:`repro.solver.MatrixModel`) and
+pins :class:`repro.presolve.array_passes.ArrayReducer`'s exact
+reductions on the allocation models.  Objective soundness of presolve
+is checked in ``tests/test_presolve_equivalence.py``.
 """
 
 import random
@@ -20,16 +20,11 @@ from repro.solver import (
     MatrixModel,
     Sense,
     solve,
-    solve_with_branch_bound,
-    structural_fingerprint,
-    warm_start_store,
 )
 from repro.target import x86_target
 
-BACKENDS = ("scipy", "branch-bound", "brute-force")
 
-
-def random_model(seed, n_max=12, fix_some=True):
+def random_model(seed):
     """Random 0-1 IP with mixed senses, coefficients, and fixings.
 
     Returns ``None`` when the draw is infeasible at build time (a
@@ -37,12 +32,12 @@ def random_model(seed, n_max=12, fix_some=True):
     """
     rng = random.Random(seed)
     m = IPModel(f"arr{seed}")
-    n = rng.randint(2, n_max)
+    n = rng.randint(2, 12)
     xs = [
         m.add_var(f"x{i}", float(rng.randint(-5, 5)))
         for i in range(n)
     ]
-    if fix_some and rng.random() < 0.5:
+    if rng.random() < 0.5:
         m.fix(rng.choice(xs), rng.randint(0, 1))
     senses = [Sense.LE, Sense.GE, Sense.EQ]
     try:
@@ -124,6 +119,9 @@ def test_matrix_roundtrip_random_models():
             continue
         back = MatrixModel.from_ip(model).to_ip()
         assert_models_equal(model, back)
+        # n_vars is kept by counting fix() calls, not by a scan
+        assert model.n_vars == len(model.free_variables())
+        assert back.n_vars == len(back.free_variables()) == model.n_vars
         checked += 1
     assert checked > 20
 
@@ -157,188 +155,31 @@ def test_matrix_evaluate_matches_model():
             assert matrix.check_free(bits) == model.check(values)
 
 
-# -- structural fingerprint --------------------------------------------
+# -- presolve golden summaries ----------------------------------------
+
+#: per ``fig_models()`` model, in order: (vars_fixed, cols_merged,
+#: cons_dropped, components, rounds, post_variables, post_constraints)
+FIG_PRESOLVE_SUMMARIES = [
+    (0, 0, 82, 1, 2, 313, 370),
+    (19, 0, 123, 1, 2, 282, 353),
+    (6, 0, 143, 2, 2, 488, 560),
+    (19, 0, 123, 1, 2, 282, 353),
+]
 
 
-def test_fingerprint_ignores_costs_only():
-    base = random_model(5, fix_some=False)
-    fp = structural_fingerprint(base.matrix())
-
-    perturbed = random_model(5, fix_some=False)
-    for v in perturbed.variables:
-        v.cost *= 1.1
-    perturbed.objective_constant += 3.0
-    assert structural_fingerprint(perturbed.matrix()) == fp
-
-    widened = random_model(5, fix_some=False)
-    widened.constraints[0].rhs += 1.0
-    # rebuild: rhs mutation bypasses the cache invalidation hooks
-    assert structural_fingerprint(
-        MatrixModel.from_ip(widened)
-    ) != fp
-
-
-# -- object vs array presolve parity -----------------------------------
-
-
-def submodel_keys(reduction):
-    out = []
-    for sub in reduction.submodels:
-        m = sub.model
-        out.append((
-            tuple(sorted(sub.var_map)),
-            frozenset(constraint_key(c) for c in m.constraints),
-            tuple(v.cost for v in m.variables),
-        ))
-    return out
-
-
-def assert_pipelines_agree(model):
-    obj_red = presolve_model(
-        model, PresolveConfig(array_core=False)
-    )
-    arr_red = presolve_model(
-        model, PresolveConfig(array_core=True)
-    )
-    assert obj_red.infeasible == arr_red.infeasible
-    if obj_red.infeasible:
-        # Both pipelines prove infeasibility, but may abort at
-        # different points of the sweep; intermediate counters are
-        # not comparable on that path.
-        return
-    assert obj_red.fixed == arr_red.fixed
-    s_obj, s_arr = obj_red.summary, arr_red.summary
-    for field in ("pre_variables", "pre_constraints", "post_variables",
-                  "post_constraints", "vars_fixed", "cols_merged",
-                  "cons_dropped", "components", "rounds"):
-        assert getattr(s_obj, field) == getattr(s_arr, field), (
-            f"{model.name}: presolve diverged on {field}: "
-            f"{getattr(s_obj, field)} != {getattr(s_arr, field)}"
-        )
-    assert submodel_keys(obj_red) == submodel_keys(arr_red)
-
-
-def test_presolve_pipelines_identical_random():
-    for seed in range(60):
-        model = random_model(seed)
-        if model is not None:
-            assert_pipelines_agree(model)
-
-
-def test_presolve_pipelines_identical_fig():
-    checked = 0
+def test_presolve_summaries_fig():
+    summaries = []
     for model in fig_models():
-        assert_pipelines_agree(model)
-        checked += 1
-    assert checked
-
-
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_solve_parity_across_pipelines(backend):
-    for seed in range(25):
-        model = random_model(seed, n_max=10)
-        if model is None:
-            continue
-        obj = solve(
-            model, backend=backend,
-            presolve=PresolveConfig(array_core=False),
-        )
-        arr = solve(
-            model, backend=backend,
-            presolve=PresolveConfig(array_core=True),
-        )
-        assert obj.status == arr.status, (
-            f"{model.name}/{backend}: array core changed status"
-        )
-        if obj.status.has_solution:
-            assert obj.objective == pytest.approx(
-                arr.objective, abs=1e-6
-            )
-            assert model.check(arr.values)
-
-
-# -- warm starts -------------------------------------------------------
-
-
-def cover_model(seed, n=18, m_rows=24, perturb=1.0):
-    """Random covering IP: heterogeneous costs, GE rows of 2-4 vars.
-
-    Large enough that branch-and-bound wanders before proving the
-    optimum, so a warm incumbent has real pruning power.
-    """
-    rng = random.Random(seed)
-    m = IPModel(f"cover{seed}")
-    xs = [
-        m.add_var(f"x{i}", (1.0 + rng.random()) * perturb)
-        for i in range(n)
-    ]
-    for c in range(m_rows):
-        vars_ = rng.sample(xs, rng.randint(2, 4))
-        m.add_constraint(
-            [(1.0, v) for v in vars_], Sense.GE, 1.0, name=f"c{c}"
-        )
-    return m
-
-
-def test_warm_start_strictly_fewer_nodes():
-    """A cost-perturbed repeat solves in strictly fewer B&B nodes."""
-    store = warm_start_store()
-    store.clear()
-
-    # Cold control: the perturbed model with an empty store.
-    cold = solve(
-        cover_model(9, perturb=1.1), backend="branch-bound",
-        presolve=False,
-    )
-    assert cold.status.has_solution
-
-    store.clear()
-    first = solve(
-        cover_model(9), backend="branch-bound", presolve=False
-    )
-    assert first.status.has_solution
-    assert len(store) == 1, "solution was not stored"
-
-    warm = solve(
-        cover_model(9, perturb=1.1), backend="branch-bound",
-        presolve=False,
-    )
-    assert warm.status == cold.status
-    assert warm.objective == pytest.approx(cold.objective, abs=1e-6)
-    assert warm.nodes < cold.nodes, (
-        f"warm start did not prune: {warm.nodes} vs cold {cold.nodes}"
-    )
-    store.clear()
-
-
-def test_warm_start_rejects_stale_seed():
-    """A fingerprint collision with unknown names must be dropped."""
-    model = cover_model(7, n=8, m_rows=6)
-    fp = structural_fingerprint(model.matrix())
-    store = warm_start_store()
-    store.clear()
-    store.store(fp, {"nonexistent": 1})
-    res = solve_with_branch_bound(
-        model, warm_start=store.lookup(fp)
-    )
-    assert res.status.has_solution
-    assert model.check(res.values)
-    store.clear()
-
-
-def test_warm_start_store_is_lru():
-    store = warm_start_store()
-    store.clear()
-    for i in range(300):
-        store.store(f"fp{i}", {"x": i})
-    assert len(store) == 256
-    assert store.lookup("fp0") is None
-    assert store.lookup("fp299") == {"x": 299}
-    store.clear()
+        s = presolve_model(model, PresolveConfig()).summary
+        summaries.append((
+            s.vars_fixed, s.cols_merged, s.cons_dropped, s.components,
+            s.rounds, s.post_variables, s.post_constraints,
+        ))
+    assert summaries == FIG_PRESOLVE_SUMMARIES
 
 
 def test_warm_allocator_resolve_is_valid_and_optimal():
-    """Allocator-level: a repeat allocation under a warm store stays
+    """Allocator-level: a repeat allocation in the same process stays
     validator-clean with an identical optimal objective."""
     target = x86_target()
     config = AllocatorConfig(backend="branch-bound", validate=False)
@@ -347,8 +188,6 @@ def test_warm_allocator_resolve_is_valid_and_optimal():
         fn for _, fn in scaling_functions(seeds=range(1), sizes=[2])
     )
 
-    store = warm_start_store()
-    store.clear()
     cold = allocator.allocate(fn)
     assert cold.succeeded
     warm = allocator.allocate(fn)
@@ -356,12 +195,11 @@ def test_warm_allocator_resolve_is_valid_and_optimal():
     assert warm.status == cold.status
     assert warm.objective == pytest.approx(cold.objective, abs=1e-6)
     validate_allocation(warm, target)
-    store.clear()
 
 
 def test_build_seconds_reported():
     """Every backend reports the matrix assembly time it paid."""
-    model = cover_model(1, n=10, m_rows=8)
+    model = next(fig_models())
     res = solve(model, backend="scipy", presolve=True)
     assert res.build_seconds >= 0.0
     assert res.solve_seconds >= res.build_seconds

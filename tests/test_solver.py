@@ -4,6 +4,8 @@ The property test cross-checks the HiGHS backend and the from-scratch
 branch-and-bound against exhaustive enumeration on random small models.
 """
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -29,6 +31,23 @@ def knapsack_model():
         [(w, x) for (w, _v), x in zip(items, xs)], Sense.LE, 5, "cap"
     )
     return m, xs
+
+
+def cover_model(seed):
+    """Random covering IP: heterogeneous costs, GE rows of 2-4 vars.
+
+    Large enough that branch-and-bound wanders before proving the
+    optimum.
+    """
+    rng = random.Random(seed)
+    m = IPModel(f"cover{seed}")
+    xs = [m.add_var(f"x{i}", 1.0 + rng.random()) for i in range(18)]
+    for c in range(24):
+        vars_ = rng.sample(xs, rng.randint(2, 4))
+        m.add_constraint(
+            [(1.0, v) for v in vars_], Sense.GE, 1.0, name=f"c{c}"
+        )
+    return m
 
 
 class TestModel:
@@ -173,6 +192,23 @@ class TestBackends:
         assert res.status in (
             SolveStatus.FEASIBLE, SolveStatus.OPTIMAL, SolveStatus.UNSOLVED
         )
+
+    def test_branch_bound_answer_independent_of_solve_history(self):
+        # Regression: a process-global warm-start store seeded branch
+        # and bound with an earlier solve of the same model, so a zero
+        # time budget answered FEASIBLE after a full solve but UNSOLVED
+        # in a fresh process.
+        def zero_budget():
+            return solve(cover_model(9), "branch-bound", time_limit=0.0,
+                         presolve=False)
+
+        before = zero_budget()
+        full = solve(cover_model(9), "branch-bound", presolve=False)
+        assert full.status is SolveStatus.OPTIMAL
+        after = zero_budget()
+        for res in (before, after):
+            assert res.status is SolveStatus.UNSOLVED
+            assert res.timed_out
 
 
 @st.composite

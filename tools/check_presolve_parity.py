@@ -1,10 +1,8 @@
 #!/usr/bin/env python
-"""CI gate: presolve pipelines must agree exactly.
+"""CI gate: presolved and direct solves must agree.
 
-Two modes over run reports produced by
-``python -m repro exp ... --report-json``:
-
-Presolve on/off parity (the original gate)::
+Compares two run reports produced by
+``python -m repro exp ... --report-json``::
 
     python tools/check_presolve_parity.py WITH.json WITHOUT.json
 
@@ -14,19 +12,6 @@ reports with the same status, objectives match to a relative
 tolerance, the presolved run reduced something, and every presolved
 function records pre/post model sizes.
 
-Array-core parity (``--array``)::
-
-    python tools/check_presolve_parity.py --array \\
-        ARRAY.json OBJECT.json [--timing-out PATH] [--min-speedup X]
-
-Both runs are presolved; ``OBJECT.json`` comes from a run with
-``REPRO_ARRAY_CORE=0``.  Fails unless statuses and objectives agree
-exactly per function, the presolve counters (variables fixed, columns
-merged, constraints dropped, components, rounds) are identical, and
-the object pipeline's model-build + presolve wall-clock is at least
-``--min-speedup`` times the array pipeline's.  ``--timing-out``
-writes the measured totals and ratio as a JSON artifact for CI.
-
 Exit code 0 on parity, 1 with a diagnostic on any mismatch.
 """
 
@@ -35,13 +20,6 @@ import json
 import sys
 
 REL_TOL = 1e-6
-
-#: presolve counters that must match exactly across the two pipelines
-PARITY_COUNTERS = (
-    "pre_variables", "pre_constraints", "post_variables",
-    "post_constraints", "vars_fixed", "cols_merged", "cons_dropped",
-    "components", "rounds",
-)
 
 
 def load(path):
@@ -55,7 +33,6 @@ def load(path):
             "status": solver.get("status", fn.get("status", "")),
             "objective": solver.get("objective"),
             "presolve": solver.get("presolve"),
-            "build_seconds": solver.get("build_seconds", 0.0),
         }
     return report, out
 
@@ -67,7 +44,7 @@ def close(a, b):
 
 
 def check_on_off(with_path, without_path):
-    """Original gate: presolved vs direct solves agree."""
+    """Presolved vs direct solves agree."""
     with_report, with_fns = load(with_path)
     _, without_fns = load(without_path)
     failures = []
@@ -128,133 +105,15 @@ def check_on_off(with_path, without_path):
     return []
 
 
-def timing_totals(fns):
-    build = sum(f["build_seconds"] for f in fns.values())
-    presolve = sum(
-        (f["presolve"] or {}).get("seconds", 0.0)
-        for f in fns.values()
-    )
-    return build, presolve
-
-
-def check_array(array_path, object_path, timing_out, min_speedup):
-    """Array-core gate: the vectorized pipeline must match the object
-    pipeline exactly and beat it on build + presolve wall-clock."""
-    _, arr_fns = load(array_path)
-    _, obj_fns = load(object_path)
-    failures = []
-
-    if set(arr_fns) != set(obj_fns):
-        failures.append(
-            f"function sets differ: "
-            f"{sorted(set(arr_fns) ^ set(obj_fns))}"
-        )
-    for key in sorted(set(arr_fns) & set(obj_fns)):
-        a, o = arr_fns[key], obj_fns[key]
-        name = "/".join(filter(None, key))
-        if a["status"] != o["status"]:
-            failures.append(
-                f"{name}: status {o['status']} -> {a['status']} "
-                f"with array core"
-            )
-            continue
-        if not close(a["objective"], o["objective"]):
-            failures.append(
-                f"{name}: objective {o['objective']} -> "
-                f"{a['objective']} with array core"
-            )
-        pa, po = a["presolve"], o["presolve"]
-        if pa is None or po is None:
-            failures.append(
-                f"{name}: missing presolve stats "
-                f"(array: {pa is not None}, object: {po is not None})"
-            )
-            continue
-        for counter in PARITY_COUNTERS:
-            if pa.get(counter) != po.get(counter):
-                failures.append(
-                    f"{name}: presolve {counter} diverged: object "
-                    f"{po.get(counter)} vs array {pa.get(counter)}"
-                )
-
-    arr_build, arr_pre = timing_totals(arr_fns)
-    obj_build, obj_pre = timing_totals(obj_fns)
-    arr_total = arr_build + arr_pre
-    obj_total = obj_build + obj_pre
-    ratio = obj_total / arr_total if arr_total > 0 else float("inf")
-    timing = {
-        "object": {
-            "build_seconds": obj_build,
-            "presolve_seconds": obj_pre,
-            "total_seconds": obj_total,
-        },
-        "array": {
-            "build_seconds": arr_build,
-            "presolve_seconds": arr_pre,
-            "total_seconds": arr_total,
-        },
-        "speedup": ratio,
-        "min_speedup": min_speedup,
-        "functions": len(arr_fns),
-    }
-    if timing_out:
-        with open(timing_out, "w") as handle:
-            json.dump(timing, handle, indent=2)
-            handle.write("\n")
-    if arr_total <= 0:
-        failures.append(
-            "array run recorded no build/presolve time at all "
-            "(was the cache cold?)"
-        )
-    elif ratio < min_speedup:
-        failures.append(
-            f"array core speedup {ratio:.2f}x below the "
-            f"{min_speedup:.1f}x floor (object "
-            f"{obj_total:.4f}s vs array {arr_total:.4f}s)"
-        )
-    if failures:
-        return failures
-    print(
-        f"array-core parity OK: {len(arr_fns)} functions, objectives "
-        f"and presolve counters identical; build+presolve "
-        f"{obj_total:.4f}s -> {arr_total:.4f}s ({ratio:.2f}x, "
-        f"floor {min_speedup:.1f}x)"
-    )
-    return []
-
-
 def main(argv):
     parser = argparse.ArgumentParser(
-        description="presolve parity gates (see module docstring)"
+        description="presolve on/off parity gate (see module docstring)"
     )
-    parser.add_argument("first", help="WITH.json, or ARRAY.json "
-                        "under --array")
-    parser.add_argument("second", help="WITHOUT.json, or OBJECT.json "
-                        "under --array")
-    parser.add_argument(
-        "--array", action="store_true",
-        help="compare the array-core pipeline against the object "
-             "pipeline (both presolved)",
-    )
-    parser.add_argument(
-        "--timing-out", metavar="PATH",
-        help="write build/presolve timing totals and the speedup "
-             "ratio as a JSON artifact (--array only)",
-    )
-    parser.add_argument(
-        "--min-speedup", type=float, default=3.0,
-        help="minimum object/array build+presolve wall-clock ratio "
-             "(--array only; default %(default)s)",
-    )
+    parser.add_argument("first", help="report of the presolved run")
+    parser.add_argument("second", help="report of the --no-presolve run")
     args = parser.parse_args(argv[1:])
 
-    if args.array:
-        failures = check_array(
-            args.first, args.second, args.timing_out,
-            args.min_speedup,
-        )
-    else:
-        failures = check_on_off(args.first, args.second)
+    failures = check_on_off(args.first, args.second)
     if failures:
         print("presolve parity check FAILED:", file=sys.stderr)
         for f in failures:
