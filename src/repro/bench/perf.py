@@ -14,6 +14,10 @@ record per suite run:
   with :func:`repro.tiers.tier_cost`;
 * presolve reduction ratios (variables and constraints removed before
   the backend ran, the §5 model-size story);
+* the built model size (``suite.model``: free variables and
+  constraints summed over every function) — a deterministic count the
+  gate pins exactly, so a change to the §5 networks cannot pass
+  unnoticed;
 * cache hit rate and degradation counts from the engine counters;
 * the measured reply-path cost of successor cache replication
   (``suite.replication``): per-function record export + checksummed
@@ -220,6 +224,10 @@ def suite_perf_summary(
             "model_build": _build_stats(reports),
             "tiers": _tier_stats(reports),
             "presolve": _presolve_stats(reports, counters),
+            "model": {
+                "variables": sum(f.n_variables for f in reports),
+                "constraints": sum(f.n_constraints for f in reports),
+            },
             "replication": _replication_stats(reports),
             "cache": {
                 "hits": int(hits),

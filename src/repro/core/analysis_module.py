@@ -138,8 +138,20 @@ class ORAAnalysis:
             if config.enable_predefined_memory else {}
         )
 
-        #: survivor out-variables of the column being processed
-        self._pending_out: dict[tuple[str, str], Variable] = {}
+        #: per chain set of the register file: its member names (in
+        #: chain order), the same as a set, and the "+"-joined tag that
+        #: names its capacity rows
+        self._chains: list[tuple[tuple[str, ...], frozenset[str], str]] = [
+            (
+                tuple(r.name for r in chain),
+                frozenset(r.name for r in chain),
+                "+".join(sorted(r.name for r in chain)),
+            )
+            for chain in target.register_file.chain_sets
+        ]
+        #: survivor out-variables of the column being processed,
+        #: vreg -> register -> variable
+        self._pending_out: dict[str, dict[str, Variable]] = {}
         # Per-block boundary variables for CFG stitching.
         self._entry_occ: dict[str, dict[str, dict[str, Variable]]] = {}
         self._entry_mem: dict[str, dict[str, Variable]] = {}
@@ -162,16 +174,16 @@ class ORAAnalysis:
 
     def _occ_var(self, vreg: VirtualRegister, reg: RealRegister,
                  where: str) -> Variable:
-        rec = self.table.new_action(
-            ActionKind.OCCUPY, vreg.name, 0.0, reg=reg.name
-        )
-        rec.var.name = f"occ/{vreg.name}/{where}/{reg.name}"
-        return rec.var
+        return self.table.new_action(
+            ActionKind.OCCUPY, vreg.name, 0.0, reg=reg.name,
+            name=f"occ/{vreg.name}/{where}/{reg.name}",
+        ).var
 
     def _mem_var(self, vreg: VirtualRegister, where: str) -> Variable:
-        rec = self.table.new_action(ActionKind.MEMORY, vreg.name, 0.0)
-        rec.var.name = f"mem/{vreg.name}/{where}"
-        return rec.var
+        return self.table.new_action(
+            ActionKind.MEMORY, vreg.name, 0.0,
+            name=f"mem/{vreg.name}/{where}",
+        ).var
 
     def _build_block(self, block) -> None:
         bname = block.name
@@ -487,8 +499,7 @@ class ORAAnalysis:
         """Generalized single-symbolic constraints (§5.3) at the read
         point: current occupancies plus inserted loads/remats/copies."""
         terms_by_reg: dict[str, list[tuple[float, Variable]]] = {}
-        for s_name, regs in cur.items():
-            site = sites.get(s_name)
+        for regs in cur.values():
             for r_name, var in regs.items():
                 terms_by_reg.setdefault(r_name, []).append((1.0, var))
         for s_name, site in sites.items():
@@ -507,12 +518,11 @@ class ORAAnalysis:
         self._capacity_from_buckets(where, terms_by_reg, "xcap")
 
     def _capacity_from_buckets(self, where, terms_by_reg, tag) -> None:
-        for chain in self.target.register_file.chain_sets:
+        for names, _, chain_name in self._chains:
             terms: list[tuple[float, Variable]] = []
-            for r in chain:
-                terms.extend(terms_by_reg.get(r.name, ()))
+            for r_name in names:
+                terms.extend(terms_by_reg.get(r_name, ()))
             if len(terms) > 1:
-                chain_name = "+".join(sorted(r.name for r in chain))
                 self.model.add_constraint(
                     terms, Sense.LE, 1.0, f"{tag}/{where}/{chain_name}"
                 )
@@ -610,33 +620,34 @@ class ORAAnalysis:
         # Write capacity: a definition may not overwrite a value that
         # survives the instruction.  Survivors used at the instruction
         # contribute their out-variables; pass-through survivors their
-        # spanning segment variables.
-        live_after = self.liveness.live_after(block.name, i)
-        for chain in self.target.register_file.chain_sets:
-            for r_name, dvar in def_vars.items():
-                if self.target.register_file[r_name] not in chain:
-                    continue
-                terms = [(1.0, dvar)]
-                for s2 in _ordered(live_after):
-                    if s2 == s:
-                        continue
-                    for r2 in chain:
-                        var = self._survivor_var(s2, r2.name, sites, cur)
-                        if var is not None:
-                            terms.append((1.0, var))
-                if len(terms) > 1:
-                    self.model.add_constraint(
-                        terms, Sense.LE, 1.0,
-                        f"wcap/{s.name}/{where}/{r_name}",
-                    )
+        # spanning segment variables.  These terms depend on the chain
+        # only, so each chain's are gathered once and shared by the
+        # rows of its def registers.
+        held_by = [
+            self._pending_out.get(s2.name, {}) if s2.name in sites
+            else cur.get(s2.name, {})
+            for s2 in _ordered(self.liveness.live_after(block.name, i))
+            if s2 != s
+        ]
+        for names, members, _ in self._chains:
+            in_chain = [
+                (r_name, dvar) for r_name, dvar in def_vars.items()
+                if r_name in members
+            ]
+            if not in_chain:
+                continue
+            held = [
+                (1.0, regs[r2_name])
+                for regs in held_by for r2_name in names if r2_name in regs
+            ]
+            if not held:
+                continue
+            for r_name, dvar in in_chain:
+                self.model.add_constraint(
+                    [(1.0, dvar), *held], Sense.LE, 1.0,
+                    f"wcap/{s.name}/{where}/{r_name}",
+                )
         return def_vars
-
-    def _survivor_var(self, s2, r_name, sites, cur) -> Variable | None:
-        """The variable describing whether ``s2`` occupies ``r_name``
-        *after* the current column."""
-        if s2.name in sites:
-            return self._pending_out.get((s2.name, r_name))
-        return cur.get(s2.name, {}).get(r_name)
 
     def _emit_combined_specifier(
         self, block, i, instr, sites, def_vars, where
@@ -655,7 +666,7 @@ class ORAAnalysis:
                 # Subtract survival unless the source *is* the dst (its
                 # old value necessarily dies at the instruction).
                 if src != instr.dst:
-                    out = self._pending_out.get((src.name, r_name))
+                    out = self._pending_out.get(src.name, {}).get(r_name)
                     if out is not None:
                         rhs.append((-1.0, out))
             terms = [(1.0, dvar)]
@@ -735,7 +746,7 @@ class ORAAnalysis:
                     terms, Sense.LE, 0.0,
                     f"flow/{s_name}/{where}/{r.name}",
                 )
-                self._pending_out[(s_name, r.name)] = var
+                self._pending_out.setdefault(s_name, {})[r.name] = var
 
     def _advance_segments(
         self, block, i, instr, sites, def_vars, clobbers,
@@ -775,11 +786,7 @@ class ORAAnalysis:
                 mem.pop(s_name, None)
                 live_regs.pop(s_name, None)
                 continue
-            new_cur[s_name] = {
-                r_name: var
-                for (nm, r_name), var in self._pending_out.items()
-                if nm == s_name
-            }
+            new_cur[s_name] = self._pending_out.get(s_name, {})
 
         # 3. Pass-through registers at clobber columns lose access to
         # the clobbered families (their segment variables are simply

@@ -87,16 +87,23 @@ class DecisionVariableTable:
         index: int | None = None,
         reg: str | None = None,
         pos: int | None = None,
+        name: str | None = None,
     ) -> ActionRecord:
-        """Create a variable and its table row in one step."""
-        bits = [kind.value, vreg]
-        if block is not None:
-            bits.append(f"{block}.{index}")
-        if reg is not None:
-            bits.append(reg)
-        if pos is not None:
-            bits.append(f"p{pos}")
-        var = self.model.add_var("/".join(bits), cost)
+        """Create a variable and its table row in one step.
+
+        The variable is named ``name`` when given, else
+        ``kind/vreg[/block.index][/reg][/p<pos>]``.
+        """
+        if name is None:
+            bits = [kind.value, vreg]
+            if block is not None:
+                bits.append(f"{block}.{index}")
+            if reg is not None:
+                bits.append(reg)
+            if pos is not None:
+                bits.append(f"p{pos}")
+            name = "/".join(bits)
+        var = self.model.add_var(name, cost)
         split = (
             self.cost.take_split(cost) if self.cost is not None else None
         )

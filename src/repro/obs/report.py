@@ -101,8 +101,8 @@ class ModelStats:
             n_variables=model.n_vars,
             n_constraints=model.n_constraints,
         )
-        for con in model.constraints:
-            stats.constraints_by_class[constraint_class(con.name)] += 1
+        for name in model.row_names:
+            stats.constraints_by_class[constraint_class(name)] += 1
         if table is not None:
             for record in table.records:
                 if record.var.fixed is not None:

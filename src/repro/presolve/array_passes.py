@@ -48,8 +48,14 @@ import numpy as np
 from scipy import sparse
 from scipy.sparse import csgraph
 
-from ..solver.matrix import SENSE_EQ, SENSE_GE, SENSE_LE, _CODE_SENSE
-from ..solver.model import InfeasibleModel, IPModel
+from ..solver.model import (
+    CODE_SENSE,
+    SENSE_EQ,
+    SENSE_GE,
+    SENSE_LE,
+    InfeasibleModel,
+    IPModel,
+)
 from .config import PresolveConfig
 from .reduction import SubModel
 
@@ -572,7 +578,7 @@ class ArrayReducer:
             cols.append(sub_col[self.m.col_index[c]])
             coefs.append(d)
             indptr.append(indptr[-1] + c.size)
-            senses.append(_CODE_SENSE[int(self.sense[rid])])
+            senses.append(CODE_SENSE[int(self.sense[rid])])
             rhss.append(float(self.rhs[rid]))
             names.append(self.m.row_names[rid])
         sub.add_constraints_arrays(

@@ -70,7 +70,7 @@ def solve(
 
         raise CircuitOpenError(backend)
     config = resolve_presolve_config(presolve)
-    key = f"{backend}:{len(model.variables)}x{len(model.constraints)}"
+    key = f"{backend}:{len(model.variables)}x{model.n_constraints}"
     try:
         if should_fire(SITE_SOLVER_ERROR, key):
             raise InjectedFault(SITE_SOLVER_ERROR, key)

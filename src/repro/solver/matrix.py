@@ -1,8 +1,9 @@
 """Array-native form of the 0-1 model: one CSR matrix + flat vectors.
 
-:class:`~repro.solver.model.IPModel` stores the program the way the
-paper writes it — one Python object per variable and constraint.  That
-is the right shape for the analysis module to build and for humans to
+:class:`~repro.solver.model.IPModel` is the build-side form: one
+Python object per variable, and its rows appended to flat buffers
+(read back as :class:`~repro.solver.model.Constraint` views).  That is
+the right shape for the analysis module to build and for humans to
 read, but the hot paths (presolve, backend conversion, activity
 propagation) want the whole constraint system as arrays: costs as one
 float vector, the constraint matrix as one ``scipy.sparse`` CSR over
@@ -11,8 +12,8 @@ the free columns, and per-row sense/rhs vectors.
 :class:`MatrixModel` is that form, with a lossless bridge both ways:
 
 * :meth:`MatrixModel.from_ip` builds the arrays from the model's flat
-  coefficient buffers (maintained incrementally by
-  ``IPModel.add_constraint``) in one bulk conversion;
+  row buffers (the only place ``IPModel`` stores its rows) in one bulk
+  conversion;
 * :meth:`MatrixModel.to_ip` rebuilds an equivalent ``IPModel``
   (variable names/costs/fixings, constraint names/senses/rhs).  Terms
   inside a constraint come back in column order with duplicate
@@ -28,13 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import sparse
 
-from .model import IPModel, Sense
-
-#: integer sense codes used in the per-row sense vector
-SENSE_LE, SENSE_GE, SENSE_EQ = 0, 1, 2
-
-_SENSE_CODE = {Sense.LE: SENSE_LE, Sense.GE: SENSE_GE, Sense.EQ: SENSE_EQ}
-_CODE_SENSE = {SENSE_LE: Sense.LE, SENSE_GE: Sense.GE, SENSE_EQ: Sense.EQ}
+from .model import CODE_SENSE, SENSE_EQ, SENSE_GE, SENSE_LE, IPModel
 
 
 @dataclass(slots=True)
@@ -94,9 +89,9 @@ class MatrixModel:
         orig_to_col = np.full(n_all, -1, dtype=np.intp)
         orig_to_col[col_index] = np.arange(len(col_index), dtype=np.intp)
 
-        n_rows = len(model.constraints)
-        # The model maintained flat COO buffers as constraints were
-        # added: one bulk conversion, no per-term Python work.
+        n_rows = model.n_constraints
+        # The model stores its rows only as flat buffers: one bulk
+        # conversion, no per-row or per-term Python work.
         rows = np.asarray(model._mx_rows, dtype=np.intp)
         cols = orig_to_col[np.asarray(model._mx_cols, dtype=np.intp)]
         data = np.asarray(model._mx_data, dtype=np.float64)
@@ -104,14 +99,8 @@ class MatrixModel:
             (data, (rows, cols)), shape=(n_rows, len(col_index))
         )
         a.sum_duplicates()
-        sense = np.fromiter(
-            (_SENSE_CODE[c.sense] for c in model.constraints),
-            dtype=np.int8, count=n_rows,
-        )
-        rhs = np.fromiter(
-            (c.rhs for c in model.constraints), dtype=np.float64,
-            count=n_rows,
-        )
+        sense = np.asarray(model._row_sense, dtype=np.int8)
+        rhs = np.asarray(model._row_rhs, dtype=np.float64)
         m = cls(
             name=model.name,
             var_names=var_names,
@@ -122,7 +111,7 @@ class MatrixModel:
             a=a,
             sense=sense,
             rhs=rhs,
-            row_names=[c.name for c in model.constraints],
+            row_names=list(model._row_names),
             objective_constant=model.objective_constant,
             orig_to_col=orig_to_col,
         )
@@ -154,7 +143,7 @@ class MatrixModel:
                 for k in range(lo, hi)
             ]
             model.add_constraint(
-                terms, _CODE_SENSE[int(self.sense[i])],
+                terms, CODE_SENSE[int(self.sense[i])],
                 float(self.rhs[i]), name=self.row_names[i],
             )
         return model

@@ -9,13 +9,26 @@ solver backends (:mod:`repro.solver.scipy_backend`,
 Variables carry their objective coefficient directly (each allocation
 action has exactly one cost), which matches the paper's formulation and
 keeps model construction linear in the number of actions.
+
+Constraints are stored once, as rows of flat buffers: the terms of all
+rows in three parallel lists (row, original variable index,
+coefficient) and one entry per row in the sense-code, right-hand-side
+and name lists.  Nothing else holds a row.  :class:`Constraint` is a
+read-only view of one row and :attr:`IPModel.constraints` derives the
+list of views on demand, so building a model allocates no per-row term
+lists, and both the array form (:meth:`IPModel.matrix`) and the
+feasibility check (:meth:`IPModel.check`) are bulk sweeps over the
+buffers.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from bisect import bisect_left, bisect_right
+from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable
+
+import numpy as np
 
 
 class Sense(Enum):
@@ -25,6 +38,14 @@ class Sense(Enum):
 
     def __str__(self) -> str:
         return self.value
+
+
+#: integer sense codes of the per-row sense buffer (and of
+#: :class:`~repro.solver.matrix.MatrixModel`'s sense vector)
+SENSE_LE, SENSE_GE, SENSE_EQ = 0, 1, 2
+
+SENSE_CODE = {Sense.LE: SENSE_LE, Sense.GE: SENSE_GE, Sense.EQ: SENSE_EQ}
+CODE_SENSE = {SENSE_LE: Sense.LE, SENSE_GE: Sense.GE, SENSE_EQ: Sense.EQ}
 
 
 @dataclass(slots=True)
@@ -51,12 +72,53 @@ class Variable:
 Terms = list[tuple[float, Variable]]
 
 
-@dataclass(slots=True)
 class Constraint:
-    name: str
-    terms: Terms
-    sense: Sense
-    rhs: float
+    """One row of an :class:`IPModel`, read from the model's buffers.
+
+    A view, not a copy: it holds the model and the row number only.
+    Rows are append-only, so a view never goes stale.
+    """
+
+    __slots__ = ("_model", "row")
+
+    def __init__(self, model: "IPModel", row: int) -> None:
+        self._model = model
+        self.row = row
+
+    @property
+    def name(self) -> str:
+        return self._model._row_names[self.row]
+
+    @property
+    def sense(self) -> Sense:
+        return CODE_SENSE[self._model._row_sense[self.row]]
+
+    @property
+    def rhs(self) -> float:
+        return self._model._row_rhs[self.row]
+
+    @property
+    def terms(self) -> Terms:
+        """The row's live terms, in the order they were added."""
+        m = self._model
+        # rows are appended in order, so the row buffer is sorted
+        lo = bisect_left(m._mx_rows, self.row)
+        hi = bisect_right(m._mx_rows, self.row, lo)
+        variables, cols, data = m.variables, m._mx_cols, m._mx_data
+        return [(data[j], variables[cols[j]]) for j in range(lo, hi)]
+
+    def _key(self) -> tuple:
+        return (self.name, self.terms, self.sense, self.rhs)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Constraint):
+            return NotImplemented
+        return self._key() == other._key()
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        return f"Constraint({self.name!r}: {self})"
 
     def __str__(self) -> str:
         lhs = " + ".join(
@@ -66,24 +128,38 @@ class Constraint:
         return f"{lhs} {self.sense} {self.rhs:g}"
 
 
+def _vacuous_ok(sense: Sense, rhs: float) -> bool:
+    """Does a row with no live terms (``0 sense rhs``) hold?"""
+    if sense is Sense.LE:
+        return 0 <= rhs + 1e-9
+    if sense is Sense.GE:
+        return 0 >= rhs - 1e-9
+    return abs(rhs) <= 1e-9
+
+
 class IPModel:
     """A 0-1 integer program: minimise total cost subject to constraints."""
 
     def __init__(self, name: str = "ip") -> None:
         self.name = name
         self.variables: list[Variable] = []
-        self.constraints: list[Constraint] = []
         #: constant added to the objective (costs of unavoidable actions)
         self.objective_constant: float = 0.0
-        #: indices of variables that appear (live) in some constraint —
-        #: those can no longer be fixed at build time (see :meth:`fix`)
-        self._constrained: set[int] = set()
-        #: flat COO coefficient buffers, maintained incrementally so the
-        #: array form (:meth:`matrix`) is one bulk numpy conversion away;
-        #: columns are *original* variable indices
+        #: flat COO term buffers, one entry per live term; rows are
+        #: appended in order (so ``_mx_rows`` is sorted) and columns
+        #: are *original* variable indices
         self._mx_rows: list[int] = []
         self._mx_cols: list[int] = []
         self._mx_data: list[float] = []
+        #: per-row sense code, right-hand side and name
+        self._row_sense: list[int] = []
+        self._row_rhs: list[float] = []
+        self._row_names: list[str] = []
+        #: indices of variables that appear (live) in some row — those
+        #: can no longer be fixed (see :meth:`fix`); indexed lazily from
+        #: the first ``_n_indexed`` column entries
+        self._constrained: set[int] = set()
+        self._n_indexed = 0
         #: count of fixed variables, so :attr:`n_vars` needs no scan
         self._n_fixed = 0
         self._matrix = None
@@ -122,42 +198,33 @@ class IPModel:
         variables are dropped (returns ``None``); constraints that become
         unsatisfiable raise :class:`InfeasibleModel`.
         """
-        live: Terms = []
+        cols = self._mx_cols
+        data = self._mx_data
+        start = len(cols)
         rhs_eff = rhs
         for coef, var in terms:
             if coef == 0:
                 continue
-            if var.fixed is not None:
-                rhs_eff -= coef * var.fixed
+            if var.fixed is None:
+                cols.append(var.index)
+                data.append(coef)
             else:
-                live.append((coef, var))
-        if not live:
-            ok = {
-                Sense.LE: 0 <= rhs_eff + 1e-9,
-                Sense.GE: 0 >= rhs_eff - 1e-9,
-                Sense.EQ: abs(rhs_eff) <= 1e-9,
-            }[sense]
-            if not ok:
+                rhs_eff -= coef * var.fixed
+        n_live = len(cols) - start
+        if not n_live:
+            if not _vacuous_ok(sense, rhs_eff):
                 raise InfeasibleModel(
                     f"constraint {name or '<anon>'} is unsatisfiable "
                     f"after fixings"
                 )
             return None
-        constraint = Constraint(
-            name=name or f"c{len(self.constraints)}",
-            terms=live,
-            sense=sense,
-            rhs=rhs_eff,
-        )
-        row = len(self.constraints)
-        self.constraints.append(constraint)
-        self._constrained.update(v.index for _, v in live)
-        for coef, var in live:
-            self._mx_rows.append(row)
-            self._mx_cols.append(var.index)
-            self._mx_data.append(coef)
+        row = len(self._row_rhs)
+        self._mx_rows += [row] * n_live
+        self._row_sense.append(SENSE_CODE[sense])
+        self._row_rhs.append(rhs_eff)
+        self._row_names.append(name or f"c{row}")
         self._matrix = None
-        return constraint
+        return Constraint(self, row)
 
     def add_constraints_arrays(
         self,
@@ -167,7 +234,7 @@ class IPModel:
         senses,
         rhss,
         names: Iterable[str] | None = None,
-    ) -> list["Constraint | None"]:
+    ) -> list[Constraint | None]:
         """Batch :meth:`add_constraint` over index/coefficient arrays.
 
         Row ``k`` holds terms ``coefs[indptr[k]:indptr[k+1]]`` over the
@@ -175,26 +242,62 @@ class IPModel:
         sense ``senses[k]`` and right-hand side ``rhss[k]``.  Semantics
         match the scalar path exactly — zero coefficients dropped, fixed
         variables folded into the right-hand side, vacuous rows dropped
-        (``None`` in the result) or :class:`InfeasibleModel` raised —
-        so constraint families can be emitted as arrays without
-        changing the model that results.
+        (``None`` in the result) or :class:`InfeasibleModel` raised
+        once the rows before the unsatisfiable one are in — so
+        constraint families can be emitted as arrays without changing
+        the model that results.
         """
+        indptr = np.asarray(indptr, dtype=np.intp)
+        cols = np.asarray(cols, dtype=np.intp)
+        coefs = np.asarray(coefs, dtype=np.float64)
+        n_rows = len(indptr) - 1
+        if n_rows <= 0:
+            return []
+        row_of = np.repeat(np.arange(n_rows), np.diff(indptr))
+        live = coefs != 0
+        rhs_eff = [float(r) for r in rhss]
+        if self._n_fixed:
+            fixed = np.fromiter(
+                ((-1 if v.fixed is None else v.fixed)
+                 for v in self.variables),
+                dtype=np.int8, count=len(self.variables),
+            )[cols]
+            folded = live & (fixed >= 0)
+            live &= fixed < 0
+            # term by term, in row order: the scalar path's arithmetic
+            for j in np.flatnonzero(folded).tolist():
+                rhs_eff[row_of[j]] -= float(coefs[j]) * int(fixed[j])
+        kept = np.bincount(row_of[live], minlength=n_rows) > 0
         name_list = list(names) if names is not None else None
+        n_ok = n_rows
+        for k in np.flatnonzero(~kept).tolist():
+            if not _vacuous_ok(senses[k], rhs_eff[k]):
+                n_ok = k
+                break
+        base = len(self._row_rhs)
+        row_ids = base - 1 + np.cumsum(kept[:n_ok])
+        in_range = live & (row_of < n_ok)
+        self._mx_rows.extend(row_ids[row_of[in_range]].tolist())
+        self._mx_cols.extend(cols[in_range].tolist())
+        self._mx_data.extend(coefs[in_range].tolist())
         out: list[Constraint | None] = []
-        variables = self.variables
-        for k in range(len(indptr) - 1):
-            lo, hi = int(indptr[k]), int(indptr[k + 1])
-            terms = [
-                (float(coefs[j]), variables[int(cols[j])])
-                for j in range(lo, hi)
-            ]
-            out.append(
-                self.add_constraint(
-                    terms,
-                    senses[k],
-                    float(rhss[k]),
-                    name=name_list[k] if name_list else "",
-                )
+        for k, keep in enumerate(kept[:n_ok].tolist()):
+            if not keep:
+                out.append(None)
+                continue
+            row = len(self._row_rhs)
+            self._row_sense.append(SENSE_CODE[senses[k]])
+            self._row_rhs.append(rhs_eff[k])
+            self._row_names.append(
+                (name_list[k] if name_list else "") or f"c{row}"
+            )
+            out.append(Constraint(self, row))
+        self._matrix = None
+        if n_ok < n_rows:
+            name = name_list[n_ok] if name_list else ""
+            raise InfeasibleModel(
+                f"constraint {name or '<anon>'} is unsatisfiable "
+                f"after fixings"
             )
         return out
 
@@ -215,6 +318,10 @@ class IPModel:
                 f"variable {var.name} fixed to both values"
             )
         if var.fixed is None:
+            cols = self._mx_cols
+            if self._n_indexed < len(cols):
+                self._constrained.update(cols[self._n_indexed:])
+                self._n_indexed = len(cols)
             if var.index in self._constrained:
                 raise ValueError(
                     f"cannot fix {var.name}: it already appears in a "
@@ -236,7 +343,17 @@ class IPModel:
 
     @property
     def n_constraints(self) -> int:
-        return len(self.constraints)
+        return len(self._row_rhs)
+
+    @property
+    def constraints(self) -> list[Constraint]:
+        """Every row, as :class:`Constraint` views (built per call)."""
+        return [Constraint(self, k) for k in range(len(self._row_rhs))]
+
+    @property
+    def row_names(self) -> list[str]:
+        """Row names in row order (the model's own list: read only)."""
+        return self._row_names
 
     def free_variables(self) -> list[Variable]:
         return [v for v in self.variables if v.fixed is None]
@@ -244,8 +361,8 @@ class IPModel:
     def matrix(self):
         """The array form of this model (:class:`MatrixModel`).
 
-        The CSR form is assembled once from the flat coefficient
-        buffers and cached until the model changes.
+        The CSR form is assembled once from the flat row buffers and
+        cached until the model changes.
         """
         from .matrix import MatrixModel
 
@@ -292,20 +409,52 @@ class IPModel:
     def check(self, values: dict[int, int], tol: float = 1e-6) -> bool:
         """Is the assignment feasible for every constraint?
 
-        Like :meth:`evaluate`, missing fixed-variable indices are read
-        as their fixed value.
+        One sweep over the row buffers.  Fixed variables never appear
+        in a row (they were folded into its right-hand side), so their
+        indices may be omitted, as for :meth:`evaluate`; indices outside
+        the model are ignored.  Rows are judged in order: a violated
+        row before the first one with an omitted free variable gives
+        ``False``, otherwise that omission raises :class:`KeyError`.
         """
-        for con in self.constraints:
-            lhs = sum(
-                c * self._value_of(v, values) for c, v in con.terms
+        n_rows = len(self._row_rhs)
+        if not n_rows:
+            return True
+        n = len(self.variables)
+        x = np.zeros(n)
+        given = np.zeros(n, dtype=bool)
+        if values:
+            idx = np.fromiter(values.keys(), dtype=np.int64,
+                              count=len(values))
+            val = np.fromiter(values.values(), dtype=np.float64,
+                              count=len(values))
+            inside = (idx >= 0) & (idx < n)
+            x[idx[inside]] = val[inside]
+            given[idx[inside]] = True
+        rows = np.asarray(self._mx_rows, dtype=np.intp)
+        cols = np.asarray(self._mx_cols, dtype=np.intp)
+        # bincount adds each row's terms in order, like a scalar sum
+        lhs = np.bincount(
+            rows, weights=np.asarray(self._mx_data) * x[cols],
+            minlength=n_rows,
+        )
+        rhs = np.asarray(self._row_rhs, dtype=np.float64)
+        sense = np.asarray(self._row_sense, dtype=np.int8)
+        violated = np.where(
+            sense == SENSE_LE, lhs > rhs + tol,
+            np.where(sense == SENSE_GE, lhs < rhs - tol,
+                     np.abs(lhs - rhs) > tol),
+        )
+        omitted = ~given[cols]
+        if omitted.any():
+            first = int(np.argmax(omitted))
+            if violated[:rows[first]].any():
+                return False
+            v = self.variables[cols[first]]
+            raise KeyError(
+                f"assignment omits free variable {v.name} "
+                f"(index {v.index})"
             )
-            if con.sense is Sense.LE and lhs > con.rhs + tol:
-                return False
-            if con.sense is Sense.GE and lhs < con.rhs - tol:
-                return False
-            if con.sense is Sense.EQ and abs(lhs - con.rhs) > tol:
-                return False
-        return True
+        return not violated.any()
 
     def __str__(self) -> str:
         lines = [f"min  {self.objective_constant:g} + sum(cost*x)"]

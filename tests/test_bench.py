@@ -1,6 +1,9 @@
 """Tests for the benchmark harness: workloads, suite, metrics, tables,
 figures.  Uses a two-benchmark subset so the whole file stays fast."""
 
+import json
+from pathlib import Path
+
 import pytest
 
 from repro.bench import (
@@ -17,6 +20,7 @@ from repro.bench import (
     run_benchmark,
     run_suite,
     spill_overhead,
+    suite_perf_summary,
     table1_rows,
     table2_rows,
     table3,
@@ -171,3 +175,45 @@ class TestFigures:
         with pytest.raises(ValueError):
             FigureSeries(xs=[1.0], ys=[1.0], x_label="x",
                          y_label="y").fit()
+
+
+class TestPerfRecord:
+    """Layout of the BENCH_suite.json record the CI gate reads."""
+
+    def test_layout_carries_every_gated_metric(self, small_suite):
+        summary = suite_perf_summary(small_suite, 1.0, counters={})
+        tolerances = Path(__file__).resolve().parent.parent / "tools" \
+            / "bench_tolerances.json"
+        gated = json.loads(tolerances.read_text())["metrics"]
+        assert {"suite.model.variables", "suite.model.constraints"} \
+            <= set(gated)
+        for path in gated:
+            node = summary
+            for part in path.split("."):
+                assert part in node, f"BENCH record lacks {path}"
+                node = node[part]
+            assert isinstance(node, (int, float)), path
+
+    def test_exact_gate_fails_a_move_either_way(self):
+        import importlib.util
+
+        path = Path(__file__).resolve().parent.parent / "tools" \
+            / "check_table_regression.py"
+        spec = importlib.util.spec_from_file_location("gate", path)
+        gate = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(gate)
+        exact = {"expected": 100.0, "tol": 0, "worse": "either"}
+        assert gate.check(100.0, exact, "m") is None
+        assert gate.check(101.0, exact, "m") is not None
+        assert gate.check(99.0, exact, "m") is not None
+        assert gate.check(99.0, dict(exact, worse="higher"), "m") is None
+
+    def test_model_size_sums_the_function_reports(self, small_suite):
+        model = suite_perf_summary(small_suite, 1.0, counters={})[
+            "suite"]["model"]
+        reports = small_suite.function_reports
+        assert model["variables"] == sum(f.n_variables for f in reports)
+        assert model["constraints"] == sum(
+            f.n_constraints for f in reports
+        )
+        assert model["variables"] > 0 and model["constraints"] > 0

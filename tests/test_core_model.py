@@ -1,5 +1,7 @@
 """Structural tests of the IP model the analysis module builds."""
 
+import hashlib
+
 import pytest
 
 from repro.core import (
@@ -10,6 +12,7 @@ from repro.core import (
     find_predefined_candidates,
 )
 from repro.analysis import static_frequencies
+from repro.bench import load_benchmark
 from repro.ir import (
     Cond,
     I32,
@@ -215,3 +218,81 @@ class TestCostModel:
                                  code_size_weight=0.0)
         cm = CostModel(freq=freq, config=config)
         assert cm.remat("body") == pytest.approx(10 * 1000.0)
+
+
+# -- model identity ---------------------------------------------------------
+
+#: sha256 of each built model's full content (see :func:`model_digest`)
+#: for every function of two suite programs.  Cache records store free
+#: values by variable name, so a renamed variable (or any other silent
+#: change to the model) turns every warm cache entry into a miss; a
+#: change that is meant to alter the model must update these digests
+#: deliberately.
+GOLDEN_MODEL_DIGESTS = {
+    ("compress", "fill_input"):
+        "30782f372ba26853ff32152af1681163c88e40361acf0f7ed6f895099c00ccc0",
+    ("compress", "emit"):
+        "a053e3eb4366d3688e99f7af0d52980639e0d2173de9855a45c4bad692fe99ab",
+    ("compress", "run_length"):
+        "3318d9ba9bf2f627221efca913199a442f29e1009241b6548fd2c66cb48fb8a1",
+    ("compress", "compress_block"):
+        "900f097b4a1298a4a67c85839d71a15eeb7de0e34707da28a193932279a718c8",
+    ("compress", "checksum"):
+        "53cf404b511ea7057373735bc0645c285e6512d90cd58b70d09730896c4eea26",
+    ("compress", "window_hash"):
+        "e54fd7635f7105d63ab43838aca6ee75a97ce6270c084fae161ff13819d5cf5f",
+    ("compress", "main"):
+        "2055e53c766c942e2265f340f6d675d18d8b30f89f6e48ccdcfb6829547bafe9",
+    ("cc1", "fill_source"):
+        "102555051fd4a6b282798dee747341af8d205e811a47f4982331c94d89d91569",
+    ("cc1", "is_digit"):
+        "0cdfe5c3bdea46d3e77eb6ea1bc20d037d0325298a74381956526924ada7ffb6",
+    ("cc1", "tokenize"):
+        "c72cc6cd5d748737406a1e91ebf0bec0bb8bd40b17cfd0862705ca2b0d5797d6",
+    ("cc1", "precedence"):
+        "9f4553d63532a819463527b4498e18d1e26ddb55d3f57bec54ec239666becf42",
+    ("cc1", "apply"):
+        "f34e0514a399dd6d3a771174f7bf37a03afad74041898ff6107844b44c7463ce",
+    ("cc1", "evaluate"):
+        "1c306f758def22091396626e6bfdea38f1cd1cbb2783a6cdcadbb487aa9dd7a3",
+    ("cc1", "symbol_stats"):
+        "3e8d91af12cc9423dcce20ae2d226261cc969a94181792e02a699abdece3dd95",
+    ("cc1", "main"):
+        "ffe3245ff1f75858981b6925703be57de249c2ad1797dc2ca388e8e4ac218ea5",
+}
+
+
+def model_digest(model, table) -> str:
+    """sha256 over variables (index order: name, cost, fixing), the
+    objective constant, rows (in order: name, sense, rhs, (col, coef)
+    terms) and table rows (kind, vreg, block, index, reg, pos)."""
+    h = hashlib.sha256()
+    for v in model.variables:
+        h.update(f"v|{v.name}|{float(v.cost)!r}|{v.fixed}\n".encode())
+    h.update(f"k|{float(model.objective_constant)!r}\n".encode())
+    for con in model.constraints:
+        terms = ",".join(f"{v.index}:{float(c)!r}" for c, v in con.terms)
+        h.update(
+            f"c|{con.name}|{con.sense.value}|{float(con.rhs)!r}|"
+            f"{terms}\n".encode()
+        )
+    for r in table.records:
+        h.update(
+            f"t|{r.kind.value}|{r.vreg}|{r.block}|{r.index}|{r.reg}|"
+            f"{r.pos}\n".encode()
+        )
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("program", ["compress", "cc1"])
+def test_model_identity_golden(x86, program):
+    _, module = load_benchmark(program)
+    digests = {
+        (program, name): model_digest(*build(fn, x86)[1:3])
+        for name, fn in module.functions.items()
+    }
+    expected = {
+        key: value for key, value in GOLDEN_MODEL_DIGESTS.items()
+        if key[0] == program
+    }
+    assert digests == expected

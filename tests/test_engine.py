@@ -267,6 +267,38 @@ class TestResultCache:
         assert again.source == "solver"
         assert again.attempt.assignment == first.attempt.assignment
 
+    def test_infeasible_record_fails_the_replay_check(
+        self, x86, module, tmp_path
+    ):
+        """A record with the right shape (free-variable count and
+        names) but values that violate a row is caught by the
+        ``model.check`` replay guard itself, and re-solves."""
+        cache_dir = str(tmp_path / "cache")
+        ec = EngineConfig(jobs=1, cache_dir=cache_dir)
+        engine = AllocationEngine(x86, fast_config(), ec)
+        fn = module.functions["double"]
+        first = engine.allocate(fn)
+        assert first.attempt.succeeded
+        cache = ResultCache(cache_dir)
+        job = engine._prepare(fn, None)
+        record = cache.get(job.fingerprint)
+        assert record is not None and record.free_values
+        cache.put(CacheRecord(
+            fingerprint=record.fingerprint,
+            function=record.function,
+            status=record.status,
+            # all zeros: every must-allocate row goes unmet
+            free_values={name: 0 for name in record.free_values},
+            n_free=record.n_free,
+            objective=record.objective,
+        ))
+        reset_stats()
+        again = engine.allocate(fn)
+        counters = snapshot()
+        assert counters.get("engine.cache_stale") == 1
+        assert again.source == "solver"
+        assert again.attempt.assignment == first.attempt.assignment
+
     def test_corrupt_record_is_a_miss(self, tmp_path):
         cache = ResultCache(tmp_path)
         fp = "ab" + "0" * 62

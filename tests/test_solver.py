@@ -147,6 +147,154 @@ class TestModel:
             m.evaluate({})
 
 
+class TestModelContract:
+    """Behaviour of :meth:`IPModel.check` and the row accessors that
+    callers (cache replay, presolve expansion, backends) rely on."""
+
+    def test_omitted_fixed_variable_reads_its_fixed_value(self):
+        m = IPModel()
+        x = m.add_var("x")
+        y = m.add_var("y")
+        m.fix(x, 1)
+        m.add_constraint([(1, x), (1, y)], Sense.GE, 2, "c")
+        assert m.check({y.index: 1})
+        assert not m.check({y.index: 0})
+        assert m.check({y.index: 1}) == m.check({x.index: 1, y.index: 1})
+
+    def test_omitted_free_variable_in_a_row_raises(self):
+        m = IPModel()
+        x = m.add_var("x")
+        y = m.add_var("y")
+        m.add_constraint([(1, x), (1, y)], Sense.LE, 1, "c")
+        with pytest.raises(KeyError, match="y"):
+            m.check({x.index: 0})
+
+    def test_omitted_free_variable_in_no_row_does_not_raise(self):
+        m = IPModel()
+        x = m.add_var("x")
+        m.add_var("unused")
+        m.add_constraint([(1, x)], Sense.LE, 1, "c")
+        assert m.check({x.index: 1})
+
+    @pytest.mark.parametrize("sense, rhs", [
+        (Sense.LE, 0.75),
+        (Sense.GE, 1.25),
+        (Sense.EQ, 0.75),
+    ])
+    def test_senses_at_the_tolerance_edge(self, sense, rhs):
+        # lhs = 1 sits exactly 0.25 from rhs: inside a tolerance of
+        # 0.25, outside one of 0.125 (all values exact in binary)
+        m = IPModel()
+        x = m.add_var("x")
+        m.add_constraint([(1.0, x)], sense, rhs, "c")
+        assert m.check({x.index: 1}, tol=0.25)
+        assert not m.check({x.index: 1}, tol=0.125)
+
+    def test_vacuous_row_is_not_counted(self):
+        m = IPModel()
+        x = m.add_var("x")
+        y = m.add_var("y")
+        m.fix(x, 0)
+        assert m.add_constraint([(1, x)], Sense.LE, 1, "gone") is None
+        assert m.n_constraints == 0
+        con = m.add_constraint([(1, y)], Sense.LE, 1)
+        assert m.n_constraints == 1
+        assert con.name == "c0"
+        assert [c.name for c in m.constraints] == ["c0"]
+
+    def test_constraints_view_matches_returned_rows(self):
+        m, xs = knapsack_model()
+        second = m.add_constraint(
+            [(1, xs[0]), (-1, xs[3])], Sense.EQ, 0, "tie"
+        )
+        rows = m.constraints
+        assert len(rows) == m.n_constraints == 2
+        assert rows[1] == second
+        assert rows[0] != second
+        assert rows[0].name == "cap"
+        assert [(c, v.name) for c, v in rows[1].terms] == \
+            [(1, "x0"), (-1, "x3")]
+        assert (rows[1].sense, rows[1].rhs) == (Sense.EQ, 0)
+        assert str(rows[1]) == str(second) == "x0 + -1*x3 == 0"
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_check_matches_a_row_by_row_walk(self, seed):
+        rng = random.Random(seed)
+        m = cover_model(seed)
+        for c in range(6):
+            terms = [(float(rng.choice([-2, -1, 1, 2])), v)
+                     for v in rng.sample(m.variables, 3)]
+            m.add_constraint(terms, rng.choice(list(Sense)),
+                             float(rng.randint(-1, 2)), f"mixed{c}")
+        values = {v.index: rng.randint(0, 1) for v in m.variables}
+        if seed % 3 == 0:
+            del values[rng.choice(m.constraints).terms[0][1].index]
+
+        def walk():
+            for con in m.constraints:
+                lhs = sum(c * values[v.index] for c, v in con.terms)
+                if con.sense is Sense.LE and lhs > con.rhs + 1e-6:
+                    return False
+                if con.sense is Sense.GE and lhs < con.rhs - 1e-6:
+                    return False
+                if con.sense is Sense.EQ and abs(lhs - con.rhs) > 1e-6:
+                    return False
+            return True
+
+        try:
+            expected = walk()
+        except KeyError:
+            with pytest.raises(KeyError):
+                m.check(values)
+        else:
+            assert m.check(values) is expected
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_batch_rows_match_scalar_rows(self, seed):
+        rng = random.Random(seed)
+        scalar, batch = IPModel(), IPModel()
+        for model in (scalar, batch):
+            for i in range(8):
+                model.add_var(f"x{i}", float(i))
+        for i in rng.sample(range(8), rng.randint(0, 4)):
+            value = rng.randint(0, 1)
+            scalar.fix(scalar.variables[i], value)
+            batch.fix(batch.variables[i], value)
+        indptr, cols, coefs, senses, rhss, names = [0], [], [], [], [], []
+        for k in range(12):
+            for i in rng.sample(range(8), rng.randint(1, 3)):
+                cols.append(i)
+                coefs.append(float(rng.choice([0, -1, 1, 2])))
+            indptr.append(len(cols))
+            senses.append(rng.choice(list(Sense)))
+            rhss.append(float(rng.randint(-1, 3)))
+            names.append(rng.choice(["", f"r{k}"]))
+        scalar_error = batch_error = None
+        scalar_out = []
+        try:
+            for k in range(12):
+                terms = [(coefs[j], scalar.variables[cols[j]])
+                         for j in range(indptr[k], indptr[k + 1])]
+                scalar_out.append(scalar.add_constraint(
+                    terms, senses[k], rhss[k], names[k]
+                ))
+        except InfeasibleModel as exc:
+            scalar_error = str(exc)
+        try:
+            batch_out = batch.add_constraints_arrays(
+                indptr, cols, coefs, senses, rhss, names=names
+            )
+        except InfeasibleModel as exc:
+            batch_error = str(exc)
+        else:
+            assert [r is None for r in batch_out] == \
+                [r is None for r in scalar_out]
+        assert batch_error == scalar_error
+        assert str(batch) == str(scalar)
+        assert batch.row_names == scalar.row_names
+        assert batch.constraints == scalar.constraints
+
+
 class TestBackends:
     @pytest.mark.parametrize("backend", ["scipy", "branch-bound"])
     def test_knapsack_optimal(self, backend):

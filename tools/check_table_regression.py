@@ -24,6 +24,8 @@ allowed slack, and which direction counts as *worse*::
 
 A metric fails only when it moves past ``expected`` in the ``worse``
 direction by more than ``tol`` (absolute); improvements never fail.
+``"worse": "either"`` pins a deterministic count: a move in either
+direction is a slip.
 Metric paths are dotted keys into the ``tables`` dict; a ``rows[X]``
 component selects the row whose ``benchmark``/``name`` equals ``X``.
 
@@ -74,9 +76,13 @@ def check(value, spec, path):
     expected = float(spec["expected"])
     tol = float(spec.get("tol", 0.0))
     worse = spec.get("worse", "lower")
-    if worse not in ("lower", "higher"):
+    if worse not in ("lower", "higher", "either"):
         return f"{path}: bad 'worse' direction {worse!r}"
-    slip = expected - value if worse == "lower" else value - expected
+    slip = {
+        "lower": expected - value,
+        "higher": value - expected,
+        "either": abs(value - expected),
+    }[worse]
     if slip > tol:
         return (
             f"{path}: {value:g} is {slip:g} {worse} than the recorded "
