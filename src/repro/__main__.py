@@ -12,7 +12,7 @@
     python -m repro serve [--port P] [--queue-capacity N]
                           [--max-in-flight N] [--jobs N]
                           [--cache [DIR]] [--metrics-port P]
-                          [--metrics-jsonl PATH] [--shard-id ID]
+                          [--shard-id ID]
     python -m repro gateway [--port P] [--shards host:port,...]
                             [--spawn N] [--spawn-cache DIR]
     python -m repro submit FILE.c [--port P] [--deadline S]
@@ -67,10 +67,10 @@ Telemetry: ``exp`` records its perf trajectory (wall-clock, solve-time
 percentiles, presolve reductions, cache hit rate) to ``--bench-json``
 (default ``BENCH_suite.json``; CI gates it with
 ``tools/check_bench_regression.py``).  ``serve --metrics-port P``
-exposes Prometheus text on an HTTP sidecar and ``--metrics-jsonl``
-appends periodic snapshots; ``submit --show-trace`` makes the server
-record the request's full lifecycle (admission, queue, batch assembly,
-solve, reply) and renders the stitched span tree after the reply.
+exposes Prometheus text on an HTTP sidecar; ``submit --show-trace``
+makes the server record the request's full lifecycle (admission,
+queue, batch assembly, solve, reply) and renders the stitched span
+tree after the reply.
 
 Fault injection: ``--faults SPEC`` (on ``alloc``, ``run``, ``exp`` and
 ``serve``) installs a deterministic fault plan — equivalent to setting
@@ -374,8 +374,6 @@ def cmd_serve(args) -> int:
         default_presolve=_presolve_setting(args),
         faults=getattr(args, "faults", None),
         metrics_port=args.metrics_port,
-        metrics_jsonl=args.metrics_jsonl,
-        metrics_interval=args.metrics_interval,
         fast_slo_ms=args.fast_slo_ms,
         upgrade_queue_capacity=args.upgrade_queue_capacity,
     )
@@ -904,14 +902,6 @@ def main(argv=None) -> int:
                          metavar="P",
                          help="serve Prometheus text on an HTTP "
                               "sidecar at this port (0 = ephemeral)")
-    p_serve.add_argument("--metrics-jsonl", metavar="PATH",
-                         default=None,
-                         help="append periodic metric snapshots to "
-                              "PATH as JSON lines")
-    p_serve.add_argument("--metrics-interval", type=float,
-                         default=30.0, metavar="S",
-                         help="seconds between --metrics-jsonl "
-                              "snapshots")
     p_serve.add_argument("--shard-id", default="", metavar="ID",
                          help="identity reported in status/stats/"
                               "health (set by the gateway's --spawn)")

@@ -56,7 +56,7 @@ from pathlib import Path
 from urllib.parse import parse_qs, urlparse
 
 from ..faults import SITE_REPLICA_DROP, should_fire
-from ..obs import counter, define_counter, define_gauge
+from ..obs import Span, TraceStore, counter, define_counter, define_gauge
 from ..service.protocol import (
     E_BAD_REQUEST,
     E_INTERNAL,
@@ -68,7 +68,6 @@ from ..service.protocol import (
     error_response,
 )
 from ..telemetry import define_histogram
-from ..telemetry.lifecycle import RequestTrace, TraceStore
 from ..telemetry.prom import PROM_CONTENT_TYPE, render_prometheus
 from .shards import STATE_CODE, UP, ShardManager, parse_shard_addr
 
@@ -178,8 +177,6 @@ class GatewayConfig:
     #: per-proxy-attempt socket timeout (an allocate can legitimately
     #: run to its deadline, so this must exceed request deadlines)
     proxy_timeout: float = 300.0
-    #: finished end-to-end traces kept for GET /v1/trace
-    trace_keep: int = 64
     #: ring-membership checkpoint file ("" disables): journalled on
     #: every membership/state change, replayed at startup so a
     #: restarted gateway re-fronts its fleet without re-registration
@@ -206,7 +203,8 @@ class AllocationGateway:
             breaker_reset=config.breaker_reset,
             pool_timeout=config.proxy_timeout,
         )
-        self.traces = TraceStore(keep=config.trace_keep)
+        #: finished end-to-end traces, served by GET /v1/trace
+        self.traces = TraceStore()
         #: response id / trace_id -> routing key of the allocate that
         #: produced it (bounded LRU; evictions just mean fan-out)
         self._upgrade_keys: OrderedDict[str, str] = OrderedDict()
@@ -339,10 +337,11 @@ class AllocationGateway:
             body = dict(body, trace_id=trace_id)
         gw_trace = None
         if wants_trace:
-            gw_trace = RequestTrace(
-                trace_id, component="gateway",
-                tenant=body.get("tenant"), routing_key=key[:16],
-            )
+            extra = {"tenant": body.get("tenant"), "routing_key": key[:16]}
+            gw_trace = Span("request", meta={
+                "trace_id": trace_id, "component": "gateway",
+                **{k: v for k, v in extra.items() if v},
+            })
             gw_trace.stage("admission")
 
         candidates = self.manager.candidates(key)
@@ -452,28 +451,24 @@ class AllocationGateway:
         """
         if gw_trace is None:
             return
+        trace_id = gw_trace.meta["trace_id"]
         proxy = gw_trace.stage(
             "proxy", shard=shard.shard_id if shard else None
         )
         if shard is not None and resp.get("ok"):
-            # The shard stores its finished trace around reply time;
-            # a couple of retries absorb the store-after-reply race.
-            for attempt in range(3):
-                try:
-                    with shard.pool.lease() as client:
-                        shard_tree = client.trace(gw_trace.trace_id)
-                    tree = (shard_tree.get("result") or {}).get("trace")
-                except (OSError, ValueError, KeyError):
-                    break  # a missing tree never fails the request
-                if tree:
-                    from ..obs import Span
-                    gw_trace.attach(proxy, [Span.from_dict(tree)])
-                    break
-                time.sleep(0.05 * (attempt + 1))
+            # The shard stores a request's trace before it writes the
+            # reply, so one fetch finds it or it will never exist.
+            try:
+                with shard.pool.lease() as client:
+                    shard_tree = client.trace(trace_id)
+                tree = (shard_tree.get("result") or {}).get("trace")
+            except (OSError, ValueError, KeyError):
+                tree = None  # a missing tree never fails the request
+            if tree:
+                proxy.children.append(Span.from_dict(tree))
         gw_trace.stage("reply")
-        gw_trace.finish(status)
-        self.traces.put(gw_trace.trace_id, gw_trace.to_dict())
-        resp.setdefault("trace_id", gw_trace.trace_id)
+        self.traces.put(trace_id, gw_trace.finish(status))
+        resp.setdefault("trace_id", trace_id)
 
     # -- successor cache replication -------------------------------------
 

@@ -5,7 +5,8 @@ Three layers, all zero-cost when disabled:
 * :mod:`repro.obs.stats` — process-wide counters/gauges declared
   ``DEFINE_STAT``-style at module import;
 * :mod:`repro.obs.trace` — ``with trace_phase("liveness"): ...`` span
-  trees with wall-clock timings;
+  trees with wall-clock timings, and the same spans built stage by
+  stage as a service request's trace;
 * :mod:`repro.obs.report` — structured per-function run reports
   (model size by §5 feature class, solver statistics, §4 cost split)
   that serialise to JSON.
@@ -46,8 +47,10 @@ from .stats import (
 )
 from .trace import (
     NOOP_SPAN,
+    TRACE_KEEP,
     Span,
     SpanCapture,
+    TraceStore,
     annotate,
     capture,
     capture_active,
@@ -97,6 +100,8 @@ __all__ = [
     "SpanCapture",
     "Stat",
     "StatsRegistry",
+    "TRACE_KEEP",
+    "TraceStore",
     "VARIABLE_CLASS_BY_KIND",
     "annotate",
     "capture",

@@ -20,34 +20,50 @@ Two consumers exist:
   tree of one allocation regardless of the global flag.  A capture
   isolates the thread's span stack, and on exit re-attaches what it
   recorded to the surrounding trace so the two views stay consistent.
+
+The same :class:`Span` is the root of a service request's trace: the
+server (or gateway) opens ``Span("request", meta={"trace_id": ...})``
+at admission, appends lifecycle stages with :meth:`Span.stage` —
+admission, queue, batch assembly, solve (with the engine's captured
+spans appended under it), reply — seals it with :meth:`Span.finish`
+and keeps it in a bounded :class:`TraceStore`.  A request nobody asked
+to trace never allocates a span.
 """
 
 from __future__ import annotations
 
+import json
 import threading
 import time
+from collections import OrderedDict
 from dataclasses import dataclass, field
 
 
 @dataclass
 class Span:
-    """One timed phase, with nested children."""
+    """One timed phase, with nested children.
+
+    ``start`` is the span's ``time.perf_counter`` origin; it lives in
+    memory only and is never serialised.
+    """
 
     name: str
     seconds: float = 0.0
     meta: dict = field(default_factory=dict)
     children: list["Span"] = field(default_factory=list)
-    _t0: float = 0.0
+    start: float = field(
+        default_factory=time.perf_counter, repr=False, compare=False
+    )
 
     # -- context manager -------------------------------------------------
     def __enter__(self) -> "Span":
         tls = _tls()
         tls.stack.append(self)
-        self._t0 = time.perf_counter()
+        self.start = time.perf_counter()
         return self
 
     def __exit__(self, *exc) -> bool:
-        self.seconds = time.perf_counter() - self._t0
+        self.seconds = time.perf_counter() - self.start
         tls = _tls()
         if tls.stack and tls.stack[-1] is self:
             tls.stack.pop()
@@ -59,6 +75,37 @@ class Span:
 
     def annotate(self, key: str, value) -> "Span":
         self.meta[key] = value
+        return self
+
+    # -- stage-by-stage building (request lifecycles) --------------------
+    def stage(self, name: str, seconds: float | None = None,
+              **meta) -> "Span":
+        """Append a child that ends now, and return it.
+
+        With ``seconds=None`` the child starts where the previous
+        child ended (or at this span's start), so stages abut.
+        ``None``-valued meta is dropped.
+        """
+        now = time.perf_counter()
+        if seconds is None:
+            last = self.children[-1] if self.children else None
+            seconds = now - (
+                last.start + last.seconds if last else self.start
+            )
+        seconds = max(0.0, seconds)
+        child = Span(
+            name=name,
+            seconds=seconds,
+            meta={k: v for k, v in meta.items() if v is not None},
+            start=now - seconds,
+        )
+        self.children.append(child)
+        return child
+
+    def finish(self, status: str) -> "Span":
+        """Seal a root: wall time since ``start``, final status."""
+        self.seconds = time.perf_counter() - self.start
+        self.meta["status"] = status
         return self
 
     # -- serialisation ---------------------------------------------------
@@ -185,27 +232,103 @@ class SpanCapture:
 
 
 def capture() -> SpanCapture:
+    """Capture the spans opened on this thread (see :class:`SpanCapture`).
+
+    A captured span is never mutated after its capture closes, so the
+    engine spans of one batch may be shared, not copied, by several
+    requests' trees.
+    """
     return SpanCapture()
 
 
-def render_trace(spans: list[Span] | None = None) -> str:
-    """Indented text rendering of a span forest."""
+#: finished request traces a :class:`TraceStore` keeps
+TRACE_KEEP = 64
+
+
+class TraceStore:
+    """Bounded, thread-safe store of finished request roots.
+
+    Keyed by ``trace_id``; inserting past :data:`TRACE_KEEP` evicts the
+    oldest.  Writes come from solver and upgrade threads, reads from
+    the event loop or HTTP handlers, so roots are serialised on read
+    and appended to in place, both under the lock.
+    """
+
+    def __init__(self) -> None:
+        self._roots: OrderedDict[str, Span] = OrderedDict()
+        self._lock = threading.Lock()
+
+    def put(self, trace_id: str, root: Span) -> None:
+        with self._lock:
+            self._roots[trace_id] = root
+            self._roots.move_to_end(trace_id)
+            while len(self._roots) > TRACE_KEEP:
+                self._roots.popitem(last=False)
+
+    def append(self, trace_id: str, span: Span) -> None:
+        """Append ``span`` under a stored root; its slot stays put."""
+        with self._lock:
+            root = self._roots.get(trace_id)
+            if root is not None:
+                root.children.append(span)
+
+    def get(self, trace_id: str) -> dict | None:
+        with self._lock:
+            root = self._roots.get(trace_id)
+            return root.to_dict() if root is not None else None
+
+    def last(self) -> dict | None:
+        with self._lock:
+            if not self._roots:
+                return None
+            return next(reversed(self._roots.values())).to_dict()
+
+    def ids(self) -> list[str]:
+        with self._lock:
+            return list(self._roots)
+
+    def __len__(self) -> int:
+        with self._lock:
+            return len(self._roots)
+
+
+def render_trace(
+    spans: list[Span] | None = None,
+    width: int = 40,
+    show_meta: bool = True,
+) -> str:
+    """Flame-style text rendering of a span forest.
+
+    Each line shows the span name, its duration, a bar proportional to
+    its share of the root's wall-clock, and its annotations.  Subtrees
+    annotated ``background: true`` (a service's optimal upgrade,
+    stitched on after the reply went out) draw ``~`` instead of ``#``:
+    their time is off the critical path and may exceed the root's.
+    """
     spans = take_trace() if spans is None else spans
     if not spans:
         return "(no trace recorded)"
     lines: list[str] = []
 
-    def walk(span: Span, depth: int) -> None:
-        meta = "".join(
-            f" {k}={v}" for k, v in sorted(span.meta.items())
+    def walk(span: Span, depth: int, total: float,
+             background: bool) -> None:
+        background = background or bool(span.meta.get("background"))
+        share = min(1.0, span.seconds / total) if total > 0 else 0.0
+        bar = ("~" if background else "#") * max(
+            1 if span.seconds > 0 else 0, round(share * width)
         )
+        label = f"{'  ' * depth}{span.name}"
+        tail = "  " + " ".join(
+            f"{k}={json.dumps(v) if isinstance(v, (dict, list)) else v}"
+            for k, v in sorted(span.meta.items())
+        ) if show_meta else ""
         lines.append(
-            f"{'  ' * depth}{span.name:<{max(1, 32 - 2 * depth)}} "
-            f"{span.seconds * 1e3:9.3f} ms{meta}"
+            f"{label:<36} {span.seconds * 1e3:10.3f} ms "
+            f"{bar:<{width}}{tail}".rstrip()
         )
         for child in span.children:
-            walk(child, depth + 1)
+            walk(child, depth + 1, total, background)
 
     for span in spans:
-        walk(span, 0)
+        walk(span, 0, span.seconds, False)
     return "\n".join(lines)

@@ -34,8 +34,10 @@ Request shape::
      "records": [{...}, ...]}           # import replicated records
 
 The ``metrics`` verb returns the Prometheus text exposition of the
-telemetry registries; ``trace`` returns a finished request-lifecycle
-span tree by trace_id (or the most recent one); ``upgrade_status``
+telemetry registries; ``trace`` returns a finished request's span
+tree (``repro.obs.Span.to_dict()``) by trace_id, or the most recently
+stored one — a background upgrade appended to an older tree later
+does not make it the most recent; ``upgrade_status``
 returns the background optimal-upgrade record of a fast-answered
 allocate (states ``queued`` / ``solving`` / ``done`` / ``failed`` /
 ``dropped``, with the measured optimality gap once ``done``).  With

@@ -50,8 +50,15 @@ from ..engine import (
 )
 from ..faults import breaker_snapshots
 from ..ir import format_function
-from ..obs import Span, capture, define_counter, define_gauge, trace_phase
-from ..telemetry import RequestTrace, TraceStore, define_histogram
+from ..obs import (
+    Span,
+    TraceStore,
+    capture,
+    define_counter,
+    define_gauge,
+    trace_phase,
+)
+from ..telemetry import define_histogram
 from ..tiers import (
     TIER_BASELINE,
     TIER_FAST,
@@ -99,12 +106,6 @@ STAT_BATCHES = define_counter(
 STAT_DEADLINE = define_counter(
     "service.deadline_expired",
     "requests whose deadline expired in the queue (baseline fallback)",
-)
-STAT_QUEUE_WAIT = define_counter(
-    "service.queue_wait_seconds", "total seconds requests spent queued"
-)
-STAT_SOLVE = define_counter(
-    "service.solve_seconds", "total seconds spent solving batches"
 )
 GAUGE_QUEUE_DEPTH = define_gauge(
     "service.queue_depth", "requests waiting in the admission queue"
@@ -161,8 +162,8 @@ class _Pending:
     started: float = 0.0
     #: fair-queueing key (tenant, or the connection when anonymous)
     client: str = ""
-    #: lifecycle trace, only when the client asked for one
-    trace: RequestTrace | None = None
+    #: the request's trace root, only when the client asked for one
+    trace: Span | None = None
 
     def remaining(self) -> float | None:
         if self.expires is None:
@@ -217,10 +218,8 @@ class BatchScheduler:
         self.completed = 0
         self.rejected = 0
         self.cancelled = 0
-        #: finished lifecycle traces, served by the ``trace`` verb
-        self.traces = TraceStore(
-            keep=getattr(config, "trace_keep", 64)
-        )
+        #: finished request traces, served by the ``trace`` verb
+        self.traces = TraceStore()
         # per-tenant accounting for the stats verb (solver threads and
         # the event loop both write — hence the lock)
         self._tenants: dict[str, dict] = {}
@@ -439,16 +438,14 @@ class BatchScheduler:
                 out[key] = t
         return out
 
-    def _finish_rejected(
-        self, trace: RequestTrace | None, code: str
+    def _seal(
+        self, trace: Span | None, stage: str, status: str, **meta
     ) -> None:
-        """A traced request bounced at admission still gets a trace."""
+        """Append a traced request's last stage, finish and store it."""
         if trace is None:
             return
-        trace.stage("rejected", code=code)
-        self.traces.put(
-            trace.trace_id, trace.finish(code).to_dict()
-        )
+        trace.stage(stage, **meta)
+        self.traces.put(trace.meta["trace_id"], trace.finish(status))
 
     @property
     def in_flight(self) -> int:
@@ -458,7 +455,7 @@ class BatchScheduler:
         self,
         request: AllocateRequest,
         client: str = "",
-        trace: RequestTrace | None = None,
+        trace: Span | None = None,
     ) -> asyncio.Future:
         """Admit one request, or raise a ProtocolError rejection.
 
@@ -466,8 +463,8 @@ class BatchScheduler:
         the request's tenant when declared, else the connection.  Must
         be called from the event loop; the capacity check and the
         enqueue are atomic because nothing here awaits.  ``trace``,
-        when given, is the request's lifecycle trace; the scheduler
-        appends queue/solve/reply stages to it and stores it finished.
+        when given, is the request's trace root; the scheduler appends
+        queue/solve/reply stages to it and stores it finished.
         """
         STAT_REQUESTS.incr()
         key = request.tenant or client or "anon"
@@ -475,7 +472,7 @@ class BatchScheduler:
             STAT_REJECTED_DRAIN.incr()
             self.rejected += 1
             self._note_tenant(key, "rejected")
-            self._finish_rejected(trace, E_DRAINING)
+            self._seal(trace, "rejected", E_DRAINING, code=E_DRAINING)
             raise ProtocolError(
                 E_DRAINING, "server is draining; not accepting work"
             )
@@ -485,7 +482,9 @@ class BatchScheduler:
             STAT_REJECTED.incr()
             self.rejected += 1
             self._note_tenant(key, "rejected")
-            self._finish_rejected(trace, E_OVERLOADED)
+            self._seal(
+                trace, "rejected", E_OVERLOADED, code=E_OVERLOADED
+            )
             raise ProtocolError(
                 E_OVERLOADED,
                 f"admission queue full "
@@ -543,12 +542,7 @@ class BatchScheduler:
                 STAT_CANCELLED.incr()
                 self._note_tenant(pending.client, "cancelled")
                 GAUGE_QUEUE_DEPTH.set(self._queued)
-                if pending.trace is not None:
-                    pending.trace.stage("cancelled")
-                    self.traces.put(
-                        pending.trace.trace_id,
-                        pending.trace.finish("cancelled").to_dict(),
-                    )
+                self._seal(pending.trace, "cancelled", "cancelled")
                 if not pending.future.done():
                     pending.future.set_result({
                         "ok": False,
@@ -631,14 +625,10 @@ class BatchScheduler:
                 time.monotonic() - pending.admitted
             )
             if pending.trace is not None:
-                pending.trace.stage("reply")
                 status = "ok" if payload.get("ok") else (
                     (payload.get("error") or {}).get("code", "error")
                 )
-                self.traces.put(
-                    pending.trace.trace_id,
-                    pending.trace.finish(status).to_dict(),
-                )
+                self._seal(pending.trace, "reply", status)
         self._in_flight -= len(batch)
         GAUGE_IN_FLIGHT.set(self._in_flight)
         self._room.set()
@@ -678,7 +668,6 @@ class BatchScheduler:
         for pending in batch:
             pending.started = t0
             wait = t0 - pending.admitted
-            STAT_QUEUE_WAIT.add(wait)
             HIST_QUEUE_WAIT.observe(wait)
             if pending.trace is not None:
                 pending.trace.stage(
@@ -722,9 +711,7 @@ class BatchScheduler:
                             group_size=len(group),
                         )
                 self._solve_group(group, responses)
-        elapsed = time.monotonic() - t0
-        STAT_SOLVE.add(elapsed)
-        HIST_BATCH_SOLVE.observe(elapsed)
+        HIST_BATCH_SOLVE.observe(time.monotonic() - t0)
         return responses
 
     def _engine_key(self, req: AllocateRequest) -> tuple:
@@ -864,13 +851,12 @@ class BatchScheduler:
     def _trace_solve(
         self, pending: _Pending, outcomes, engine_spans, seconds: float
     ) -> None:
-        """Append the solve stage (plus engine spans) to a trace."""
-        trace = pending.trace
+        """Append the solve stage, engine spans under it, to a trace."""
         breakers = {
             site: snap.get("state", "")
             for site, snap in breaker_snapshots().items()
         }
-        span = trace.stage(
+        span = pending.trace.stage(
             "solve",
             seconds=seconds,
             functions=len(outcomes),
@@ -879,7 +865,7 @@ class BatchScheduler:
             timed_out=sum(1 for o in outcomes if o.timed_out),
             breakers=breakers or None,
         )
-        trace.attach(span, engine_spans)
+        span.children.extend(engine_spans)
 
     # -- fast tier + background upgrade (solver / upgrade threads) -------
 
@@ -1156,15 +1142,12 @@ class BatchScheduler:
     ) -> None:
         """Graft the background solve under the originating trace.
 
-        The request's lifecycle trace finished (and was stored) when
-        the fast reply went out; the upgrade lands later, so its span
-        subtree is stitched into the stored tree under the same
-        trace_id for ``tools/trace_view.py`` to render.
+        The request's trace finished (and was stored) when the fast
+        reply went out; the upgrade lands later, so its span subtree
+        is appended to the stored root in place — the root keeps its
+        slot in the store, so the newest request stays the newest.
         """
-        tree = self.traces.get(job.trace_id)
-        if not isinstance(tree, dict):
-            return
-        span = Span(
+        self.traces.append(job.trace_id, Span(
             name="upgrade",
             seconds=seconds,
             meta={
@@ -1174,9 +1157,7 @@ class BatchScheduler:
                 "functions": len(job.functions),
             },
             children=list(spans),
-        )
-        tree.setdefault("children", []).append(span.to_dict())
-        self.traces.put(job.trace_id, tree)
+        ))
 
     def _respond_expired(
         self, pending: _Pending, responses: dict[int, dict]

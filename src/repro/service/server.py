@@ -47,13 +47,11 @@ from ..faults import (
     set_injector,
     should_fire,
 )
-from ..obs import define_counter
+from ..obs import Span, define_counter
 from ..solver import BACKENDS
 from ..telemetry import (
     PROM_CONTENT_TYPE,
     MetricsHTTPServer,
-    RequestTrace,
-    SnapshotWriter,
     render_prometheus,
 )
 from .protocol import (
@@ -80,7 +78,7 @@ from .protocol import (
     error_response,
     parse_allocate,
 )
-from .scheduler import BatchScheduler
+from .scheduler import HIST_BATCH_SOLVE, HIST_QUEUE_WAIT, BatchScheduler
 
 STAT_TOO_LARGE = define_counter(
     "service.too_large", "requests rejected over a size limit"
@@ -155,12 +153,6 @@ class ServiceConfig:
     #: bind an HTTP /metrics sidecar on this port (None = off;
     #: 0 = ephemeral, read it back from ``server.metrics_port``)
     metrics_port: int | None = None
-    #: append periodic telemetry snapshots to this JSONL file
-    metrics_jsonl: str | None = None
-    #: seconds between JSONL snapshots
-    metrics_interval: float = 30.0
-    #: finished request-lifecycle traces kept for the ``trace`` verb
-    trace_keep: int = 64
     #: fast-tier reply SLO in milliseconds; > 0 enables tiered
     #: allocation (linear-scan reply now, exact IP solve upgraded in
     #: the background), <= 0 keeps the pre-tiered exact-only behavior
@@ -193,7 +185,6 @@ class AllocationServer:
         self._conn_seq = itertools.count(1)
         self._signals_installed: list[int] = []
         self._metrics_http: MetricsHTTPServer | None = None
-        self._snapshots: SnapshotWriter | None = None
 
     # -- lifecycle -------------------------------------------------------
 
@@ -224,13 +215,6 @@ class AllocationServer:
                 render=self.render_metrics,
             )
             self._metrics_http.start()
-        if self.config.metrics_jsonl:
-            self._snapshots = SnapshotWriter(
-                self.config.metrics_jsonl,
-                interval=self.config.metrics_interval,
-                extra=lambda: {"status": self.status()},
-            )
-            self._snapshots.start()
         self._install_signal_handlers()
 
     async def run(self) -> None:
@@ -250,9 +234,6 @@ class AllocationServer:
         if self._metrics_http is not None:
             self._metrics_http.stop()
             self._metrics_http = None
-        if self._snapshots is not None:
-            self._snapshots.stop()
-            self._snapshots = None
         if self._server is not None:
             self._server.close()
             await self._server.wait_closed()
@@ -537,12 +518,12 @@ class AllocationServer:
             # requests allocate no span objects on the hot path.
             trace = None
             if request.wants_trace:
-                trace = RequestTrace(
-                    trace_id,
-                    tenant=request.tenant,
-                    client=client,
-                    target=request.target_name,
-                )
+                extra = {"tenant": request.tenant, "client": client,
+                         "target": request.target_name}
+                trace = Span("request", meta={
+                    "trace_id": trace_id,
+                    **{k: v for k, v in extra.items() if v},
+                })
             # Admission happens after validation so rejections are
             # cheap and a malformed request never occupies a queue
             # slot.
@@ -636,7 +617,6 @@ class AllocationServer:
     def stats(self) -> dict:
         sched = self.scheduler
         counters = obs.snapshot()
-        completed = max(1.0, counters.get("service.completed", 0.0))
         return {
             "shard_id": self.config.shard_id,
             "counters": counters,
@@ -647,12 +627,10 @@ class AllocationServer:
                 "in_flight": sched.in_flight,
                 "max_in_flight": self.config.max_in_flight,
                 "avg_queue_seconds": (
-                    counters.get("service.queue_wait_seconds", 0.0)
-                    / completed
+                    HIST_QUEUE_WAIT.sum / max(1, HIST_QUEUE_WAIT.count)
                 ),
                 "avg_solve_seconds": (
-                    counters.get("service.solve_seconds", 0.0)
-                    / max(1.0, counters.get("service.batches", 0.0))
+                    HIST_BATCH_SOLVE.sum / max(1, HIST_BATCH_SOLVE.count)
                 ),
             },
             "cache": {
@@ -681,7 +659,7 @@ class AllocationServer:
         }
 
     def trace(self, ref=None) -> dict:
-        """Body of the ``trace`` verb: one stored lifecycle trace."""
+        """Body of the ``trace`` verb: one stored request trace."""
         store = self.scheduler.traces
         tree = store.get(str(ref)) if ref else store.last()
         return {"trace": tree, "ids": store.ids()}

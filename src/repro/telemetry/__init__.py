@@ -1,18 +1,17 @@
-"""Telemetry: latency histograms, request traces, metrics exposition.
+"""Telemetry: latency histograms and metrics exposition.
 
-Built on top of :mod:`repro.obs` (which owns counters, gauges, phase
-spans and run reports), this package adds the distribution- and
-serving-oriented layers the scale-out era steers by:
+Built on top of :mod:`repro.obs` (which owns counters, gauges, spans —
+pipeline phases and request traces alike — and run reports), this
+package adds the distribution- and serving-oriented layers the
+scale-out era steers by:
 
 * :mod:`repro.telemetry.histogram` — fixed-bucket log-spaced latency
   histograms with exact-within-a-bucket percentile interpolation,
   mergeable across worker processes like counters;
-* :mod:`repro.telemetry.lifecycle` — per-request stitched span trees
-  (admission → queue → batch → solve → reply) keyed by ``trace_id``;
 * :mod:`repro.telemetry.prom` — Prometheus text-format exposition of
   counters, gauges and histograms (cumulative buckets);
 * :mod:`repro.telemetry.exporter` — the stdlib ``http.server``
-  ``/metrics`` sidecar and the periodic snapshot-to-JSONL writer.
+  ``/metrics`` sidecar.
 
 Everything here shares the :mod:`repro.obs.stats` enabled flag: with
 telemetry off, a histogram ``observe`` is one attribute check, and no
@@ -21,7 +20,7 @@ request allocates a span unless it asked to be traced.
 
 from __future__ import annotations
 
-from .exporter import MetricsHTTPServer, SnapshotWriter
+from .exporter import MetricsHTTPServer
 from .histogram import (
     DEFAULT_BOUNDS,
     HISTOGRAMS,
@@ -36,7 +35,6 @@ from .histogram import (
     percentile_of,
     reset_histograms,
 )
-from .lifecycle import RequestTrace, TraceStore
 from .prom import PROM_CONTENT_TYPE, prom_name, render_prometheus
 
 __all__ = [
@@ -46,9 +44,6 @@ __all__ = [
     "HistogramRegistry",
     "MetricsHTTPServer",
     "PROM_CONTENT_TYPE",
-    "RequestTrace",
-    "SnapshotWriter",
-    "TraceStore",
     "define_histogram",
     "histogram",
     "histogram_delta",

@@ -1,29 +1,18 @@
-"""Metrics exposition sidecars: HTTP endpoint and JSONL snapshots.
+"""Metrics exposition sidecar: the HTTP ``/metrics`` endpoint.
 
-Two optional, stdlib-only exporters the allocation service (or any
-embedder) can run alongside its main protocol:
-
-* :class:`MetricsHTTPServer` — a ``http.server`` thread answering
-  ``GET /metrics`` with Prometheus text (what a scraper pulls) and
-  ``GET /healthz`` with a one-line liveness answer; deliberately not
-  the NDJSON port, so scraping never competes with request framing;
-* :class:`SnapshotWriter` — a thread appending one JSON object per
-  interval (wall timestamp, counters, histograms) to a JSONL file,
-  the offline form: two snapshots diff into a rate without any
-  scraper infrastructure.
-
-Both are daemon threads with idempotent ``start``/``stop``.
+:class:`MetricsHTTPServer` is an optional, stdlib-only daemon thread
+the allocation service (or any embedder) can run alongside its main
+protocol.  It answers ``GET /metrics`` with Prometheus text (what a
+scraper pulls) and ``GET /healthz`` with a one-line liveness answer —
+deliberately not the NDJSON port, so scraping never competes with
+request framing.  ``start``/``stop`` are idempotent.
 """
 
 from __future__ import annotations
 
-import json
 import threading
-import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
-from ..obs import snapshot
-from .histogram import histogram_snapshot
 from .prom import PROM_CONTENT_TYPE, render_prometheus
 
 
@@ -89,70 +78,3 @@ class MetricsHTTPServer:
             self._thread.join(timeout=5.0)
             self._thread = None
         self._httpd.server_close()
-
-
-class SnapshotWriter:
-    """Append ``{ts, counters, histograms}`` JSONL every interval.
-
-    The offline exposition path: records diff cleanly (counters and
-    histogram state are monotone within a process lifetime), and a
-    final snapshot is always written on :meth:`stop` so short-lived
-    servers still leave a complete record.
-    """
-
-    def __init__(
-        self,
-        path: str,
-        interval: float = 30.0,
-        extra=None,
-    ) -> None:
-        """``extra``, when given, is a zero-argument callable whose
-        dict result is merged into every record (the service adds its
-        queue/tenant state)."""
-        self.path = path
-        self.interval = max(0.1, float(interval))
-        self._extra = extra
-        self._stop = threading.Event()
-        self._thread: threading.Thread | None = None
-
-    def write_snapshot(self) -> dict:
-        record = {
-            "ts": time.time(),
-            "counters": snapshot(),
-            "histograms": histogram_snapshot(),
-        }
-        if self._extra is not None:
-            try:
-                record.update(self._extra() or {})
-            except Exception:
-                pass  # telemetry must never take the service down
-        with open(self.path, "a") as handle:
-            handle.write(json.dumps(record, sort_keys=True) + "\n")
-        return record
-
-    def _run(self) -> None:
-        while not self._stop.wait(self.interval):
-            try:
-                self.write_snapshot()
-            except OSError:
-                pass
-
-    def start(self) -> "SnapshotWriter":
-        if self._thread is None:
-            self._stop.clear()
-            self._thread = threading.Thread(
-                target=self._run, name="repro-metrics-jsonl",
-                daemon=True,
-            )
-            self._thread.start()
-        return self
-
-    def stop(self) -> None:
-        if self._thread is not None:
-            self._stop.set()
-            self._thread.join(timeout=5.0)
-            self._thread = None
-            try:
-                self.write_snapshot()
-            except OSError:
-                pass

@@ -13,6 +13,7 @@ import os
 import random
 import subprocess
 import sys
+import threading
 import urllib.request
 
 import pytest
@@ -20,15 +21,22 @@ import pytest
 from repro.core import AllocatorConfig
 from repro.engine import AllocationEngine, EngineConfig
 from repro.lang import compile_program
-from repro.obs import reset_stats, set_stats_enabled, snapshot
+from repro.obs import (
+    TRACE_KEEP,
+    Span,
+    TraceStore,
+    reset_stats,
+    set_stats_enabled,
+    snapshot,
+)
 from repro.service import ServerThread, ServiceClient, ServiceConfig
 from repro.service.protocol import E_PARSE, E_TOO_LARGE
+from repro.service.scheduler import BatchScheduler
+from repro.service.upgrades import UpgradeJob
 from repro.target import x86_target
 from repro.telemetry import (
     DEFAULT_BOUNDS,
     Histogram,
-    RequestTrace,
-    TraceStore,
     define_histogram,
     histogram_delta,
     histogram_snapshot,
@@ -251,26 +259,105 @@ class TestPrometheus:
 
 class TestLifecycle:
     def test_stages_abut_and_finish_seals_root(self):
-        trace = RequestTrace("T-1", tenant="t")
-        trace.stage("admission", queue_depth=0)
-        trace.stage("queue", seconds=0.25)
+        trace = Span("request", meta={"trace_id": "T-1", "tenant": "t"})
+        admission = trace.stage("admission", queue_depth=0, none=None)
+        queue = trace.stage("queue", seconds=0.25)
+        reply = trace.stage("reply")
         tree = trace.finish("ok").to_dict()
         names = [c["name"] for c in tree["children"]]
-        assert names == ["admission", "queue"]
+        assert names == ["admission", "queue", "reply"]
         assert tree["meta"]["status"] == "ok"
         assert tree["meta"]["trace_id"] == "T-1"
-        queue = tree["children"][1]
-        assert queue["seconds"] == pytest.approx(0.25)
+        assert "start" not in tree
+        assert tree["children"][0]["meta"] == {"queue_depth": 0}
+        assert tree["children"][1]["seconds"] == pytest.approx(0.25)
+        # a stage without explicit seconds starts where the previous
+        # one ended (the first at the root's start); every stage ends
+        # at the moment it was appended
+        assert admission.start == trace.start
+        assert reply.start == pytest.approx(
+            queue.start + queue.seconds, abs=1e-9
+        )
+        assert queue.start + queue.seconds >= \
+            admission.start + admission.seconds
 
     def test_store_is_bounded_and_keyed(self):
-        store = TraceStore(keep=2)
-        for i in range(4):
-            store.put(f"T-{i}", {"name": f"t{i}"})
-        assert len(store) == 2
+        store = TraceStore()
+        n = TRACE_KEEP + 2
+        for i in range(n):
+            store.put(f"T-{i}", Span(f"t{i}"))
+        assert len(store) == TRACE_KEEP
         assert store.get("T-0") is None
-        assert store.get("T-3") == {"name": "t3"}
-        assert store.last() == {"name": "t3"}
-        assert store.ids() == ["T-2", "T-3"]
+        assert store.get("T-1") is None
+        assert store.get(f"T-{n - 1}") == {"name": f"t{n - 1}",
+                                            "seconds": 0.0}
+        assert store.last() == store.get(f"T-{n - 1}")
+        assert store.ids() == [f"T-{i}" for i in range(2, n)]
+
+    def test_store_appends_race_free_with_readers(self):
+        """Stitch threads append under a stored root while readers
+        serialise it: no append is lost, no read sees a torn tree."""
+        store = TraceStore()
+        store.put("T", Span("request"))
+        errors: list[BaseException] = []
+
+        def guarded(fn):
+            def run():
+                try:
+                    fn()
+                except BaseException as exc:  # reported below
+                    errors.append(exc)
+            return run
+
+        def writer():
+            for i in range(200):
+                store.append("T", Span(f"s{i}"))
+
+        def reader():
+            for _ in range(200):
+                tree = store.get("T")
+                assert all(c["name"].startswith("s")
+                           for c in tree.get("children", []))
+
+        threads = [threading.Thread(target=guarded(writer))
+                   for _ in range(4)]
+        threads += [threading.Thread(target=guarded(reader))
+                    for _ in range(2)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == []
+        assert len(store.get("T")["children"]) == 800
+        store.append("missing", Span("x"))
+        assert store.ids() == ["T"]
+
+    def test_upgrade_stitch_keeps_newest_trace_last(self):
+        """A background upgrade landing on an older request's trace
+        appends to that root in place: the no-ref ``trace`` still
+        returns the newest request."""
+        sched = BatchScheduler(ServiceConfig(), {"x86": x86_target})
+        for ref in ("A", "B"):
+            root = Span("request", meta={"trace_id": ref})
+            root.stage("reply")
+            sched.traces.put(ref, root.finish("ok"))
+        sched._run_upgrade(UpgradeJob(
+            trace_id="A", tenant="", target_name="x86",
+            config=AllocatorConfig(time_limit=30.0),
+            functions=list(compile_program(SOURCE, name="stitch")),
+        ))
+        assert sched.traces.last()["meta"]["trace_id"] == "B"
+        assert sched.traces.ids() == ["A", "B"]
+        upgrade = sched.traces.get("A")["children"][-1]
+        assert upgrade["name"] == "upgrade"
+        assert upgrade["meta"]["background"] is True
+        assert upgrade["children"], "engine spans grafted under it"
 
 
 # -- cross-process merge through the engine -------------------------------
@@ -390,6 +477,46 @@ class TestServiceTelemetry:
             f"http://127.0.0.1:{port}/healthz", timeout=10
         ).read()
         assert health == b"ok\n"
+
+    def test_trace_is_stored_before_the_reply(self, make_server):
+        """The shard stores a request's trace before writing its reply,
+        so a fetch on another connection right after the reply finds
+        it — the reason the gateway fetches a shard's tree once."""
+        handle = make_server()
+        with client_for(handle) as client, \
+                client_for(handle) as other:
+            for i in range(3):
+                ref = f"T-order-{i}"
+                ServiceClient.check(client.allocate(
+                    source=SOURCE, trace_id=ref
+                ))
+                got = ServiceClient.check(other.trace(ref))
+                tree = got["result"]["trace"]
+                assert tree is not None, ref
+                assert tree["meta"]["trace_id"] == ref
+
+    def test_stats_averages_are_histogram_means(self, make_server):
+        handle = make_server()
+        with client_for(handle) as client:
+            for i in range(3):
+                ServiceClient.check(client.allocate(
+                    source=SOURCE + f"// {i}\n"
+                ))
+            got = ServiceClient.check(client.stats())
+        hists = histogram_snapshot()
+        wait, solve = hists["service.queue_wait"], \
+            hists["service.batch_solve"]
+        assert wait["count"] == 3
+        queue = got["result"]["queue"]
+        assert queue["avg_queue_seconds"] == pytest.approx(
+            wait["sum"] / wait["count"]
+        )
+        assert queue["avg_solve_seconds"] == pytest.approx(
+            solve["sum"] / solve["count"]
+        )
+        counters = got["result"]["counters"]
+        assert "service.queue_wait_seconds" not in counters
+        assert "service.solve_seconds" not in counters
 
     def test_stats_verb_reports_tenants(self, make_server):
         handle = make_server()

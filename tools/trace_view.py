@@ -1,5 +1,5 @@
 #!/usr/bin/env python
-"""Render a request-lifecycle trace as a flame-style text tree.
+"""Render a request trace as a flame-style text tree.
 
 Usage::
 
@@ -8,30 +8,29 @@ Usage::
 
 Accepts any of the shapes the stack produces:
 
-* a raw span dict (``RequestTrace.to_dict()`` / ``Span.to_dict()``);
+* a raw span dict (``Span.to_dict()``);
 * a ``trace`` verb response (``{"result": {"trace": ..., "ids":
   [...]}}``) as printed by ``python -m repro submit --verb trace
   --json``;
 * a list of span dicts (a span forest).
 
-Each line shows the span name, its duration, a bar proportional to the
-share of the root span's wall-clock, and the span's annotations — so a
-stitched service trace reads as the request's time budget: how long it
-sat in the queue, how long batch assembly took, where the solve went.
-
-Spans annotated ``background: true`` (the service's optimal-upgrade
-subtree, stitched onto the originating request's trace after the fast
-reply went out) are drawn with a ``~`` bar instead of ``#``: their
-time is off the request's critical path, so it can legitimately exceed
-the root's wall-clock and must not be read as reply latency.
-
-Standalone on purpose: reads plain JSON, imports nothing from the
-package, runnable against a trace captured on another machine.
+The tree is drawn by :func:`repro.obs.render_trace`, the renderer
+behind ``submit --show-trace`` and ``submit --verb trace``: each line
+shows the span name, its duration, a bar proportional to the share of
+the root span's wall-clock, and the span's annotations.  Background
+subtrees (a service's optimal upgrade) are drawn with ``~`` bars.
 """
 
 import argparse
 import json
+import os
 import sys
+
+sys.path.insert(
+    0, os.path.join(os.path.dirname(__file__), os.pardir, "src")
+)
+
+from repro.obs import Span, render_trace  # noqa: E402
 
 
 def _extract(doc):
@@ -50,43 +49,9 @@ def _extract(doc):
     return []
 
 
-def _fmt_meta(meta):
-    return " ".join(
-        f"{k}={json.dumps(v) if isinstance(v, (dict, list)) else v}"
-        for k, v in sorted(meta.items())
-    )
-
-
-def render(spans, width=40, show_meta=True):
-    """Flame-style text rendering of a span forest."""
-    lines = []
-    for root in spans:
-        total = root.get("seconds", 0.0) or 0.0
-
-        def walk(span, depth, background=False):
-            seconds = span.get("seconds", 0.0) or 0.0
-            meta = span.get("meta") or {}
-            background = background or bool(meta.get("background"))
-            share = min(1.0, seconds / total) if total > 0 else 0.0
-            bar = ("~" if background else "#") * max(
-                1 if seconds > 0 else 0, round(share * width)
-            )
-            label = f"{'  ' * depth}{span['name']}"
-            tail = f"  {_fmt_meta(meta)}" if show_meta and meta else ""
-            lines.append(
-                f"{label:<36} {seconds * 1e3:10.3f} ms "
-                f"{bar:<{width}}{tail}"
-            )
-            for child in span.get("children", []):
-                walk(child, depth + 1, background)
-
-        walk(root, 0)
-    return "\n".join(lines)
-
-
 def main(argv=None):
     parser = argparse.ArgumentParser(
-        description="render a lifecycle/phase trace JSON as a "
+        description="render a request/phase trace JSON as a "
                     "flame-style text tree",
     )
     parser.add_argument("trace", help="trace JSON file, or '-' for "
@@ -108,7 +73,8 @@ def main(argv=None):
               "dict, a span list, or a 'trace' verb response)",
               file=sys.stderr)
         return 1
-    print(render(spans, width=args.width, show_meta=not args.no_meta))
+    print(render_trace([Span.from_dict(s) for s in spans],
+                       width=args.width, show_meta=not args.no_meta))
     return 0
 
 
