@@ -85,13 +85,23 @@ def fig10_series(reports: list[FunctionReport]) -> FigureSeries:
 
 def render_figure(series: FigureSeries, title: str,
                   paper_note: str = "") -> str:
-    """ASCII rendition of a log-log scatter plus the fitted exponent."""
-    fit = series.fit()
+    """ASCII rendition of a log-log scatter plus the fitted exponent.
+
+    A series too small to fit (a warm run whose functions all came from
+    the result cache has no solve times) renders without the fit.
+    """
     lines = [title]
-    lines.append(
-        f"  {len(series.xs)} points; fitted growth: "
-        f"y ~ {fit.scale:.3g} * x^{fit.exponent:.2f}"
-    )
+    try:
+        fit = series.fit()
+    except ValueError:
+        lines.append(
+            f"  {len(series.xs)} points; too few to fit a growth curve"
+        )
+    else:
+        lines.append(
+            f"  {len(series.xs)} points; fitted growth: "
+            f"y ~ {fit.scale:.3g} * x^{fit.exponent:.2f}"
+        )
     if paper_note:
         lines.append(f"  ({paper_note})")
     order = np.argsort(series.xs)

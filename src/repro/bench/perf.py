@@ -145,50 +145,45 @@ def _presolve_stats(reports, counters=None) -> dict:
     }
 
 
-def _replication_stats(reports) -> dict:
+def _replication_stats(suite: SuiteResult) -> dict:
     """Reply-path cost of successor cache replication, measured.
 
-    Per function, times exactly the serialization work the gateway's
-    ``replicate`` verb adds around a request: the owner-side export
+    Per solved function, times exactly the serialization work the
+    gateway's ``replicate`` verb adds around a request, on the real
+    cache record of the suite's own allocation
+    (:meth:`CacheRecord.from_allocation`): the owner-side export
     (:meth:`CacheRecord.to_dict`, which computes the sha256 checksum,
     plus the JSON wire encode) and the successor-side import (JSON
-    decode, checksum re-verify, :meth:`CacheRecord.from_dict`).  The
-    record's ``free_values`` payload is sized to the function's
-    post-presolve variable count, so the sample scales with real model
-    size.  ``p50_ratio`` relates the median per-function replication
-    cost to the median solve time; the CI tolerance gate pins it near
-    zero — replication must stay noise next to a solve, or the "warm
+    decode, checksum re-verify, :meth:`CacheRecord.from_dict`).
+    ``p50_ratio`` relates the median per-function replication cost to
+    the median solve time; the CI tolerance gate pins it near zero —
+    replication must stay noise next to a solve, or the "warm
     fail-over for free" story is false.
     """
     times = []
-    for f in reports:
-        if not f.attempted:
-            continue
-        n = max(1, f.n_presolved_variables or f.n_variables or 1)
-        record = CacheRecord(
-            fingerprint=f"bench:{f.benchmark}:{f.function}",
-            function=f.function,
-            status="optimal",
-            free_values={f"x_{i}": i & 1 for i in range(n)},
-            n_free=n,
-            objective=f.objective,
-            solve_seconds=f.solve_seconds,
-            backend="branch-bound",
-        )
-        start = perf_counter()
-        wire = json.dumps(record.to_dict())
-        data = json.loads(wire)
-        ok = (
-            data.get("sha256") == _payload_checksum(data)
-            and CacheRecord.from_dict(data) is not None
-        )
-        elapsed = perf_counter() - start
-        if not ok:  # pragma: no cover - would mean a cache-layer bug
-            continue
-        times.append(elapsed)
+    for result in suite.results:
+        for f in result.functions:
+            alloc = result.ip_allocations.get(f.function)
+            if not f.attempted or alloc is None:
+                continue
+            record = CacheRecord.from_allocation(
+                f"bench:{f.benchmark}:{f.function}", alloc
+            )
+            start = perf_counter()
+            wire = json.dumps(record.to_dict())
+            data = json.loads(wire)
+            ok = (
+                data.get("sha256") == _payload_checksum(data)
+                and CacheRecord.from_dict(data) is not None
+            )
+            elapsed = perf_counter() - start
+            if not ok:  # pragma: no cover - would mean a cache-layer bug
+                continue
+            times.append(elapsed)
     out = _time_stats(times)
     solve_p50 = percentile_of(
-        [f.solve_seconds for f in reports if f.attempted], 50
+        [f.solve_seconds for f in suite.function_reports if f.attempted],
+        50,
     )
     out["p50_ratio"] = (
         round(out["p50"] / solve_p50, 6) if solve_p50 else 0.0
@@ -228,7 +223,7 @@ def suite_perf_summary(
                 "variables": sum(f.n_variables for f in reports),
                 "constraints": sum(f.n_constraints for f in reports),
             },
-            "replication": _replication_stats(reports),
+            "replication": _replication_stats(suite),
             "cache": {
                 "hits": int(hits),
                 "misses": int(misses),

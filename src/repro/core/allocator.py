@@ -98,8 +98,8 @@ class IPAllocator:
         it is invoked as ``solve_override(model, table)`` and must
         return a :class:`~repro.solver.SolveResult` with the solution
         recorded in the table.  The allocation engine uses this to
-        inject cached solver results (skipping the solver entirely) and
-        to capture raw solver output for its persistent cache.
+        capture the solver's result (time, nodes, backend) for the
+        cache record it writes on a miss.
         """
         STAT_FUNCTIONS.incr()
         if not self.config.collect_report:

@@ -4,7 +4,7 @@ cache, deadline fallback.
 :class:`AllocationEngine` orchestrates whole-module allocation on top
 of the per-function :class:`~repro.core.IPAllocator`: it fingerprints
 each allocation problem (:mod:`repro.engine.fingerprint`), replays
-cached solver results from disk (:mod:`repro.engine.cache`), fans the
+cached allocations from disk (:mod:`repro.engine.cache`), fans the
 remaining solves across a process pool largest-first, and degrades any
 failed or timed-out function to the graph-coloring baseline instead of
 aborting — the paper's "unattempted functions keep GCC's allocation"
@@ -28,6 +28,7 @@ from .engine import (
     ModuleAllocation,
 )
 from .fingerprint import (
+    ALLOCATOR_VERSION,
     NON_SEMANTIC_CONFIG_FIELDS,
     allocation_fingerprint,
     config_signature,
@@ -37,6 +38,7 @@ from .fingerprint import (
 )
 
 __all__ = [
+    "ALLOCATOR_VERSION",
     "AllocationEngine",
     "CACHE_MAX_ENTRIES_ENV",
     "CACHE_VERSION",

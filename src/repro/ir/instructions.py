@@ -241,6 +241,8 @@ class Instr:
     def __str__(self) -> str:
         op = str(self.opcode)
         parts: list[str] = []
+        if self.mem_dst is not None:
+            parts.append(str(self.mem_dst))
         if self.dst is not None:
             parts.append(str(self.dst))
         parts.extend(str(s) for s in self.srcs)
@@ -256,4 +258,6 @@ class Instr:
             body = (f"{self.dst}, " if self.dst else "") + f"@{self.callee}"
             if self.srcs:
                 body += "(" + ", ".join(str(s) for s in self.srcs) + ")"
+        if self.origin is not None:
+            extra += f" !{self.origin}"
         return f"{op} {body}{extra}".rstrip()

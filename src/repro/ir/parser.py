@@ -2,7 +2,12 @@
 
 The textual form is useful for writing compact test fixtures and for
 dumping allocator inputs; the printer/parser pair round-trips and is
-covered by property tests.
+covered by property tests.  Allocated code round-trips too: vreg names
+carrying a register suffix (``%t.14@EDX``), memory-operand sources,
+the §5.2 read-modify-write destination (``add [@spill.t], %x@EAX:i32``)
+and ``!origin`` provenance tags all parse back to the same
+instructions, which is what lets the result cache store allocations as
+text.
 """
 
 from __future__ import annotations
@@ -30,7 +35,8 @@ _TOKEN = re.compile(
     r"""
     (?P<ws>\s+)
   | (?P<punct>->|[(){}:,\[\]+*])
-  | (?P<vreg>%[A-Za-z_][\w.]*)
+  | (?P<vreg>%[A-Za-z_][\w.]*(?:@[A-Za-z_][\w.]*)?)
+  | (?P<origin>![A-Za-z_][\w-]*)
   | (?P<sym>@[A-Za-z_][\w.]*)
   | (?P<num>-?\d+)
   | (?P<word>[A-Za-z_][\w.]*)
@@ -95,8 +101,10 @@ class _Parser:
         type_ = self.parse_type_suffix()
         return fn.register_vreg(VirtualRegister(name, type_))
 
-    def parse_operand(self, fn: Function) -> Operand:
+    def parse_operand(self, fn: Function) -> Operand | Address:
         kind, value = self.peek()
+        if (kind, value) == ("punct", "["):
+            return self.parse_address(fn)
         if kind == "vreg":
             return self.parse_vreg(fn)
         if kind == "num":
@@ -106,9 +114,16 @@ class _Parser:
         raise ParseError(f"expected operand, got {value!r}")
 
     def parse_address(self, fn: Function) -> Address:
+        """``[@slot + %base + %index + 4*%index + disp]``, any subset.
+
+        The printer writes an unscaled index exactly like a base, so a
+        lone unscaled register is read by where it stands: next to a
+        slot it indexes into that slot (the code generator's array
+        form), on its own it is a base.
+        """
         self.expect("punct", "[")
         slot = None
-        base = None
+        regs: list[VirtualRegister] = []
         index = None
         scale = 1
         disp = 0
@@ -126,15 +141,9 @@ class _Parser:
                 slot = fn.slots[slot_name]
             elif kind == "vreg":
                 self.next()
-                reg = fn.register_vreg(
+                regs.append(fn.register_vreg(
                     VirtualRegister(value[1:], type_from_name("i32"))
-                )
-                if base is None:
-                    base = reg
-                elif index is None:
-                    index = reg
-                else:
-                    raise ParseError("too many registers in address")
+                ))
             elif kind == "num":
                 self.next()
                 if self.accept("punct", "*"):
@@ -147,6 +156,11 @@ class _Parser:
                     disp = int(value)
             else:
                 raise ParseError(f"bad address component {value!r}")
+        if len(regs) + (index is not None) > 2:
+            raise ParseError("too many registers in address")
+        if index is None and (len(regs) == 2 or regs and slot is not None):
+            index = regs.pop()
+        base = regs[0] if regs else None
         return Address(slot=slot, base=base, index=index,
                        scale=scale, disp=disp)
 
@@ -178,6 +192,13 @@ class _Parser:
             fn.add_slot(slot)
 
     def parse_instr(self, fn: Function) -> Instr:
+        instr = self._parse_instr_body(fn)
+        origin = self.accept("origin")
+        if origin is not None:
+            instr.origin = origin[1:]
+        return instr
+
+    def _parse_instr_body(self, fn: Function) -> Instr:
         op_name = self.expect("word")
         try:
             opcode = Opcode(op_name)
@@ -202,7 +223,8 @@ class _Parser:
                          targets=(t_true, t_false))
 
         if opcode is Opcode.RET:
-            if self.peek()[0] in ("vreg", "num"):
+            if self.peek()[0] in ("vreg", "num") \
+                    or self.peek() == ("punct", "["):
                 return Instr(opcode, srcs=(self.parse_operand(fn),))
             return Instr(opcode)
 
@@ -232,12 +254,17 @@ class _Parser:
             addr = self.parse_address(fn)
             return Instr(opcode, dst=dst, addr=addr)
 
-        # Generic register-defining form: dst, src, src...
-        dst = self.parse_vreg(fn)
-        srcs: list[Operand] = []
+        # Generic form: dst, src, src...  An address in the destination
+        # position is the §5.2 combined memory use/def.
+        dst = mem_dst = None
+        if self.peek() == ("punct", "["):
+            mem_dst = self.parse_address(fn)
+        else:
+            dst = self.parse_vreg(fn)
+        srcs: list[Operand | Address] = []
         while self.accept("punct", ","):
             srcs.append(self.parse_operand(fn))
-        return Instr(opcode, dst=dst, srcs=tuple(srcs))
+        return Instr(opcode, dst=dst, srcs=tuple(srcs), mem_dst=mem_dst)
 
     def parse_function(self) -> Function:
         self.expect("word", "func")

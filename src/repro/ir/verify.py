@@ -46,9 +46,12 @@ def _check_instr(fn: Function, where: str, instr: Instr) -> None:
     if not info.has_dst and instr.dst is not None:
         _err(fn, where, f"{op} must not have a destination")
     if info.n_srcs >= 0 and op is not Opcode.RET:
-        if len(instr.srcs) != info.n_srcs:
+        # The §5.2 read-modify-write form reads its first source from
+        # the memory destination.
+        n_srcs = info.n_srcs - (instr.mem_dst is not None)
+        if len(instr.srcs) != n_srcs:
             _err(fn, where,
-                 f"{op} expects {info.n_srcs} sources, got {len(instr.srcs)}")
+                 f"{op} expects {n_srcs} sources, got {len(instr.srcs)}")
     if op is Opcode.RET and len(instr.srcs) > 1:
         _err(fn, where, "ret takes at most one value")
 

@@ -176,6 +176,16 @@ class TestFigures:
             FigureSeries(xs=[1.0], ys=[1.0], x_label="x",
                          y_label="y").fit()
 
+    def test_render_without_enough_points(self):
+        """A warm run's Fig. 10 has no solve times: it still renders."""
+        from repro.bench import FigureSeries
+
+        text = render_figure(
+            FigureSeries(xs=[], ys=[], x_label="x", y_label="y"),
+            "Figure 10",
+        )
+        assert "0 points; too few to fit" in text and "x^" not in text
+
 
 class TestPerfRecord:
     """Layout of the BENCH_suite.json record the CI gate reads."""

@@ -136,8 +136,7 @@ def test_routing_fingerprint_stable_and_tenant_blind():
 
 
 def _record(fp: str) -> CacheRecord:
-    return CacheRecord(fingerprint=fp, function="f",
-                       status="optimal", n_free=0)
+    return CacheRecord(fingerprint=fp, function="f", status="optimal")
 
 
 def test_cache_namespace_isolation(tmp_path):

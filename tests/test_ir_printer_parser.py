@@ -94,6 +94,53 @@ class TestRoundTrip:
         assert format_module(m2) == text
         assert m2.globals["arr"].count == 5
 
+    def test_allocated_forms(self):
+        """Forms only allocated code has: register-suffixed vregs,
+        memory sources, the read-modify-write destination and origin
+        tags.  Each parses back to the same instruction fields."""
+        text = (
+            "func @a(param @n:i32) -> i32 {\n"
+            "  slot @n:i32 param\n"
+            "  slot @out:i32 global\n"
+            "  slot @spill.x:i32 spill\n"
+            "entry:\n"
+            "  load %x@EAX:i32, [@n] !spill-load\n"
+            "  add %y@EDX:i32, %x@EAX:i32, [@out]\n"
+            "  add [@spill.x], %y@EDX:i32 !copy\n"
+            "  neg [@spill.x]\n"
+            "  cjump %y@EDX:i32, [@out] lt -> entry, done\n"
+            "done:\n"
+            "  ret %y@EDX:i32\n"
+            "}"
+        )
+        fn = parse_function(text)
+        assert format_function(fn) == text
+        load, add, rmw, neg, cjump = fn.block("entry").instrs
+        assert load.dst.name == "x@EAX" and load.origin == "spill-load"
+        assert add.srcs[1].slot.name == "out" and add.origin is None
+        assert rmw.dst is None and rmw.mem_dst.slot.name == "spill.x"
+        assert [s.name for s in rmw.srcs] == ["y@EDX"]
+        assert rmw.origin == "copy"
+        assert neg.mem_dst is not None and neg.srcs == ()
+        assert cjump.srcs[1].slot.name == "out"
+        verify_function(fn, check_defs=False)
+
+    def test_unscaled_index_keeps_its_role(self):
+        b = IRBuilder("idx")
+        arr = b.slot("a", I8, SlotKind.ARRAY, count=8)
+        pi = b.slot("i", kind=SlotKind.PARAM)
+        b.block("entry")
+        i = b.load(pi)
+        from repro.ir import Address
+
+        b.store(Address(slot=arr, index=i), b.li(1, I8))
+        b.store(Address(base=i), b.li(2, I8))
+        b.ret(i)
+        fn = b.done()
+        back = roundtrip(fn)
+        assert [blk.instrs for blk in back.blocks] == \
+            [blk.instrs for blk in fn.blocks]
+
     @pytest.mark.parametrize("seed", range(5))
     def test_generated_programs_roundtrip(self, seed):
         from repro.bench.generator import GeneratorConfig

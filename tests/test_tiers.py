@@ -315,8 +315,7 @@ class TestCacheUpgradeVsLRU:
     def record(tag: str, objective: float = 1.0) -> CacheRecord:
         return CacheRecord(
             fingerprint=tag * 32, function=f"f{tag}",
-            status="optimal", free_values={"x": 1}, n_free=1,
-            objective=objective,
+            status="optimal", objective=objective,
         )
 
     @staticmethod
