@@ -68,6 +68,11 @@ class RegisterFile:
         self.chain_sets: tuple[tuple[RealRegister, ...], ...] = (
             self._build_chain_sets()
         )
+        #: register name -> names of the registers sharing its bits
+        self.overlap_names: dict[str, frozenset[str]] = {
+            r.name: frozenset(o.name for o in self.overlapping(r))
+            for r in self.registers
+        }
 
     def __getitem__(self, name: str) -> RealRegister:
         return self._by_name[name]
