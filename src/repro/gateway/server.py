@@ -733,29 +733,43 @@ def _make_handler(gateway: AllocationGateway):
 
     class Handler(BaseHTTPRequestHandler):
         protocol_version = "HTTP/1.1"
+        #: buffer each reply so status line, headers and body go in one send
+        wbufsize = -1
+        #: TCP_NODELAY: a reply must not wait ~40 ms for a delayed ACK
+        disable_nagle_algorithm = True
+
         #: silence per-request stderr logging; telemetry covers it
         def log_message(self, fmt, *args):  # noqa: D102
             pass
 
-        def _send_json(self, status: int, payload: dict,
-                       headers: dict | None = None) -> None:
-            data = json.dumps(payload).encode("utf-8")
+        def handle_expect_100(self):  # noqa: D102
+            # The client holds its body until this interim reply
+            # arrives, so it cannot wait in the write buffer.
+            super().handle_expect_100()
+            self.wfile.flush()
+            return True
+
+        def _send(self, status: int, data: bytes, content_type: str,
+                  headers: dict | None = None) -> None:
             self.send_response(status)
-            self.send_header("Content-Type", "application/json")
+            self.send_header("Content-Type", content_type)
             self.send_header("Content-Length", str(len(data)))
             for name, value in (headers or {}).items():
                 self.send_header(name, str(value))
             self.end_headers()
             self.wfile.write(data)
+            # Send here, inside the verbs' disconnect guards, rather
+            # than in handle_one_request's unguarded flush.
+            self.wfile.flush()
+
+        def _send_json(self, status: int, payload: dict,
+                       headers: dict | None = None) -> None:
+            self._send(status, json.dumps(payload).encode("utf-8"),
+                       "application/json", headers)
 
         def _send_text(self, status: int, text: str,
                        content_type: str = "text/plain") -> None:
-            data = text.encode("utf-8")
-            self.send_response(status)
-            self.send_header("Content-Type", content_type)
-            self.send_header("Content-Length", str(len(data)))
-            self.end_headers()
-            self.wfile.write(data)
+            self._send(status, text.encode("utf-8"), content_type)
 
         def _read_body(self) -> dict | None:
             length = int(self.headers.get("Content-Length") or 0)

@@ -14,6 +14,7 @@ import json
 import os
 import signal
 import socket
+import statistics
 import subprocess
 import sys
 import threading
@@ -383,6 +384,49 @@ def test_gateway_no_shards_is_503(tmp_path):
             assert resp["error"]["code"] == "unavailable"
             assert resp["gateway"]["shard"] is None
             assert resp["gateway"]["retry_after"] >= 1
+    finally:
+        gwt.stop()
+
+
+def test_gateway_keepalive_replies_do_not_stall():
+    """A reply whose headers and body leave in two sends, without
+    TCP_NODELAY, waits ~40 ms for the client's delayed ACK (Nagle).
+    Each gateway reply must leave in one unstalled write: GETs and
+    the 503 path with its Retry-After header alike."""
+    gwt = GatewayThread(GatewayConfig(port=0)).start()
+    try:
+        with gw_client(gwt) as client:
+            for name, call in (
+                ("status", client.status),
+                ("allocate", lambda: client.allocate(
+                    source=OTHER_SOURCE)),
+            ):
+                samples = []
+                for _ in range(30):
+                    start = time.perf_counter()
+                    call()
+                    samples.append(time.perf_counter() - start)
+                median_ms = statistics.median(samples) * 1e3
+                assert median_ms < 10, (name, median_ms)
+    finally:
+        gwt.stop()
+
+
+def test_gateway_answers_expect_100_continue():
+    """The interim 100 Continue is sent before the body is read, not
+    held in the reply buffer until the final response."""
+    gwt = GatewayThread(GatewayConfig(port=0)).start()
+    body = json.dumps({"source": OTHER_SOURCE}).encode("utf-8")
+    try:
+        with socket.create_connection(("127.0.0.1", gwt.port),
+                                      timeout=5.0) as sock:
+            sock.sendall(
+                b"POST /v1/allocate HTTP/1.1\r\nHost: gateway\r\n"
+                b"Expect: 100-continue\r\n"
+                b"Content-Length: %d\r\n\r\n" % len(body))
+            assert sock.recv(64).startswith(b"HTTP/1.1 100")
+            sock.sendall(body)
+            assert sock.recv(64).startswith(b"HTTP/1.1 503")
     finally:
         gwt.stop()
 
