@@ -157,25 +157,15 @@ def validate_allocation(
     # 2. Overlap capacity: at every point each chain set holds <= 1 value.
     chain_sets = target.register_file.chain_sets
 
-    # chain-set indices of each value's register: a set holding two
-    # live values is found in one pass over the live values
-    chains_of = {
-        reg: tuple(k for k, c in enumerate(chain_sets) if reg in c)
-        for reg in set(assignment.values())
+    # the chain sets of each value's register as a bit mask: a set
+    # holding two live values is found in one pass over the live values
+    masks = target.register_file.chain_masks
+    value_mask = {
+        name: masks.get(reg.name, 0) for name, reg in assignment.items()
     }
-    value_chains = {
-        name: chains_of[reg] for name, reg in assignment.items()
-    }
-
-    def check_capacity(where: str, live_regs) -> None:
-        taken: set[int] = set()
-        for v in live_regs:
-            for k in value_chains[v.name]:
-                if k in taken:
-                    report_overlap(where, live_regs)
-                taken.add(k)
 
     def report_overlap(where: str, live_regs) -> None:
+        live_regs = sorted(live_regs, key=lambda v: v.name)
         for chain in chain_sets:
             holders = [
                 v for v in live_regs if assignment[v.name] in chain
@@ -187,91 +177,105 @@ def validate_allocation(
                             f": {names}")
 
     for block in fn.blocks:
+        checked = None
         for i, instr in enumerate(block.instrs):
-            where = f"{block.name}[{i}]"
-            check_capacity(where, liveness.live_after(block.name, i))
+            live_after = liveness.live_after(block.name, i)
+            # consecutive points often share one live set
+            if live_after is not checked:
+                taken = 0
+                for v in live_after:
+                    mask = value_mask[v.name]
+                    if taken & mask:
+                        report_overlap(f"{block.name}[{i}]", live_after)
+                    taken |= mask
+                checked = live_after
             _check_instr_rules(
-                fn, instr, where, assignment, target, liveness,
-                block.name, i, fail,
+                instr, block.name, i, assignment, target, live_after, fail,
             )
 
 
 def _check_instr_rules(
-    fn, instr: Instr, where, assignment, target, liveness,
-    block_name, index, fail,
+    instr: Instr, block_name, index, assignment, target, live_after, fail,
 ) -> None:
+    def where() -> str:
+        return f"{block_name}[{index}]"
+
     rules = target.constraints(instr)
+    src_rules = rules.src_rules
+    srcs = instr.srcs
 
     # Family rules per source.
-    reg_positions = [
-        (k, s) for k, s in enumerate(instr.srcs)
-        if isinstance(s, VirtualRegister)
-    ]
-    for k, src in reg_positions:
-        if k >= len(rules.src_rules):
+    n_mem = 0
+    for k, src in enumerate(srcs):
+        if not isinstance(src, VirtualRegister):
+            n_mem += isinstance(src, Address)
             continue
-        rule = rules.src_rules[k]
+        if k >= len(src_rules):
+            continue
+        rule = src_rules[k]
+        if rule.families is None and not rule.exclude_families:
+            continue
         reg = assignment[src.name]
         if rule.families is not None and reg.family not in rule.families:
-            fail(where, f"src{k} %{src.name} in {reg}, "
-                        f"requires family {sorted(rule.families)}")
+            fail(where(), f"src{k} %{src.name} in {reg}, "
+                          f"requires family {sorted(rule.families)}")
         if reg.family in rule.exclude_families:
-            fail(where, f"src{k} %{src.name} must avoid "
-                        f"family {reg.family}")
+            fail(where(), f"src{k} %{src.name} must avoid "
+                          f"family {reg.family}")
 
-    mem_positions = [
-        (k, s) for k, s in enumerate(instr.srcs)
-        if isinstance(s, Address)
-    ]
-    for k, _ in mem_positions:
-        if k >= len(rules.src_rules) or not rules.src_rules[k].mem_ok:
-            fail(where, f"src{k} may not be a memory operand")
-    n_mem = len(mem_positions) + (1 if instr.mem_dst is not None else 0)
-    if n_mem > 1:
-        fail(where, "more than one memory operand")
-    if instr.mem_dst is not None and not rules.rmw_mem_ok:
-        fail(where, "combined memory use/def not allowed here")
+    if n_mem:
+        for k, src in enumerate(srcs):
+            if isinstance(src, Address) and (
+                k >= len(src_rules) or not src_rules[k].mem_ok
+            ):
+                fail(where(), f"src{k} may not be a memory operand")
+    mem_dst = instr.mem_dst
+    if mem_dst is not None:
+        if n_mem:
+            fail(where(), "more than one memory operand")
+        if not rules.rmw_mem_ok:
+            fail(where(), "combined memory use/def not allowed here")
+    elif n_mem > 1:
+        fail(where(), "more than one memory operand")
 
-    if instr.dst is not None:
-        dreg = assignment[instr.dst.name]
-        if (rules.dst_rule.families is not None
-                and dreg.family not in rules.dst_rule.families):
-            fail(where, f"dst %{instr.dst.name} in {dreg}, requires "
-                        f"family {sorted(rules.dst_rule.families)}")
+    dst = instr.dst
+    if dst is not None:
+        dreg = assignment[dst.name]
+        families = rules.dst_rule.families
+        if families is not None and dreg.family not in families:
+            fail(where(), f"dst %{dst.name} in {dreg}, requires "
+                          f"family {sorted(families)}")
 
-    # Two-address tie (§5.1): dst must share a register with a tied
-    # source (or the instruction uses the rmw memory form).
-    if rules.two_address and instr.dst is not None:
-        dreg = assignment[instr.dst.name]
-        tied_ok = False
-        for k in instr.tied_source_candidates():
-            src = instr.srcs[k]
-            if isinstance(src, VirtualRegister) \
-                    and assignment[src.name] == dreg:
-                tied_ok = True
-        # An all-immediate/memory source list leaves nothing to tie;
-        # the rewriters never produce that for two-address ops.
-        if not tied_ok:
-            fail(where, "combined source/destination specifier violated")
+        # Two-address tie (§5.1): dst must share a register with a tied
+        # source (or the instruction uses the rmw memory form).
+        if rules.two_address:
+            # An all-immediate/memory source list leaves nothing to tie;
+            # the rewriters never produce that for two-address ops.
+            if not any(
+                assignment[srcs[k].name] == dreg
+                for k in instr.tied_source_candidates()
+            ):
+                fail(where(),
+                     "combined source/destination specifier violated")
 
     # §5.4.3 addressing-mode exclusions and address legality.
-    addrs = [a for a in (instr.addr, instr.mem_dst) if a is not None]
-    addrs.extend(s for s in instr.srcs if isinstance(s, Address))
     encoding = target.encoding
-    for addr in addrs:
-        if addr.index is not None:
+    for addr in (instr.addr, mem_dst, *srcs):
+        if isinstance(addr, Address) and addr.index is not None:
             ireg = assignment[addr.index.name]
             if encoding.excluded_from_address(addr, "index", ireg):
-                fail(where, f"{ireg} cannot be a scaled index")
+                fail(where(), f"{ireg} cannot be a scaled index")
 
     # Clobber survival: values live after the instruction must not sit
     # in clobbered families (the definition itself excepted).
-    if rules.clobber_families:
-        live_after = liveness.live_after(block_name, index)
-        for v in live_after:
-            if instr.dst is not None and v == instr.dst:
-                continue
-            reg = assignment[v.name]
-            if reg.family in rules.clobber_families:
-                fail(where, f"%{v.name} in clobbered register {reg} "
-                            f"survives {instr.opcode}")
+    clobbered = rules.clobber_families
+    if clobbered:
+        survivors = [
+            v for v in live_after
+            if assignment[v.name].family in clobbered
+            and (dst is None or v != dst)
+        ]
+        if survivors:
+            v = min(survivors, key=lambda v: v.name)
+            fail(where(), f"%{v.name} in clobbered register "
+                          f"{assignment[v.name]} survives {instr.opcode}")

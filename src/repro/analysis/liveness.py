@@ -1,7 +1,9 @@
 """Live-variable analysis.
 
-Backward may-analysis over the CFG; per-instruction live sets are
-materialised lazily per block.  The register allocators use:
+Backward may-analysis over the CFG.  :func:`compute_liveness` also
+materialises the live-after set of every instruction of every block
+eagerly, so :meth:`Liveness.live_after` is a lookup.  The register
+allocators use:
 
 * ``live_in[b]`` / ``live_out[b]`` — block-boundary live sets,
 * :meth:`Liveness.live_after` — registers live immediately after an
@@ -13,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..ir import BasicBlock, Function, VirtualRegister
+from ..ir import Function, VirtualRegister
 from .cfg import CFG, build_cfg
 
 
@@ -56,23 +58,25 @@ class Liveness:
         return frozenset(before)
 
 
-def _block_use_def(block: BasicBlock):
-    use: set[VirtualRegister] = set()
-    deff: set[VirtualRegister] = set()
-    for instr in block.instrs:
-        for u in instr.uses():
-            if u not in deff:
-                use.add(u)
-        deff.update(instr.defs())
-    return use, deff
-
-
 def compute_liveness(fn: Function, cfg: CFG | None = None) -> Liveness:
     cfg = cfg or build_cfg(fn)
+    # Each instruction's reads and write, computed once for both walks.
+    ops: dict[str, list] = {
+        b.name: [(instr.uses(), instr.dst) for instr in b.instrs]
+        for b in fn.blocks
+    }
     use: dict[str, set] = {}
     deff: dict[str, set] = {}
-    for b in fn.blocks:
-        use[b.name], deff[b.name] = _block_use_def(b)
+    for name, block_ops in ops.items():
+        u: set[VirtualRegister] = set()
+        d: set[VirtualRegister] = set()
+        for reads, dst in block_ops:
+            for r in reads:
+                if r not in d:
+                    u.add(r)
+            if dst is not None:
+                d.add(dst)
+        use[name], deff[name] = u, d
 
     live_in: dict[str, set] = {b.name: set() for b in fn.blocks}
     live_out: dict[str, set] = {b.name: set() for b in fn.blocks}
@@ -92,15 +96,20 @@ def compute_liveness(fn: Function, cfg: CFG | None = None) -> Liveness:
                 live_in[b] = inn
                 changed = True
 
-    # Materialise per-instruction live-after sets.
+    # Materialise the live-after set of every instruction, walking each
+    # block backwards; consecutive equal sets share one frozenset.
     after: dict[str, tuple[frozenset, ...]] = {}
-    for b in fn.blocks:
-        sets: list[frozenset] = [frozenset()] * len(b.instrs)
-        live = frozenset(live_out[b.name])
-        for i in range(len(b.instrs) - 1, -1, -1):
+    for name, block_ops in ops.items():
+        sets: list[frozenset] = [frozenset()] * len(block_ops)
+        live = frozenset(live_out[name])
+        for i in range(len(block_ops) - 1, -1, -1):
             sets[i] = live
-            live = Liveness._transfer_one(b.instrs[i], live)
-        after[b.name] = tuple(sets)
+            reads, dst = block_ops[i]
+            if dst is not None and dst in live:
+                live = live.difference((dst,))
+            if not live.issuperset(reads):
+                live = live.union(reads)
+        after[name] = tuple(sets)
 
     return Liveness(
         fn=fn,

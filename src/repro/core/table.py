@@ -40,6 +40,8 @@ class ActionKind(Enum):
     #: delete the input COPY at (block, index)
     COPYDEL = "copydel"
 
+    __hash__ = object.__hash__  # identity, as for the IR enums
+
 
 @dataclass(slots=True)
 class ActionRecord:

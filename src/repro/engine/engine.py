@@ -561,7 +561,8 @@ class AllocationEngine:
         names another function, fails the validator, or does not
         compute what the lowered function computes.
         """
-        attempt = record.to_allocation(self.target)
+        with trace_phase("decode"):
+            attempt = record.to_allocation(self.target)
         if not attempt.fn_name == record.function == job.fn.name:
             raise AllocationError(
                 f"record for {record.function!r} replayed as "

@@ -59,41 +59,50 @@ _INSERTED = frozenset({"spill-load", "spill-store", "remat", "copy"})
 _EMPTY: frozenset[str] = frozenset()
 
 
+#: source opcodes that write memory (a call through its callee)
+_WRITES_MEMORY = frozenset({Opcode.STORE, Opcode.CALL})
+#: source opcodes whose definition may copy a constant
+_MOVES = frozenset({Opcode.LI, Opcode.COPY})
+#: where a changed global, array or aliased slot would be seen
+_ESCAPE_POINTS = frozenset({Opcode.CALL, Opcode.RET})
+
+
 class _State:
     """Facts at one program point of the allocated code.
 
     ``regs``/``mem`` map a register name / slot name to the source
-    registers whose current value it holds.  A source register in
-    ``undef`` is undefined on every path here, so every location holds
-    it.  ``const`` maps a source register to the immediate it equals;
-    ``dirty`` is the set of source slots whose content the allocation
-    changed (a may-set).
+    registers whose current value it holds.  ``defined`` is the set of
+    source registers some path here has defined: a register not in it
+    is undefined on every path, so every location holds it.  ``const``
+    maps a source register to the immediate it equals; ``dirty`` is the
+    set of source slots whose content the allocation changed (a
+    may-set).
     """
 
-    __slots__ = ("regs", "mem", "undef", "const", "dirty")
+    __slots__ = ("regs", "mem", "defined", "const", "dirty")
 
-    def __init__(self, regs, mem, undef, const, dirty) -> None:
+    def __init__(self, regs, mem, defined, const, dirty) -> None:
         self.regs: dict[str, frozenset[str]] = regs
         self.mem: dict[str, frozenset[str]] = mem
-        self.undef: set[str] = undef
+        self.defined: set[str] = defined
         self.const: dict[str, Immediate] = const
         self.dirty: set[str] = dirty
 
     def copy(self) -> "_State":
         return _State(
-            dict(self.regs), dict(self.mem), set(self.undef),
+            dict(self.regs), dict(self.mem), set(self.defined),
             dict(self.const), set(self.dirty),
         )
 
     def __eq__(self, other) -> bool:
         return (
             self.regs == other.regs and self.mem == other.mem
-            and self.undef == other.undef and self.const == other.const
-            and self.dirty == other.dirty
+            and self.defined == other.defined
+            and self.const == other.const and self.dirty == other.dirty
         )
 
     def holds(self, value: str, operand) -> bool:
-        if value in self.undef:
+        if value not in self.defined:
             return True
         if isinstance(operand, VirtualRegister):
             return value in self.regs.get(operand.name, _EMPTY)
@@ -102,39 +111,40 @@ class _State:
     def kill_value(self, value: str) -> None:
         """``value`` is redefined: no location holds its old value."""
         for facts in (self.regs, self.mem):
-            for loc, held in list(facts.items()):
-                if value in held:
-                    if len(held) == 1:
-                        del facts[loc]
-                    else:
-                        facts[loc] = held - {value}
-        self.undef.discard(value)
+            for loc in [loc for loc, held in facts.items() if value in held]:
+                held = facts[loc]
+                if len(held) == 1:
+                    del facts[loc]
+                else:
+                    facts[loc] = held - {value}
+        self.defined.add(value)
         self.const.pop(value, None)
 
     def meet(self, other: "_State") -> "_State":
-        undef = self.undef & other.undef
+        mine, theirs = self.defined, other.defined
         const = {
             v: k for v, k in self.const.items()
-            if other.const.get(v) == k or v in other.undef
+            if other.const.get(v) == k or v not in theirs
         }
         for v, k in other.const.items():
-            if v in self.undef:
+            if v not in mine:
                 const.setdefault(v, k)
         return _State(
-            _meet_facts(self.regs, self.undef, other.regs, other.undef),
-            _meet_facts(self.mem, self.undef, other.mem, other.undef),
-            undef, const, self.dirty | other.dirty,
+            _meet_facts(self.regs, mine, other.regs, theirs),
+            _meet_facts(self.mem, mine, other.mem, theirs),
+            mine | theirs, const, self.dirty | other.dirty,
         )
 
 
-def _meet_facts(fa, ua, fb, ub) -> dict[str, frozenset[str]]:
-    """Facts true on both sides; an undefined value holds anywhere."""
+def _meet_facts(fa, da, fb, db) -> dict[str, frozenset[str]]:
+    """Facts true on both sides; an undefined value holds anywhere
+    (``da``/``db``: the values defined on each side)."""
     out = {}
     for loc in fa.keys() | fb.keys():
         a = fa.get(loc, _EMPTY)
         b = fb.get(loc, _EMPTY)
-        held = (a & b) | {v for v in a - b if v in ub} \
-            | {v for v in b - a if v in ua}
+        held = (a & b) | {v for v in a - b if v not in db} \
+            | {v for v in b - a if v not in da}
         if held:
             out[loc] = frozenset(held)
     return out
@@ -163,10 +173,16 @@ class _Checker:
         self.source = source
         self.target = target
         overlap = target.register_file.overlap_names
+        #: vreg name -> its register's name / family
+        self.reg_name = {
+            name: reg.name for name, reg in alloc.assignment.items()
+        }
+        self.family = {
+            name: reg.family for name, reg in alloc.assignment.items()
+        }
         #: vreg name -> names of the registers sharing its register's bits
         self.hits = {
-            name: overlap[reg.name]
-            for name, reg in alloc.assignment.items()
+            name: overlap[reg] for name, reg in self.reg_name.items()
         }
         #: source copy-classes: the renaming a deleted copy may cause
         self._root: dict[str, str] = {}
@@ -199,18 +215,14 @@ class _Checker:
             for mine, theirs in zip(self.fn.blocks, self.source.blocks)
         }
         self._check_stats(steps)
-        undefined = {
-            r.name for _, _, instr in self.source.instructions()
-            for r in instr.uses() + instr.defs()
-        }
-        entry_state = _State({}, {}, undefined, {}, set())
-        states = self._fixpoint(steps, entry_state)
+        # nothing is defined at entry
+        entry_state = _State({}, {}, set(), {}, set())
+        flaws = self._fixpoint(steps, entry_state)
         for block in self.fn.blocks:
-            if block.name in states:
-                self._transfer(
-                    block.name, steps[block.name],
-                    states[block.name].copy(), check=True,
-                )
+            flaw = flaws.get(block.name)
+            if flaw is not None:
+                k, message = flaw
+                self.fail(f"{block.name} step {k}", message)
 
     def _check_frame(self) -> None:
         fn, src = self.fn, self.source
@@ -232,7 +244,8 @@ class _Checker:
     def _align(self, bname: str, mine: list[Instr], theirs: list[Instr]):
         """Steps of one block: ``("ins", instr)`` for inserted code,
         ``("del", src_instr)`` for a deleted source instruction and
-        ``("op", src_instr, instr, pairings)`` for a match.
+        ``("op", src_instr, instr, pairings, clobbered)`` for a match,
+        where ``clobbered`` are the families ``instr`` clobbers.
 
         A deleted instruction goes before the inserted code that
         precedes the next match: inserted code only moves values, so
@@ -243,59 +256,42 @@ class _Checker:
         inserted = []
         i = 0
         for j, instr in enumerate(mine):
-            where = f"{bname}[{j}]"
             if instr.origin in _INSERTED:
-                self._check_inserted(where, instr)
+                if not _well_formed_insert(instr):
+                    self.fail(f"{bname}[{j}]",
+                              f"malformed {instr.origin} {instr}")
                 inserted.append(("ins", instr))
                 continue
             while True:
                 if i == len(theirs):
-                    self.fail(where, f"{instr} matches no source instruction")
+                    self.fail(f"{bname}[{j}]",
+                              f"{instr} matches no source instruction")
                 pairings = self._pairings(theirs[i], instr)
                 if pairings:
                     break
                 if not _deletable(theirs[i]):
-                    self.fail(where, f"{instr} does not match {theirs[i]}")
+                    self.fail(f"{bname}[{j}]",
+                              f"{instr} does not match {theirs[i]}")
                 steps.append(("del", theirs[i]))
                 i += 1
             steps.extend(inserted)
             inserted.clear()
-            steps.append(("op", theirs[i], instr, pairings))
+            clobbered = self.target.constraints(instr).clobber_families
+            steps.append(("op", theirs[i], instr, pairings, clobbered))
             i += 1
         if i != len(theirs):
             self.fail(bname, f"source {theirs[i]} is missing")
         steps.extend(inserted)
         return steps
 
-    def _check_inserted(self, where: str, instr: Instr) -> None:
-        """Inserted code moves a value without changing it: one
-        register and one whole slot, or two registers, of one type."""
-        op = instr.opcode
-        dst = instr.dst
-        src = instr.srcs[0] if len(instr.srcs) == 1 else None
-        ok = {
-            "spill-load": op is Opcode.LOAD and dst is not None
-            and not instr.srcs and _slot_of_type(instr.addr, dst.type),
-            "spill-store": op is Opcode.STORE and dst is None
-            and isinstance(src, VirtualRegister)
-            and _slot_of_type(instr.addr, src.type),
-            "remat": op is Opcode.LI and dst is not None
-            and isinstance(src, Immediate) and src.type == dst.type,
-            "copy": op is Opcode.COPY and dst is not None
-            and isinstance(src, VirtualRegister) and src.type == dst.type,
-        }[instr.origin]
-        if not ok or instr.mem_dst is not None or instr.targets \
-                or instr.callee is not None or instr.cond is not None \
-                or (instr.addr is not None and op not in (
-                    Opcode.LOAD, Opcode.STORE)):
-            self.fail(where, f"malformed {instr.origin} {instr}")
-
     def _same(self, lowered: VirtualRegister, mine) -> bool:
         if not isinstance(mine, VirtualRegister):
             return False
         base, at, _ = mine.name.rpartition("@")
-        return bool(at) and mine.type == lowered.type \
-            and self._find(base) == self._find(lowered.name)
+        return bool(at) and mine.type == lowered.type and (
+            base == lowered.name
+            or self._find(base) == self._find(lowered.name)
+        )
 
     def _operand(self, lowered, mine) -> bool:
         if isinstance(lowered, VirtualRegister):
@@ -389,18 +385,23 @@ class _Checker:
 
     # -- dataflow ------------------------------------------------------------
 
-    def _fixpoint(self, steps, entry_state: _State) -> dict[str, _State]:
-        """Block-entry states of the must-analysis (reachable blocks
-        only)."""
-        preds: dict[str, list[str]] = {b.name: [] for b in self.fn.blocks}
-        for b in self.fn.blocks:
-            for s in b.successors():
-                preds[s].append(b.name)
-        entry = self.fn.blocks[0].name
+    def _fixpoint(self, steps, entry_state: _State):
+        """Run the must-analysis over the reachable blocks; returns
+        each one's first flawed read as ``(step, message)``, or None.
+
+        The reads are checked on every visit, and a visit's flaw
+        replaces the one before: a block is queued again whenever a
+        predecessor's facts change, so its last visit is the one that
+        saw the fixpoint's entry state."""
         succs = {b.name: b.successors() for b in self.fn.blocks}
+        preds: dict[str, list[str]] = {name: [] for name in succs}
+        for name, targets in succs.items():
+            for s in targets:
+                preds[s].append(name)
+        entry = self.fn.blocks[0].name
         order = {b.name: k for k, b in enumerate(self.fn.blocks)}
         outs: dict[str, _State] = {}
-        ins: dict[str, _State] = {}
+        flaws: dict[str, tuple[int, str] | None] = {}
         work = [entry]
         pending = {entry}
         while work:
@@ -411,15 +412,14 @@ class _Checker:
             for p in preds[name]:
                 if p in outs:
                     state = outs[p] if state is None else state.meet(outs[p])
-            ins[name] = state
-            out = self._transfer(name, steps[name], state.copy(), False)
+            out, flaws[name] = self._transfer(steps[name], state.copy())
             if name not in outs or outs[name] != out:
                 outs[name] = out
                 for s in succs[name]:
                     if s not in pending:
                         pending.add(s)
                         work.append(s)
-        return ins
+        return flaws
 
     def _write_reg(self, state: _State, name: str, held) -> None:
         """Register ``name`` now holds ``held``; overlapping registers
@@ -427,8 +427,8 @@ class _Checker:
         regs = state.regs
         if regs:
             hit = self.hits[name]
-            assignment = self.alloc.assignment
-            for other in [o for o in regs if assignment[o].name in hit]:
+            reg_name = self.reg_name
+            for other in [o for o in regs if reg_name[o] in hit]:
                 del regs[other]
         if held:
             regs[name] = frozenset(held)
@@ -448,18 +448,29 @@ class _Checker:
         s = self.fn.slots[slot]
         return s.aliased or s.kind in (SlotKind.GLOBAL, SlotKind.ARRAY)
 
-    def _transfer(self, bname, steps, state: _State, check: bool):
+    def _transfer(self, steps, state: _State):
+        """Apply one block's steps to ``state``; returns it with the
+        block's first flawed read as ``(step, message)``, or None."""
+        flaw = None
         for k, step in enumerate(steps):
-            where = f"{bname} step {k}"
             kind = step[0]
-            if kind == "ins":
+            if kind == "op":
+                _, lowered, mine, pairings, clobbered = step
+                if flaw is None:
+                    message = self._check_reads(state, lowered, mine,
+                                                pairings)
+                    if message is not None:
+                        flaw = (k, message)
+                self._matched(state, lowered, mine, clobbered)
+            elif kind == "ins":
                 self._inserted(state, step[1])
-            elif kind == "del":
-                self._deleted(where, state, step[1], check)
             else:
-                self._matched(where, state, step[1], step[2], step[3],
-                              check)
-        return state
+                if flaw is None:
+                    message = self._check_deleted(state, step[1])
+                    if message is not None:
+                        flaw = (k, message)
+                self._deleted(state, step[1])
+        return state, flaw
 
     def _inserted(self, state: _State, instr: Instr) -> None:
         origin = instr.origin
@@ -477,36 +488,71 @@ class _Checker:
             held = state.regs.get(instr.srcs[0].name, _EMPTY)
             self._write_reg(state, instr.dst.name, held)
 
-    def _deleted(self, where, state: _State, lowered: Instr, check) -> None:
+    def _check_deleted(self, state: _State, lowered: Instr) -> str | None:
+        """A deleted load reads its slot where the source did; what is
+        wrong with that read, or None."""
+        if lowered.opcode is not Opcode.LOAD:
+            return None
+        slot = lowered.addr.slot.name
+        if slot in state.dirty:
+            return f"deleted {lowered} reads a changed @{slot}"
+        return None
+
+    def _deleted(self, state: _State, lowered: Instr) -> None:
         d = lowered.dst.name
         if lowered.opcode is Opcode.COPY:
             s = lowered.srcs[0].name
             if s == d:
                 return
             const = state.const.get(s)
-            undef = s in state.undef
+            undef = s not in state.defined
             state.kill_value(d)
             for facts in (state.regs, state.mem):
                 for loc, held in list(facts.items()):
                     if s in held:
                         facts[loc] = held | {d}
             if undef:
-                state.undef.add(d)
+                state.defined.discard(d)
             if const is not None:
                 state.const[d] = const
             return
         slot = lowered.addr.slot.name
-        if check and slot in state.dirty:
-            self.fail(where, f"deleted {lowered} reads a changed @{slot}")
         state.kill_value(d)
         state.mem[slot] = state.mem.get(slot, _EMPTY) | {d}
 
-    def _matched(self, where, state, lowered, mine, pairings, check):
-        if check:
-            self._check_reads(where, state, lowered, mine, pairings)
+    def _matched(self, state, lowered, mine, clobbered) -> None:
         op = lowered.opcode
-        # memory the source writes or a callee may write
-        if op is Opcode.STORE:
+        if op in _WRITES_MEMORY:
+            self._source_writes_memory(state, lowered)
+        if clobbered:
+            keep = mine.dst.name if mine.dst is not None else None
+            family = self.family
+            regs = state.regs
+            for name in [n for n in regs if family[n] in clobbered]:
+                if name != keep:
+                    del regs[name]
+        if lowered.dst is None:
+            return
+        d = lowered.dst.name
+        const = None
+        if op in _MOVES:
+            src = lowered.srcs[0]
+            if op is Opcode.LI:
+                const = src
+            elif isinstance(src, VirtualRegister):
+                const = state.const.get(src.name)
+        state.kill_value(d)
+        held = frozenset((d,))
+        if mine.mem_dst is not None:
+            self._write_mem(state, mine.mem_dst.slot.name, held)
+        else:
+            self._write_reg(state, mine.dst.name, held)
+        if const is not None:
+            state.const[d] = const
+
+    def _source_writes_memory(self, state, lowered) -> None:
+        """Memory the source writes, or a callee may write."""
+        if lowered.opcode is Opcode.STORE:
             slot = lowered.addr.slot
             value = lowered.srcs[0]
             if slot is None:
@@ -520,69 +566,71 @@ class _Checker:
                     state.mem.pop(slot.name, None)
             else:
                 state.mem.pop(slot.name, None)
-        elif op is Opcode.CALL:
+        else:  # a call
             for slot in list(state.mem):
                 if self._escapes(slot):
                     del state.mem[slot]
-        clobbered = self.target.constraints(mine).clobber_families
-        if clobbered:
-            keep = mine.dst.name if mine.dst is not None else None
-            for name in list(state.regs):
-                if name != keep and self.alloc.assignment[name].family \
-                        in clobbered:
-                    del state.regs[name]
-        if lowered.dst is None:
-            return
-        d = lowered.dst.name
-        const = None
-        if op is Opcode.LI:
-            const = lowered.srcs[0]
-        elif op is Opcode.COPY and isinstance(
-            lowered.srcs[0], VirtualRegister
-        ):
-            const = state.const.get(lowered.srcs[0].name)
-        state.kill_value(d)
-        if mine.mem_dst is not None:
-            self._write_mem(state, mine.mem_dst.slot.name, {d})
-        else:
-            self._write_reg(state, mine.dst.name, {d})
-        if const is not None:
-            state.const[d] = const
 
-    def _check_reads(self, where, state, lowered, mine, pairings) -> None:
+    def _check_reads(self, state, lowered, mine, pairings) -> str | None:
+        """What is wrong with the values ``mine`` reads, or None."""
         # Registers of the effective address.
         if lowered.addr is not None:
             for lo, al in ((lowered.addr.base, mine.addr.base),
                            (lowered.addr.index, mine.addr.index)):
                 if lo is not None and not state.holds(lo.name, al):
-                    self.fail(where, f"{mine}: {al} does not hold "
-                                     f"%{lo.name}")
+                    return f"{mine}: {al} does not hold %{lo.name}"
         # The operands, under some pairing.
+        holds = state.holds
         for tied, rest in pairings:
-            if tied is not None and \
-                    not state.holds(tied.name, mine.mem_dst):
+            if tied is not None and not holds(tied.name, mine.mem_dst):
                 continue
-            if all(
-                state.holds(lo.name, al)
-                for lo, al in zip(rest, mine.srcs)
-                if isinstance(lo, VirtualRegister)
-            ):
+            for lo, al in zip(rest, mine.srcs):
+                if isinstance(lo, VirtualRegister) and \
+                        not holds(lo.name, al):
+                    break
+            else:
                 break
         else:
-            self.fail(where, f"{mine}: an operand does not hold the "
-                             f"value {lowered} reads")
+            return (f"{mine}: an operand does not hold the value "
+                    f"{lowered} reads")
         # Source memory the allocation has changed.
-        read = []
-        if lowered.opcode is Opcode.LOAD:
-            read.append(lowered.addr.slot)
-        escaping = lowered.opcode in (Opcode.CALL, Opcode.RET)
-        for slot in state.dirty:
-            if escaping and self._escapes(slot):
-                self.fail(where, f"{mine} sees the changed @{slot}")
-        for slot in read:
-            if slot is None and state.dirty or \
-                    slot is not None and slot.name in state.dirty:
-                self.fail(where, f"{mine} reads a changed slot")
+        dirty = state.dirty
+        if dirty:
+            op = lowered.opcode
+            if op in _ESCAPE_POINTS:
+                for slot in dirty:
+                    if self._escapes(slot):
+                        return f"{mine} sees the changed @{slot}"
+            elif op is Opcode.LOAD:
+                slot = lowered.addr.slot
+                if slot is None or slot.name in dirty:
+                    return f"{mine} reads a changed slot"
+        return None
+
+
+def _well_formed_insert(instr: Instr) -> bool:
+    """Inserted code moves a value without changing it: one register
+    and one whole slot, or two registers, of one type."""
+    op = instr.opcode
+    dst = instr.dst
+    src = instr.srcs[0] if len(instr.srcs) == 1 else None
+    origin = instr.origin
+    if origin == "spill-load":
+        ok = op is Opcode.LOAD and dst is not None and not instr.srcs \
+            and _slot_of_type(instr.addr, dst.type)
+    elif origin == "spill-store":
+        ok = op is Opcode.STORE and dst is None \
+            and isinstance(src, VirtualRegister) \
+            and _slot_of_type(instr.addr, src.type)
+    elif origin == "remat":
+        ok = op is Opcode.LI and dst is not None \
+            and isinstance(src, Immediate) and src.type == dst.type
+    else:  # copy
+        ok = op is Opcode.COPY and dst is not None \
+            and isinstance(src, VirtualRegister) and src.type == dst.type
+    return ok and instr.mem_dst is None and not instr.targets \
+        and instr.callee is None and instr.cond is None \
+        and (instr.addr is None or op in (Opcode.LOAD, Opcode.STORE))
 
 
 def _plain(addr) -> bool:

@@ -144,10 +144,14 @@ class Function:
         Rewriting passes (web renaming, spill insertion) create and drop
         registers; this re-synchronises the cached table.
         """
-        self._vregs.clear()
-        for _, _, instr in self.instructions():
-            for reg in instr.uses() + instr.defs():
-                self._vregs.setdefault(reg.name, reg)
+        vregs = self._vregs
+        vregs.clear()
+        for block in self.blocks:
+            for instr in block.instrs:
+                for reg in instr.uses():
+                    vregs.setdefault(reg.name, reg)
+                if instr.dst is not None:
+                    vregs.setdefault(instr.dst.name, instr.dst)
 
     def __str__(self) -> str:
         from .printer import format_function

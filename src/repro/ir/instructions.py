@@ -60,8 +60,12 @@ class Opcode(Enum):
     CALL = "call"
     RET = "ret"
 
+    # Members are singletons compared by identity, so the identity hash
+    # is sound, and it runs in C where Enum's hashes the member name.
+    __hash__ = object.__hash__
+
     def __str__(self) -> str:
-        return self.value
+        return self._value_
 
 
 class Cond(Enum):
@@ -74,6 +78,8 @@ class Cond(Enum):
     GT = "gt"
     GE = "ge"
 
+    __hash__ = object.__hash__
+
     def evaluate(self, a: int, b: int) -> bool:
         return {
             Cond.EQ: a == b,
@@ -85,7 +91,7 @@ class Cond(Enum):
         }[self]
 
     def __str__(self) -> str:
-        return self.value
+        return self._value_
 
 
 @dataclass(frozen=True, slots=True)
@@ -193,29 +199,33 @@ class Instr:
         """Virtual registers read by effective-address calculations
         (the LOAD/STORE address, memory-operand sources, ``mem_dst``)."""
         regs: list[VirtualRegister] = []
-        if self.addr is not None:
-            regs.extend(self.addr.registers)
-        for s in self.srcs:
-            if isinstance(s, Address):
-                regs.extend(s.registers)
-        if self.mem_dst is not None:
-            regs.extend(self.mem_dst.registers)
+        for a in (self.addr, *self.srcs, self.mem_dst):
+            if isinstance(a, Address):
+                if a.base is not None:
+                    regs.append(a.base)
+                if a.index is not None:
+                    regs.append(a.index)
         return tuple(regs)
 
     def uses(self) -> tuple[VirtualRegister, ...]:
         """All virtual registers this instruction reads (with duplicates
         removed, first occurrence order preserved)."""
-        seen: dict[VirtualRegister, None] = {}
-        for r in self.reg_srcs() + self.addr_regs():
-            seen.setdefault(r)
-        return tuple(seen)
+        srcs = self.srcs
+        regs = [s for s in srcs if isinstance(s, VirtualRegister)]
+        # Most instructions read registers only: skip the address walk.
+        if len(regs) != len(srcs) or self.addr is not None \
+                or self.mem_dst is not None:
+            regs += self.addr_regs()
+        if len(regs) > 1:
+            return tuple(dict.fromkeys(regs))
+        return tuple(regs)
 
     def defs(self) -> tuple[VirtualRegister, ...]:
         return (self.dst,) if self.dst is not None else ()
 
     @property
     def is_terminator(self) -> bool:
-        return self.info.terminator
+        return _INFO[self.opcode].terminator
 
     def tied_source_candidates(self) -> tuple[int, ...]:
         """Indices of sources eligible to share the combined

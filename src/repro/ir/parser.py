@@ -13,10 +13,11 @@ text.
 from __future__ import annotations
 
 import re
+import string
 
 from .function import Function, Module
 from .instructions import Cond, Instr, Opcode
-from .types import IntType, type_from_name
+from .types import I32, IntType, type_from_name
 from .values import (
     Address,
     Immediate,
@@ -31,87 +32,149 @@ class ParseError(Exception):
     """Raised on malformed textual IR."""
 
 
+_NAME = r"[A-Za-z_][\w.]*"
+#: the ``:type`` a register, slot or immediate carries, read as part
+#: of its token
+_TYPED = r"(?:\s*:\s*" + _NAME + ")?"
+
+#: one token; the kind is told by its first character (see the parser)
 _TOKEN = re.compile(
-    r"""
-    (?P<ws>\s+)
-  | (?P<punct>->|[(){}:,\[\]+*])
-  | (?P<vreg>%[A-Za-z_][\w.]*(?:@[A-Za-z_][\w.]*)?)
-  | (?P<origin>![A-Za-z_][\w-]*)
-  | (?P<sym>@[A-Za-z_][\w.]*)
-  | (?P<num>-?\d+)
-  | (?P<word>[A-Za-z_][\w.]*)
-    """,
-    re.VERBOSE,
+    "("
+    r"->|[(){}:,\[\]+*]"  # punctuation
+    "|%" + _NAME + "(?:@" + _NAME + ")?" + _TYPED  # %reg, %reg@EAX:i32
+    + "|@" + _NAME + _TYPED  # @slot, @slot:i32
+    + r"|-?\d+" + _TYPED  # 4, -1:i8
+    + r"|![A-Za-z_][\w-]*"  # !origin
+    + "|" + _NAME  # opcode, label, type, keyword
+    + ")"
 )
 
+_NUM_FIRST = frozenset("-0123456789")
+_WORD_FIRST = frozenset(string.ascii_letters + "_")
 
-def _tokenize(text: str) -> list[tuple[str, str]]:
-    tokens: list[tuple[str, str]] = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if m is None:
-            raise ParseError(f"unexpected character {text[pos]!r} at {pos}")
-        pos = m.end()
-        kind = m.lastgroup
-        if kind != "ws":
-            tokens.append((kind, m.group()))
-    tokens.append(("eof", ""))
+_OPCODES = {op.value: op for op in Opcode}
+_CONDS = {cond.value: cond for cond in Cond}
+
+
+def _tokenize(text: str) -> list[str]:
+    """The tokens of ``text``, then ``""`` for the end.
+
+    ``split`` puts what lies between two tokens at the even indices;
+    anything there but whitespace is a character no token starts with.
+    """
+    parts = _TOKEN.split(text)
+    if "".join(parts[::2]).strip():
+        pos = 0
+        for k, part in enumerate(parts):
+            junk = part.lstrip() if k % 2 == 0 else ""
+            if junk:
+                at = pos + len(part) - len(junk)
+                raise ParseError(f"unexpected character {junk[0]!r} at {at}")
+            pos += len(part)
+    tokens = parts[1::2]
+    tokens.append("")
     return tokens
+
+
+def _split_type(tok: str) -> tuple[str, IntType]:
+    """``%x:i32`` -> ``("%x", I32)``."""
+    head, colon, type_name = tok.partition(":")
+    if not colon:
+        raise ParseError(f"expected a type on {tok!r}")
+    return head.rstrip(), type_from_name(type_name.lstrip())
+
+
+def _untyped(tok: str) -> str:
+    if ":" in tok:
+        raise ParseError(f"unexpected type on {tok!r}")
+    return tok
+
+
+def _is_num(tok: str) -> bool:
+    return tok[:1] in _NUM_FIRST and tok != "->"
 
 
 class _Parser:
     def __init__(self, text: str) -> None:
         self.tokens = _tokenize(text)
         self.pos = 0
+        #: per function: register / immediate of each operand token seen
+        self.regs: dict[str, VirtualRegister] = {}
+        self.imms: dict[str, Immediate] = {}
 
     # -- token helpers ---------------------------------------------------
 
-    def peek(self) -> tuple[str, str]:
-        return self.tokens[self.pos]
-
-    def next(self) -> tuple[str, str]:
+    def next(self) -> str:
         tok = self.tokens[self.pos]
         self.pos += 1
         return tok
 
-    def expect(self, kind: str, value: str | None = None) -> str:
-        tok_kind, tok_value = self.next()
-        if tok_kind != kind or (value is not None and tok_value != value):
-            raise ParseError(
-                f"expected {value or kind}, got {tok_value!r}"
-            )
-        return tok_value
+    def expect(self, value: str) -> None:
+        tok = self.tokens[self.pos]
+        if tok != value:
+            raise ParseError(f"expected {value}, got {tok!r}")
+        self.pos += 1
 
-    def accept(self, kind: str, value: str | None = None) -> str | None:
-        tok_kind, tok_value = self.peek()
-        if tok_kind == kind and (value is None or tok_value == value):
+    def accept(self, value: str) -> bool:
+        if self.tokens[self.pos] == value:
             self.pos += 1
-            return tok_value
-        return None
+            return True
+        return False
+
+    def word(self) -> str:
+        tok = self.tokens[self.pos]
+        if tok[:1] not in _WORD_FIRST:
+            raise ParseError(f"expected a name, got {tok!r}")
+        self.pos += 1
+        return tok
+
+    def sigil(self, mark: str) -> str:
+        """The next token, which must start with ``mark``."""
+        tok = self.tokens[self.pos]
+        if tok[:1] != mark:
+            raise ParseError(f"expected {mark}name, got {tok!r}")
+        self.pos += 1
+        return tok
 
     # -- grammar ---------------------------------------------------------
 
-    def parse_type_suffix(self) -> IntType:
-        self.expect("punct", ":")
-        return type_from_name(self.expect("word"))
+    def vreg(self, tok: str, fn: Function) -> VirtualRegister:
+        """The register of a typed ``%name:type`` token."""
+        reg = self.regs.get(tok)
+        if reg is None:
+            name, type_ = _split_type(tok)
+            reg = fn.register_vreg(VirtualRegister(name[1:], type_))
+            self.regs[tok] = reg
+        return reg
+
+    def address_reg(self, tok: str, fn: Function) -> VirtualRegister:
+        """The register of an untyped ``%name`` in an address."""
+        reg = self.regs.get(tok)
+        if reg is None:
+            if tok[:1] != "%":
+                raise ParseError(f"expected a register, got {tok!r}")
+            reg = fn.register_vreg(VirtualRegister(_untyped(tok)[1:], I32))
+            self.regs[tok] = reg
+        return reg
 
     def parse_vreg(self, fn: Function) -> VirtualRegister:
-        name = self.expect("vreg")[1:]
-        type_ = self.parse_type_suffix()
-        return fn.register_vreg(VirtualRegister(name, type_))
+        return self.vreg(self.sigil("%"), fn)
 
     def parse_operand(self, fn: Function) -> Operand | Address:
-        kind, value = self.peek()
-        if (kind, value) == ("punct", "["):
+        tok = self.tokens[self.pos]
+        if tok == "[":
             return self.parse_address(fn)
-        if kind == "vreg":
-            return self.parse_vreg(fn)
-        if kind == "num":
-            self.next()
-            type_ = self.parse_type_suffix()
-            return Immediate(int(value), type_)
-        raise ParseError(f"expected operand, got {value!r}")
+        if tok[:1] == "%":
+            self.pos += 1
+            return self.vreg(tok, fn)
+        if _is_num(tok):
+            self.pos += 1
+            imm = self.imms.get(tok)
+            if imm is None:
+                value, type_ = _split_type(tok)
+                imm = self.imms[tok] = Immediate(int(value), type_)
+            return imm
+        raise ParseError(f"expected operand, got {tok!r}")
 
     def parse_address(self, fn: Function) -> Address:
         """``[@slot + %base + %index + 4*%index + disp]``, any subset.
@@ -121,41 +184,35 @@ class _Parser:
         slot it indexes into that slot (the code generator's array
         form), on its own it is a base.
         """
-        self.expect("punct", "[")
+        self.expect("[")
         slot = None
         regs: list[VirtualRegister] = []
         index = None
         scale = 1
         disp = 0
         first = True
-        while not self.accept("punct", "]"):
+        while not self.accept("]"):
             if not first:
-                self.expect("punct", "+")
+                self.expect("+")
             first = False
-            kind, value = self.peek()
-            if kind == "sym":
-                self.next()
-                slot_name = value[1:]
+            tok = self.next()
+            mark = tok[:1]
+            if mark == "@":
+                slot_name = _untyped(tok)[1:]
                 if slot_name not in fn.slots:
                     raise ParseError(f"unknown slot @{slot_name}")
                 slot = fn.slots[slot_name]
-            elif kind == "vreg":
-                self.next()
-                regs.append(fn.register_vreg(
-                    VirtualRegister(value[1:], type_from_name("i32"))
-                ))
-            elif kind == "num":
-                self.next()
-                if self.accept("punct", "*"):
-                    scale = int(value)
-                    reg_tok = self.expect("vreg")
-                    index = fn.register_vreg(
-                        VirtualRegister(reg_tok[1:], type_from_name("i32"))
-                    )
+            elif mark == "%":
+                regs.append(self.address_reg(tok, fn))
+            elif _is_num(tok):
+                value = int(_untyped(tok))
+                if self.accept("*"):
+                    scale = value
+                    index = self.address_reg(self.next(), fn)
                 else:
-                    disp = int(value)
+                    disp = value
             else:
-                raise ParseError(f"bad address component {value!r}")
+                raise ParseError(f"bad address component {tok!r}")
         if len(regs) + (index is not None) > 2:
             raise ParseError("too many registers in address")
         if index is None and (len(regs) == 2 or regs and slot is not None):
@@ -165,24 +222,20 @@ class _Parser:
                        scale=scale, disp=disp)
 
     def parse_slot_decl(self, fn: Function) -> None:
-        name = self.expect("sym")[1:]
-        type_ = self.parse_type_suffix()
-        kind = SlotKind(self.expect("word"))
+        name, type_ = _split_type(self.sigil("@"))
+        name = name[1:]
+        kind = SlotKind(self.word())
         count = 1
         aliased = False
         while True:
-            kind_tok, value = self.peek()
-            is_attr = kind_tok == "word" and (
-                (value.startswith("x") and value[1:].isdigit())
-                or value == "aliased"
-            )
-            if not is_attr:
-                break
-            self.next()
+            value = self.tokens[self.pos]
             if value == "aliased":
                 aliased = True
-            else:
+            elif value[:1] == "x" and value[1:].isdigit():
                 count = int(value[1:])
+            else:
+                break
+            self.pos += 1
         slot = MemorySlot(name, type_, kind, count, aliased)
         if name in fn.slots:
             # Parameters are pre-declared by the header; tolerate redecl.
@@ -193,138 +246,160 @@ class _Parser:
 
     def parse_instr(self, fn: Function) -> Instr:
         instr = self._parse_instr_body(fn)
-        origin = self.accept("origin")
-        if origin is not None:
-            instr.origin = origin[1:]
+        tok = self.tokens[self.pos]
+        if tok[:1] == "!":
+            self.pos += 1
+            instr.origin = tok[1:]
         return instr
 
     def _parse_instr_body(self, fn: Function) -> Instr:
-        op_name = self.expect("word")
-        try:
-            opcode = Opcode(op_name)
-        except ValueError:
-            raise ParseError(f"unknown opcode {op_name!r}") from None
+        op_name = self.next()
+        opcode = _OPCODES.get(op_name)
+        if opcode is None:
+            raise ParseError(f"unknown opcode {op_name!r}")
+        return _FORMS.get(opcode, _Parser.parse_generic)(self, opcode, fn)
 
-        if opcode is Opcode.JUMP:
-            self.expect("punct", "->")
-            target = self.expect("word")
-            return Instr(opcode, targets=(target,))
+    def parse_jump(self, opcode: Opcode, fn: Function) -> Instr:
+        self.expect("->")
+        return Instr(opcode, targets=(self.word(),))
 
-        if opcode is Opcode.CJUMP:
-            a = self.parse_operand(fn)
-            self.expect("punct", ",")
-            b = self.parse_operand(fn)
-            cond = Cond(self.expect("word"))
-            self.expect("punct", "->")
-            t_true = self.expect("word")
-            self.expect("punct", ",")
-            t_false = self.expect("word")
-            return Instr(opcode, srcs=(a, b), cond=cond,
-                         targets=(t_true, t_false))
+    def parse_cjump(self, opcode: Opcode, fn: Function) -> Instr:
+        a = self.parse_operand(fn)
+        self.expect(",")
+        b = self.parse_operand(fn)
+        cond_name = self.word()
+        cond = _CONDS.get(cond_name)
+        if cond is None:
+            raise ParseError(f"unknown condition {cond_name!r}")
+        self.expect("->")
+        t_true = self.word()
+        self.expect(",")
+        t_false = self.word()
+        return Instr(opcode, srcs=(a, b), cond=cond,
+                     targets=(t_true, t_false))
 
-        if opcode is Opcode.RET:
-            if self.peek()[0] in ("vreg", "num") \
-                    or self.peek() == ("punct", "["):
-                return Instr(opcode, srcs=(self.parse_operand(fn),))
-            return Instr(opcode)
+    def parse_ret(self, opcode: Opcode, fn: Function) -> Instr:
+        tok = self.tokens[self.pos]
+        if tok[:1] == "%" or tok == "[" or _is_num(tok):
+            return Instr(opcode, srcs=(self.parse_operand(fn),))
+        return Instr(opcode)
 
-        if opcode is Opcode.CALL:
-            dst = None
-            if self.peek()[0] == "vreg":
-                dst = self.parse_vreg(fn)
-                self.expect("punct", ",")
-            callee = self.expect("sym")[1:]
-            args: list[Operand] = []
-            if self.accept("punct", "("):
-                while not self.accept("punct", ")"):
-                    if args:
-                        self.expect("punct", ",")
-                    args.append(self.parse_operand(fn))
-            return Instr(opcode, dst=dst, srcs=tuple(args), callee=callee)
-
-        if opcode is Opcode.STORE:
-            value = self.parse_operand(fn)
-            self.expect("punct", ",")
-            addr = self.parse_address(fn)
-            return Instr(opcode, srcs=(value,), addr=addr)
-
-        if opcode is Opcode.LOAD:
+    def parse_call(self, opcode: Opcode, fn: Function) -> Instr:
+        dst = None
+        if self.tokens[self.pos][:1] == "%":
             dst = self.parse_vreg(fn)
-            self.expect("punct", ",")
-            addr = self.parse_address(fn)
-            return Instr(opcode, dst=dst, addr=addr)
+            self.expect(",")
+        callee = _untyped(self.sigil("@"))[1:]
+        args: list[Operand] = []
+        if self.accept("("):
+            while not self.accept(")"):
+                if args:
+                    self.expect(",")
+                args.append(self.parse_operand(fn))
+        return Instr(opcode, dst=dst, srcs=tuple(args), callee=callee)
 
-        # Generic form: dst, src, src...  An address in the destination
-        # position is the §5.2 combined memory use/def.
+    def parse_store(self, opcode: Opcode, fn: Function) -> Instr:
+        value = self.parse_operand(fn)
+        self.expect(",")
+        addr = self.parse_address(fn)
+        return Instr(opcode, srcs=(value,), addr=addr)
+
+    def parse_load(self, opcode: Opcode, fn: Function) -> Instr:
+        dst = self.parse_vreg(fn)
+        self.expect(",")
+        addr = self.parse_address(fn)
+        return Instr(opcode, dst=dst, addr=addr)
+
+    def parse_generic(self, opcode: Opcode, fn: Function) -> Instr:
+        """``op dst, src, src...``; an address in the destination
+        position is the §5.2 combined memory use/def."""
         dst = mem_dst = None
-        if self.peek() == ("punct", "["):
+        if self.tokens[self.pos] == "[":
             mem_dst = self.parse_address(fn)
         else:
             dst = self.parse_vreg(fn)
         srcs: list[Operand | Address] = []
-        while self.accept("punct", ","):
+        while self.accept(","):
             srcs.append(self.parse_operand(fn))
         return Instr(opcode, dst=dst, srcs=tuple(srcs), mem_dst=mem_dst)
 
     def parse_function(self) -> Function:
-        self.expect("word", "func")
-        name = self.expect("sym")[1:]
+        self.regs.clear()
+        self.imms.clear()
+        self.expect("func")
+        name = _untyped(self.sigil("@"))[1:]
         params: list[MemorySlot] = []
-        self.expect("punct", "(")
-        while not self.accept("punct", ")"):
+        self.expect("(")
+        while not self.accept(")"):
             if params:
-                self.expect("punct", ",")
-            self.expect("word", "param")
-            pname = self.expect("sym")[1:]
-            ptype = self.parse_type_suffix()
-            params.append(MemorySlot(pname, ptype, SlotKind.PARAM))
+                self.expect(",")
+            self.expect("param")
+            pname, ptype = _split_type(self.sigil("@"))
+            params.append(MemorySlot(pname[1:], ptype, SlotKind.PARAM))
         return_type = None
-        if self.accept("punct", "->"):
-            return_type = type_from_name(self.expect("word"))
+        if self.accept("->"):
+            return_type = type_from_name(self.word())
         fn = Function(name, params, return_type)
-        self.expect("punct", "{")
-        while self.accept("word", "slot"):
+        self.expect("{")
+        while self.accept("slot"):
             self.parse_slot_decl(fn)
-        while not self.accept("punct", "}"):
-            block_name = self.expect("word")
-            self.expect("punct", ":")
-            block = fn.add_block(block_name)
+        tokens = self.tokens
+        while not self.accept("}"):
+            block_name = self.word()
+            self.expect(":")
+            instrs = fn.add_block(block_name).instrs
             while True:
-                kind, value = self.peek()
-                if kind == "punct" and value == "}":
+                tok = tokens[self.pos]
+                if tok == "}" or not tok:
                     break
                 # A new block starts with "name:".
-                if (kind == "word"
-                        and self.tokens[self.pos + 1] == ("punct", ":")
-                        and value not in Opcode._value2member_map_):
+                if tokens[self.pos + 1] == ":" and tok not in _OPCODES:
                     break
-                block.instrs.append(self.parse_instr(fn))
-                if block.instrs[-1].is_terminator:
+                instr = self.parse_instr(fn)
+                instrs.append(instr)
+                if instr.is_terminator:
                     break
         return fn
 
     def parse_module(self, name: str = "module") -> Module:
         module = Module(name)
-        while self.peek()[0] != "eof":
-            if self.accept("word", "global"):
-                gname = self.expect("sym")[1:]
-                gtype = self.parse_type_suffix()
+        while self.tokens[self.pos]:
+            if self.accept("global"):
+                gname, gtype = _split_type(self.sigil("@"))
                 count = 1
-                kind_tok, value = self.peek()
-                if (kind_tok == "word" and value.startswith("x")
-                        and value[1:].isdigit()):
-                    self.next()
+                value = self.tokens[self.pos]
+                if value[:1] == "x" and value[1:].isdigit():
+                    self.pos += 1
                     count = int(value[1:])
                 kind = SlotKind.ARRAY if count > 1 else SlotKind.GLOBAL
-                module.add_global(MemorySlot(gname, gtype, kind, count))
+                module.add_global(MemorySlot(gname[1:], gtype, kind, count))
             else:
                 module.add_function(self.parse_function())
         return module
 
+    def end(self) -> None:
+        tok = self.tokens[self.pos]
+        if tok:
+            raise ParseError(f"unexpected {tok!r} after the function")
+
+
+#: the opcodes with their own operand syntax (the rest are generic)
+_FORMS = {
+    Opcode.JUMP: _Parser.parse_jump,
+    Opcode.CJUMP: _Parser.parse_cjump,
+    Opcode.RET: _Parser.parse_ret,
+    Opcode.CALL: _Parser.parse_call,
+    Opcode.STORE: _Parser.parse_store,
+    Opcode.LOAD: _Parser.parse_load,
+}
+
 
 def parse_function(text: str) -> Function:
     """Parse a single ``func`` definition."""
-    return _Parser(text).parse_function()
+    parser = _Parser(text)
+    fn = parser.parse_function()
+    parser.end()
+    return fn
 
 
 def parse_module(text: str, name: str = "module") -> Module:

@@ -56,7 +56,10 @@ def map_registers(
 
 def copy_instr(instr: Instr) -> Instr:
     """A shallow structural copy (operands are immutable and shared)."""
-    return map_registers(instr, lambda r: r)
+    return Instr(
+        instr.opcode, instr.dst, instr.srcs, instr.addr, instr.cond,
+        instr.targets, instr.callee, instr.mem_dst, instr.origin,
+    )
 
 
 def clone_function(fn: Function) -> Function:

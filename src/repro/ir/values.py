@@ -29,8 +29,14 @@ class VirtualRegister:
     name: str
     type: IntType
 
+    def __hash__(self) -> int:
+        # Equal registers have equal names, so this is sound; it is one
+        # C-level str hash instead of the tuple hash the dataclass
+        # would generate, which calls IntType.__hash__ in Python.
+        return hash(self.name)
+
     def __str__(self) -> str:
-        return f"%{self.name}:{self.type}"
+        return f"%{self.name}:i{self.type.bits}"
 
     @property
     def bits(self) -> int:
@@ -51,7 +57,7 @@ class Immediate:
             )
 
     def __str__(self) -> str:
-        return f"{self.value}:{self.type}"
+        return f"{self.value}:i{self.type.bits}"
 
     @property
     def bits(self) -> int:
@@ -70,6 +76,8 @@ class SlotKind(Enum):
     ARRAY = "array"  # local or global array region
     GLOBAL = "global"  # global scalar
     SPILL = "spill"  # allocator-created spill slot
+
+    __hash__ = object.__hash__  # identity, as for Opcode
 
 
 @dataclass(frozen=True, slots=True)

@@ -9,8 +9,16 @@ frontend and the workload generator produce.
 from __future__ import annotations
 
 from .function import Function
-from .instructions import ALU_OPS, DIV_OPS, SHIFT_OPS, Instr, Opcode
-from .values import Immediate, VirtualRegister
+from .instructions import (
+    ALU_OPS,
+    DIV_OPS,
+    SHIFT_OPS,
+    Instr,
+    Opcode,
+    opcode_info,
+)
+from .types import IntType
+from .values import Address, VirtualRegister
 
 
 class VerificationError(Exception):
@@ -21,111 +29,111 @@ def _err(fn: Function, where: str, message: str) -> None:
     raise VerificationError(f"{fn.name}: {where}: {message}")
 
 
-def _src_type_of_mem_dst(instr):
-    if instr.mem_dst is None or instr.mem_dst.slot is None:
-        return None
-    return instr.mem_dst.slot.type
-
-
-def _src_type(src):
+def _width(src) -> IntType | None:
     """Width of a source operand; None for slot-less memory operands."""
-    from .values import Address
-
     if isinstance(src, Address):
         return src.slot.type if src.slot is not None else None
     return src.type
 
 
-def _check_instr(fn: Function, where: str, instr: Instr) -> None:
+def _check_instr(fn: Function, instr: Instr) -> str | None:
+    """The first flaw of ``instr``, or None."""
     op = instr.opcode
-    info = instr.info
+    info = opcode_info(op)
+    dst = instr.dst
+    mem_dst = instr.mem_dst
+    srcs = instr.srcs
 
-    if (info.has_dst and instr.dst is None and op is not Opcode.CALL
-            and instr.mem_dst is None):
-        _err(fn, where, f"{op} requires a destination")
-    if not info.has_dst and instr.dst is not None:
-        _err(fn, where, f"{op} must not have a destination")
+    if (info.has_dst and dst is None and op is not Opcode.CALL
+            and mem_dst is None):
+        return f"{op} requires a destination"
+    if not info.has_dst and dst is not None:
+        return f"{op} must not have a destination"
+    if mem_dst is not None and not info.two_address:
+        return f"{op} has no read-modify-write form"
     if info.n_srcs >= 0 and op is not Opcode.RET:
         # The §5.2 read-modify-write form reads its first source from
         # the memory destination.
-        n_srcs = info.n_srcs - (instr.mem_dst is not None)
-        if len(instr.srcs) != n_srcs:
-            _err(fn, where,
-                 f"{op} expects {n_srcs} sources, got {len(instr.srcs)}")
-    if op is Opcode.RET and len(instr.srcs) > 1:
-        _err(fn, where, "ret takes at most one value")
+        n_srcs = info.n_srcs - (mem_dst is not None)
+        if len(srcs) != n_srcs:
+            return f"{op} expects {n_srcs} sources, got {len(srcs)}"
+    if op is Opcode.RET and len(srcs) > 1:
+        return "ret takes at most one value"
 
-    if op in (Opcode.LOAD, Opcode.STORE):
-        if instr.addr is None:
-            _err(fn, where, f"{op} requires an address")
-    elif instr.addr is not None:
-        _err(fn, where, f"{op} must not carry an address")
+    addr = instr.addr
+    if op is Opcode.LOAD or op is Opcode.STORE:
+        if addr is None:
+            return f"{op} requires an address"
+    elif addr is not None:
+        return f"{op} must not carry an address"
 
+    targets = instr.targets
     if op is Opcode.CJUMP:
-        if instr.cond is None or len(instr.targets) != 2:
-            _err(fn, where, "cjump needs a condition and two targets")
+        if instr.cond is None or len(targets) != 2:
+            return "cjump needs a condition and two targets"
     elif op is Opcode.JUMP:
-        if len(instr.targets) != 1:
-            _err(fn, where, "jump needs exactly one target")
-    elif instr.targets:
-        _err(fn, where, f"{op} must not have branch targets")
+        if len(targets) != 1:
+            return "jump needs exactly one target"
+    elif targets:
+        return f"{op} must not have branch targets"
 
     if op is Opcode.CALL and instr.callee is None:
-        _err(fn, where, "call requires a callee name")
+        return "call requires a callee name"
 
-    for target in instr.targets:
+    for target in targets:
         if not fn.has_block(target):
-            _err(fn, where, f"branch to unknown block {target!r}")
+            return f"branch to unknown block {target!r}"
 
-    if instr.addr is not None and instr.addr.slot is not None:
-        if instr.addr.slot.name not in fn.slots:
-            _err(fn, where, f"unknown slot @{instr.addr.slot.name}")
-        for reg in instr.addr.registers:
-            if reg.type.bits != 32:
-                _err(fn, where, "address registers must be 32-bit")
+    if addr is not None and addr.slot is not None:
+        if addr.slot.name not in fn.slots:
+            return f"unknown slot @{addr.slot.name}"
+        for reg in (addr.base, addr.index):
+            if reg is not None and reg.type.bits != 32:
+                return "address registers must be 32-bit"
 
     # Width rules.  Post-allocation memory operands (Address sources,
     # mem_dst) have their width implied by the instruction; slot-less
     # ones are skipped.
-    src_types = [_src_type(s) for s in instr.srcs]
-    if op in ALU_OPS or op in SHIFT_OPS or op in DIV_OPS:
-        a = src_types[0] if src_types else None
-        dst_type = (
-            instr.dst.type if instr.dst is not None
-            else _src_type_of_mem_dst(instr)
-        )
-        if a is not None and dst_type is not None and a != dst_type \
-                and instr.mem_dst is None:
-            _err(fn, where, f"{op}: dst/src0 width mismatch")
-        if (op in ALU_OPS or op in DIV_OPS) and len(src_types) > 1:
-            if (src_types[1] is not None and a is not None
-                    and src_types[1] != a):
-                _err(fn, where, f"{op}: src widths differ")
-    elif op in (Opcode.COPY, Opcode.NEG, Opcode.NOT, Opcode.LI):
-        if (instr.dst is not None and src_types
-                and src_types[0] is not None
-                and src_types[0] != instr.dst.type):
-            _err(fn, where, f"{op}: width mismatch")
-    elif op in (Opcode.SEXT, Opcode.ZEXT):
-        if src_types[0] is not None and \
-                instr.dst.type.bits <= src_types[0].bits:
-            _err(fn, where, f"{op} must widen")
-    elif op is Opcode.TRUNC:
-        if src_types[0] is not None and \
-                instr.dst.type.bits >= src_types[0].bits:
-            _err(fn, where, "trunc must narrow")
+    if op in _WIDTH_TIED:
+        a = _width(srcs[0]) if srcs else None
+        if dst is not None and mem_dst is None:
+            if a is not None and a != dst.type:
+                return f"{op}: dst/src0 width mismatch"
+        if (op in ALU_OPS or op in DIV_OPS) and len(srcs) > 1:
+            b = _width(srcs[1])
+            if b is not None and a is not None and b != a:
+                return f"{op}: src widths differ"
+    elif op in _SAME_WIDTH:
+        if dst is not None and srcs:
+            a = _width(srcs[0])
+            if a is not None and a != dst.type:
+                return f"{op}: width mismatch"
+    elif op in _CONVERSIONS:
+        a = _width(srcs[0])
+        if a is not None:
+            if op is Opcode.TRUNC:
+                if dst.type.bits >= a.bits:
+                    return "trunc must narrow"
+            elif dst.type.bits <= a.bits:
+                return f"{op} must widen"
     elif op is Opcode.CJUMP:
-        if (src_types[0] is not None and src_types[1] is not None
-                and src_types[0] != src_types[1]):
-            _err(fn, where, "cjump operand widths differ")
+        a, b = _width(srcs[0]), _width(srcs[1])
+        if a is not None and b is not None and a != b:
+            return "cjump operand widths differ"
     elif op is Opcode.LOAD:
-        if instr.addr.slot is not None and \
-                instr.dst.type != instr.addr.slot.type:
-            _err(fn, where, "load width differs from slot element width")
+        if addr.slot is not None and dst.type != addr.slot.type:
+            return "load width differs from slot element width"
     elif op is Opcode.STORE:
-        if instr.addr.slot is not None and \
-                instr.srcs[0].type != instr.addr.slot.type:
-            _err(fn, where, "store width differs from slot element width")
+        if addr.slot is not None and _width(srcs[0]) != addr.slot.type:
+            return "store width differs from slot element width"
+    return None
+
+
+#: opcodes whose destination has its first source's width (a
+#: read-modify-write destination has the width of the instruction)
+_WIDTH_TIED = ALU_OPS | SHIFT_OPS | DIV_OPS
+_SAME_WIDTH = frozenset({Opcode.COPY, Opcode.NEG, Opcode.NOT, Opcode.LI})
+_CONVERSIONS = frozenset({Opcode.SEXT, Opcode.ZEXT, Opcode.TRUNC})
 
 
 def verify_function(fn: Function, check_defs: bool = True) -> None:
@@ -140,14 +148,18 @@ def verify_function(fn: Function, check_defs: bool = True) -> None:
         _err(fn, "function", "has no blocks")
 
     for block in fn.blocks:
-        if not block.instrs:
+        instrs = block.instrs
+        if not instrs:
             _err(fn, block.name, "empty block")
-        for i, instr in enumerate(block.instrs):
-            where = f"{block.name}[{i}]"
-            if instr.is_terminator and i != len(block.instrs) - 1:
-                _err(fn, where, "terminator in the middle of a block")
-            _check_instr(fn, where, instr)
-        if not block.instrs[-1].is_terminator:
+        last = len(instrs) - 1
+        for i, instr in enumerate(instrs):
+            if instr.is_terminator and i != last:
+                _err(fn, f"{block.name}[{i}]",
+                     "terminator in the middle of a block")
+            flaw = _check_instr(fn, instr)
+            if flaw is not None:
+                _err(fn, f"{block.name}[{i}]", flaw)
+        if not instrs[-1].is_terminator:
             _err(fn, block.name, "block does not end in a terminator")
 
     if check_defs:

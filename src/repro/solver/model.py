@@ -36,6 +36,8 @@ class Sense(Enum):
     GE = ">="
     EQ = "=="
 
+    __hash__ = object.__hash__  # identity, as for the IR enums
+
     def __str__(self) -> str:
         return self.value
 

@@ -22,6 +22,8 @@ class RegPart(Enum):
     LOW16 = (0, 16)
     FULL32 = (0, 32)
 
+    __hash__ = object.__hash__  # identity, as for the IR enums
+
     @property
     def bit_range(self) -> tuple[int, int]:
         return self.value
@@ -68,6 +70,13 @@ class RegisterFile:
         self.chain_sets: tuple[tuple[RealRegister, ...], ...] = (
             self._build_chain_sets()
         )
+        #: register name -> bit ``k`` set for each chain set ``k`` it is in
+        self.chain_masks: dict[str, int] = {
+            r.name: sum(
+                1 << k for k, c in enumerate(self.chain_sets) if r in c
+            )
+            for r in self.registers
+        }
         #: register name -> names of the registers sharing its bits
         self.overlap_names: dict[str, frozenset[str]] = {
             r.name: frozenset(o.name for o in self.overlapping(r))

@@ -297,6 +297,13 @@ class TestResultCache:
             record.to_allocation(x86)
         cache.put(record)
         self._assert_resolved(engine, fn, first)
+        # cut inside a register's name: stale, not an escaped exception
+        record = cache.get(first.fingerprint)
+        record.code = record.code[: record.code.rindex("%") + 2]
+        with pytest.raises(AllocationError, match="undecodable"):
+            record.to_allocation(x86)
+        cache.put(record)
+        self._assert_resolved(engine, fn, first)
 
     def test_record_with_a_block_missing_its_terminator_is_resolved(
         self, x86, module, tmp_path

@@ -1,5 +1,7 @@
 """Printer/parser round-trip tests."""
 
+import re
+
 import pytest
 
 from repro.ir import (
@@ -165,8 +167,24 @@ class TestParseErrors:
             )
 
     def test_bad_character(self):
-        with pytest.raises(ParseError):
-            parse_function("func @f() -> i32 { $ }")
+        fn = "func @f() -> i32 {\nentry:\n  ret 0:i32\n}"
+        for text in (
+            "func @f() -> i32 { $ }",
+            fn + "$",  # garbage after the final }
+            fn.replace("\n  ret", "\n$ ret"),  # right after a newline
+            fn.replace("ret 0", "ret %"),  # a sigil with no name
+        ):
+            char = "%" if "%" in text else "$"
+            at = text.index(char)
+            # the message names the character and its offset
+            with pytest.raises(
+                ParseError, match=re.escape(f"character {char!r} at {at}")
+            ):
+                parse_function(text)
+        with pytest.raises(ParseError, match="after the function"):
+            parse_function(fn + "\nentry:")
+        # a whitespace-only tail is no garbage
+        assert format_function(parse_function(fn + " \n\t\n")) == fn
 
     def test_unknown_type(self):
         with pytest.raises(ValueError):

@@ -94,6 +94,17 @@ class TestWidths:
         b.ret(b.li(0))
         with pytest.raises(VerificationError, match="widen"):
             verify_function(b.done())
+        # a conversion has no read-modify-write form, so no width to
+        # check either
+        from repro.ir import Address
+
+        b = IRBuilder("g")
+        m = b.slot("m", I8)
+        b.block("entry")
+        b.current.instrs.append(Instr(Opcode.SEXT, mem_dst=Address(slot=m)))
+        b.ret(b.li(0))
+        with pytest.raises(VerificationError, match="read-modify-write"):
+            verify_function(b.done())
 
     def test_trunc_must_narrow(self):
         b = IRBuilder("f")

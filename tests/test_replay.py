@@ -10,11 +10,18 @@ equivalence check, and compute the reference value in the interpreter.
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from collections import Counter
 from dataclasses import asdict
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
 
+import repro.engine.cache as engine_cache
+import repro.engine.engine as engine_module
 from repro.allocation import validate_allocation
 from repro.analysis import profiled_frequencies
 from repro.bench import load_benchmark
@@ -23,6 +30,7 @@ from repro.core import AllocatorConfig
 from repro.engine import (
     ALLOCATOR_VERSION,
     AllocationEngine,
+    CacheRecord,
     EngineConfig,
     ResultCache,
 )
@@ -31,6 +39,8 @@ from repro.ir import Address, clone_function, format_function, parse_function
 from repro.lowering import lower_for_target
 from repro.obs import reset_stats, set_stats_enabled, snapshot
 from repro.sim import AllocatedFunction, Interpreter
+from tests.test_core_model import GOLDEN_MODEL_DIGESTS
+from tests.test_equivalence import ALLOCATED, SOURCE, allocation
 
 CONFIG = AllocatorConfig(time_limit=60.0)
 
@@ -135,9 +145,13 @@ def test_allocated_code_round_trips(program, solved, x86):
     assert run_allocated(run, x86, reparsed) == original
 
 
-def test_lowered_suite_ir_prints_as_before(x86):
-    """Pre-allocation printing is unchanged, so fingerprints' IR part
-    is too: a golden digest over all 47 lowered suite functions."""
+#: sha256 of the printed lowered IR of all 47 suite functions
+LOWERED_SUITE_DIGEST = (
+    "39c96167454a2688db78ad3aad187fedb2bf16218e60d0218e5ae6e69ebb9d6e"
+)
+
+
+def lowered_suite_digest(x86) -> str:
     digest = hashlib.sha256()
     for bench in ALL_BENCHMARKS:
         _, module = load_benchmark(bench.name)
@@ -145,9 +159,13 @@ def test_lowered_suite_ir_prints_as_before(x86):
             work = clone_function(fn)
             lower_for_target(work, x86)
             digest.update(format_function(work).encode() + b"\n")
-    assert digest.hexdigest() == (
-        "39c96167454a2688db78ad3aad187fedb2bf16218e60d0218e5ae6e69ebb9d6e"
-    )
+    return digest.hexdigest()
+
+
+def test_lowered_suite_ir_prints_as_before(x86):
+    """Pre-allocation printing is unchanged, so fingerprints' IR part
+    is too: a golden digest over all 47 lowered suite functions."""
+    assert lowered_suite_digest(x86) == LOWERED_SUITE_DIGEST
 
 
 GOLDEN_FILL_SOURCE_HEAD = """\
@@ -284,3 +302,151 @@ def test_warm_hit_builds_no_model(solved, x86):
         v for k, v in counters.items()
         if k.startswith("solver.") and k.endswith(".solves")
     ) == 0
+
+
+# -- a hit is cheap, not skipped ----------------------------------------------
+
+#: the stages every hit runs, by the module the engine calls them from
+HIT_STAGES = {
+    "parse_function": engine_cache,
+    "verify_function": engine_cache,
+    "validate_allocation": engine_module,
+    "check_equivalence": engine_module,
+}
+
+
+def counting(calls: Counter, name: str, stage):
+    def counted(*args, **kwargs):
+        calls[name] += 1
+        return stage(*args, **kwargs)
+
+    return counted
+
+
+@pytest.fixture()
+def stage_calls(monkeypatch):
+    """Counts of the calls the engine makes to each hit stage."""
+    calls = Counter()
+    for name, module in HIT_STAGES.items():
+        monkeypatch.setattr(
+            module, name, counting(calls, name, getattr(module, name))
+        )
+    return calls
+
+
+def test_every_hit_runs_every_check(solved, x86, tmp_path, stage_calls):
+    """Each of N replays of one function decodes the record's own text
+    and runs the verifier, the validator and the equivalence proof
+    again: through ``allocate_module``, through ``cached_module`` and
+    from an imported replica.  A memo of decoded functions or proofs
+    would break this count."""
+    n = 4
+    run = solved("xlisp")
+    outcome = max(run.fresh, key=lambda o: len(o.final.assignment))
+    fn = run.module.functions[outcome.function]
+    freqs = {fn.name: run.freqs[fn.name]}
+    successor = ResultCache(tmp_path / "successor")
+    wire = json.dumps(
+        ResultCache(run.cache_dir).peek(outcome.fingerprint).to_dict()
+    )
+    assert successor.import_replica(json.loads(wire)) == "stored"
+
+    def engine(cache_dir):
+        return AllocationEngine(x86, CONFIG, EngineConfig(cache_dir=cache_dir))
+
+    def allocate(replaying):
+        return replaying.allocate_module([fn], freqs).outcomes[0]
+
+    def cached(replaying):
+        return replaying.cached_module([fn], freqs).outcomes[0]
+
+    paths = {
+        "allocate_module": (engine(run.cache_dir), allocate),
+        "cached_module": (engine(run.cache_dir), cached),
+        "replica": (engine(str(successor.root)), allocate),
+    }
+    for label, (replaying, replay) in paths.items():
+        stage_calls.clear()
+        for _ in range(n):
+            hit = replay(replaying)
+            assert hit.source == "cache", label
+            assert signature(hit.final) == signature(outcome.final), label
+        assert stage_calls == {name: n for name in HIT_STAGES}, label
+
+
+# -- no output depends on the hash seed ---------------------------------------
+
+#: run under two hash seeds: the §5 models of compress and cc1, the
+#: printed lowered suite, and the replay of record ``argv[2]`` of the
+#: cache at ``argv[1]``
+SEED_PROBE = """
+import json, sys
+from repro.allocation import validate_allocation
+from repro.engine import ResultCache
+from repro.equivalence import check_equivalence
+from repro.ir import format_function, parse_function
+from repro.bench import load_benchmark
+from repro.target import x86_target
+from tests.test_core_model import build, model_digest
+from tests.test_equivalence import SOURCE
+from tests.test_replay import lowered_suite_digest
+
+x86 = x86_target()
+models = {}
+for program in ("compress", "cc1"):
+    _, module = load_benchmark(program)
+    for name, fn in module.functions.items():
+        models[f"{program}/{name}"] = model_digest(*build(fn, x86)[1:3])
+record = ResultCache(sys.argv[1]).get(sys.argv[2])
+alloc = record.to_allocation(x86)
+validate_allocation(alloc, x86)
+check_equivalence(alloc, parse_function(SOURCE), x86)
+print(json.dumps({
+    "models": models,
+    "lowered": lowered_suite_digest(x86),
+    "decoded": format_function(alloc.function),
+    "assignment": sorted((v, r.name) for v, r in alloc.assignment.items()),
+}))
+"""
+
+
+def test_outputs_do_not_depend_on_the_hash_seed(x86, tmp_path):
+    """Enum members hash by identity and registers by name, so set
+    iteration order changes from run to run; the models, the printed
+    IR and the replayed code must not."""
+    cache = ResultCache(tmp_path / "cache")
+    record = CacheRecord.from_allocation("ab" * 32, allocation(x86, ALLOCATED))
+    cache.put(record)
+    root = Path(__file__).resolve().parent.parent
+    path = [str(root / "src"), str(root)]
+    if os.environ.get("PYTHONPATH"):
+        path.append(os.environ["PYTHONPATH"])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    probes = []
+    for seed in ("0", "4242"):
+        probes.append(subprocess.Popen(
+            [sys.executable, "-c", SEED_PROBE, str(cache.root),
+             record.fingerprint],
+            env=dict(env, PYTHONHASHSEED=seed), cwd=root,
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        ))
+    outputs = []
+    try:
+        for probe in probes:
+            out, err = probe.communicate(timeout=120)
+            assert probe.returncode == 0, err
+            outputs.append(json.loads(out))
+    finally:
+        for probe in probes:
+            if probe.poll() is None:
+                probe.kill()
+                probe.wait()
+    assert outputs[0] == outputs[1]
+    got = outputs[0]
+    assert got["models"] == {
+        f"{program}/{name}": digest
+        for (program, name), digest in GOLDEN_MODEL_DIGESTS.items()
+    }
+    assert got["lowered"] == LOWERED_SUITE_DIGEST
+    assert got["decoded"] == record.code == ALLOCATED
+    assert dict(got["assignment"]) == record.assignment

@@ -72,6 +72,13 @@ def client_for(handle: ServerThread, **kwargs) -> ServiceClient:
     return ServiceClient("127.0.0.1", handle.port, **kwargs)
 
 
+def _spans(tree: dict):
+    """Every span of a trace tree, depth first."""
+    yield tree
+    for child in tree.get("children", ()):
+        yield from _spans(child)
+
+
 # -- histograms -----------------------------------------------------------
 
 
@@ -405,14 +412,20 @@ def make_server():
 
 
 class TestServiceTelemetry:
-    def test_traced_request_yields_one_stitched_tree(self, make_server):
-        handle = make_server()
+    def test_traced_request_yields_one_stitched_tree(self, make_server,
+                                                     tmp_path):
+        handle = make_server(cache_dir=str(tmp_path))
         with client_for(handle) as client:
             resp = ServiceClient.check(client.allocate(
                 source=SOURCE, trace_id="T-stitch", tenant="acme"
             ))
             assert resp["trace_id"] == "T-stitch"
             got = ServiceClient.check(client.trace("T-stitch"))
+            # the same program again is a cache hit
+            ServiceClient.check(client.allocate(
+                source=SOURCE, trace_id="T-hit", tenant="acme"
+            ))
+            hit = ServiceClient.check(client.trace("T-hit"))
         tree = got["result"]["trace"]
         assert tree["name"] == "request"
         assert tree["meta"]["trace_id"] == "T-stitch"
@@ -426,6 +439,16 @@ class TestServiceTelemetry:
         sub = [c["name"] for c in solve.get("children", [])]
         assert "engine" in sub, sub
         assert "T-stitch" in got["result"]["ids"]
+        # a hit's three costs are separate spans
+        replays = [
+            span for span in _spans(hit["result"]["trace"])
+            if span["name"] == "cache-replay"
+        ]
+        assert replays, "no cache-replay span in the hit's tree"
+        for replay in replays:
+            assert [c["name"] for c in replay["children"]] == [
+                "decode", "validate", "equivalence",
+            ]
 
     def test_untraced_request_allocates_no_trace(self, make_server):
         handle = make_server()
