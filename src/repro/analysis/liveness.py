@@ -45,11 +45,6 @@ class Liveness:
         after = self._after[block][index]
         return frozenset(u for u in instr.uses() if u not in after)
 
-    def is_live_after(
-        self, reg: VirtualRegister, block: str, index: int
-    ) -> bool:
-        return reg in self._after[block][index]
-
     @staticmethod
     def _transfer_one(instr, after: frozenset) -> frozenset:
         before = set(after)

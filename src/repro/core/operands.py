@@ -30,10 +30,6 @@ class Position:
     role: str | None  # "base" | "index" for address positions
 
     @property
-    def src_index(self) -> int | None:
-        return int(self.key[1:]) if self.key.startswith("s") else None
-
-    @property
     def pos_id(self) -> int:
         """Stable ordinal used in decision-variable table rows."""
         if self.key.startswith("s"):

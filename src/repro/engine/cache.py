@@ -109,6 +109,9 @@ def _payload_checksum(d: dict) -> str:
     return hashlib.sha256(canon.encode()).hexdigest()
 
 
+#: what :meth:`ResultCache.import_replica` can do with one record
+REPLICA_OUTCOMES = ("stored", "kept_local", "unchanged", "invalid", "error")
+
 #: keys excluded from replica content comparison: the checksum itself,
 #: the replica marker (an owner record and its replica differ only
 #: here), and the write timestamp
@@ -405,6 +408,33 @@ class ResultCache:
         if record is None or record.fingerprint != fingerprint:
             return None
         return record
+
+    #: most records one replicate exchange may carry, each direction
+    REPLICATE_BATCH_MAX = 64
+
+    def export_records(self, fingerprints) -> list[dict]:
+        """The checksummed record dicts of the fingerprints this cache
+        holds, read with :meth:`peek`; missing or invalid ones are
+        simply absent.  The ``replicate`` verb's fetch form."""
+        records = []
+        for fp in list(fingerprints)[: self.REPLICATE_BATCH_MAX]:
+            record = self.peek(str(fp))
+            if record is not None:
+                records.append(record.to_dict())
+        return records
+
+    def import_records(self, records) -> dict[str, int]:
+        """Import replicas pushed by a ring predecessor through
+        :meth:`import_replica`; returns how many records met each
+        outcome, so the gateway can count what actually landed.  The
+        ``replicate`` verb's records form."""
+        counts = dict.fromkeys(REPLICA_OUTCOMES, 0)
+        for data in list(records)[: self.REPLICATE_BATCH_MAX]:
+            status = self.import_replica(
+                data if isinstance(data, dict) else {}
+            )
+            counts[status] += 1
+        return counts
 
     def import_replica(self, data: dict) -> str:
         """Store a record dict pushed by a ring predecessor.

@@ -7,9 +7,10 @@ exploits that:
 * **Process-pool scheduling** — per-function solves fan out across N
   worker processes (``concurrent.futures.ProcessPoolExecutor``),
   largest-function-first so the long poles start earliest.  Results are
-  keyed by function and reassembled in module order, and every solve is
+  keyed by position and reassembled in input order, and every solve is
   deterministic given its inputs, so parallel output is bit-identical
-  to a serial run.
+  to a serial run.  A function whose fingerprint an earlier one in the
+  same call shares waits for it and replays its record.
 * **Persistent result cache** — finished allocations are stored on disk
   keyed by a canonical fingerprint of the lowered function + target +
   config + cost coefficients + allocator version
@@ -239,6 +240,8 @@ class _Job:
     #: lowered instruction count — the largest-first scheduling key
     #: (Fig. 9: model size grows superlinearly in instructions)
     size: int
+    #: position in the ``allocate_module`` input — the outcome's key
+    index: int = 0
 
 
 @dataclass(slots=True)
@@ -407,6 +410,12 @@ class AllocationEngine:
     ) -> ModuleAllocation:
         """Allocate every function of a module (or function iterable).
 
+        Outcomes come back in input order, so the input may hold
+        functions of several programs whose names repeat.  A function
+        whose fingerprint an earlier one in the call shares waits for
+        that one's solve, then probes the cache like any other (replay,
+        validator, equivalence proof) and is solved only on a miss.
+
         ``freqs`` maps function names to execution frequencies (missing
         entries fall back to static estimates).  ``baseline`` supplies
         the graph-coloring fallback: a ``{name: Allocation}`` dict, a
@@ -415,33 +424,40 @@ class AllocationEngine:
         itself when needed.
         """
         fns = list(functions)
-        order = [fn.name for fn in fns]
-        outcomes: dict[str, EngineOutcome] = {}
+        outcomes: dict[int, EngineOutcome] = {}
         with trace_phase(
             "engine", jobs=self.engine_config.jobs, functions=len(fns)
         ) as engine_span:
-            pending: list[_Job] = []
-            for fn in fns:
-                job = self._prepare(fn, (freqs or {}).get(fn.name))
-                hit = self._try_cache(job, baseline)
-                if hit is not None:
-                    outcomes[fn.name] = hit
-                else:
-                    pending.append(job)
-            # Largest first: the long poles must start earliest for the
-            # pool to finish soonest.  The sort is stable, so equal
-            # sizes keep module order and scheduling is deterministic.
-            pending.sort(key=lambda j: -j.size)
-            if len(pending) > 1 and self.engine_config.jobs > 1:
-                self._solve_parallel(
-                    pending, outcomes, baseline, engine_span
-                )
-            else:
-                for job in pending:
-                    outcomes[job.fn.name] = self._solve_local(
-                        job, baseline
+            firsts: list[_Job] = []
+            twins: list[_Job] = []
+            seen: set[str] = set()
+            for index, fn in enumerate(fns):
+                job = self._prepare(fn, (freqs or {}).get(fn.name), index)
+                (twins if job.fingerprint in seen else firsts).append(job)
+                seen.add(job.fingerprint)
+            for jobs in (firsts, twins):
+                misses: list[_Job] = []
+                for job in jobs:
+                    hit = self._try_cache(job, baseline)
+                    if hit is None:
+                        misses.append(job)
+                    else:
+                        outcomes[job.index] = hit
+                # Largest first: the long poles must start earliest for
+                # the pool to finish soonest.  The sort is stable, so
+                # equal sizes keep input order and scheduling is
+                # deterministic.
+                misses.sort(key=lambda j: -j.size)
+                if len(misses) > 1 and self.engine_config.jobs > 1:
+                    self._solve_parallel(
+                        misses, outcomes, baseline, engine_span
                     )
-        return ModuleAllocation([outcomes[name] for name in order])
+                else:
+                    for job in misses:
+                        outcomes[job.index] = self._solve_local(
+                            job, baseline
+                        )
+        return ModuleAllocation([outcomes[i] for i in range(len(fns))])
 
     def allocate(
         self,
@@ -507,7 +523,8 @@ class AllocationEngine:
     # -- preparation & cache ---------------------------------------------
 
     def _prepare(
-        self, fn: Function, freq: ExecutionFrequencies | None
+        self, fn: Function, freq: ExecutionFrequencies | None,
+        index: int = 0,
     ) -> _Job:
         work = clone_function(fn)
         lower_for_target(work, self.target)
@@ -520,7 +537,7 @@ class AllocationEngine:
         )
         return _Job(
             fn=fn, freq=freq, fingerprint=fingerprint, lowered=work,
-            size=work.n_instructions,
+            size=work.n_instructions, index=index,
         )
 
     def _try_cache(self, job: _Job, baseline) -> EngineOutcome | None:
@@ -608,7 +625,7 @@ class AllocationEngine:
     def _solve_parallel(
         self,
         jobs: list[_Job],
-        outcomes: dict[str, EngineOutcome],
+        outcomes: dict[int, EngineOutcome],
         baseline,
         engine_span,
     ) -> None:
@@ -646,7 +663,7 @@ class AllocationEngine:
                 # Restricted environment (no semaphores/fork): degrade
                 # to in-process solving rather than failing the run.
                 for job in jobs:
-                    outcomes[job.fn.name] = self._solve_local(
+                    outcomes[job.index] = self._solve_local(
                         job, baseline
                     )
                 return
@@ -695,7 +712,7 @@ class AllocationEngine:
                     if strict_enabled() and \
                             not isinstance(exc, DEGRADABLE_FAILURES):
                         raise exc
-                    outcomes[job.fn.name] = self._final_attempt(
+                    outcomes[job.index] = self._final_attempt(
                         job, attempt, baseline
                     )
                 if wave:
@@ -707,7 +724,7 @@ class AllocationEngine:
                         # No pool to retry in: finish the casualties in
                         # this process instead.
                         for job, attempt in wave:
-                            outcomes[job.fn.name] = self._solve_local(
+                            outcomes[job.index] = self._solve_local(
                                 job, baseline
                             )
                         wave = []
@@ -800,7 +817,7 @@ class AllocationEngine:
                     future.cancel()
                     job, _ = future_of[future]
                     STAT_TIMEOUTS.incr()
-                    outcomes[job.fn.name] = self._finish(
+                    outcomes[job.index] = self._finish(
                         job, self._failed_allocation(job), True, 0,
                         baseline,
                     )
@@ -819,12 +836,12 @@ class AllocationEngine:
                     if strict_enabled() and \
                             not isinstance(exc, DEGRADABLE_FAILURES):
                         raise
-                    outcomes[job.fn.name] = self._finish(
+                    outcomes[job.index] = self._finish(
                         job, self._failed_allocation(job), False, 0,
                         baseline,
                     )
                     continue
-                outcomes[job.fn.name] = self._absorb(
+                outcomes[job.index] = self._absorb(
                     job, attempt, ret, baseline, engine_span,
                     merged_tokens,
                 )

@@ -191,10 +191,6 @@ class Instr:
     # Register-level views used by every analysis and both allocators.
     # ------------------------------------------------------------------
 
-    def reg_srcs(self) -> tuple[VirtualRegister, ...]:
-        """Virtual registers read as explicit (non-address) sources."""
-        return tuple(s for s in self.srcs if isinstance(s, VirtualRegister))
-
     def addr_regs(self) -> tuple[VirtualRegister, ...]:
         """Virtual registers read by effective-address calculations
         (the LOAD/STORE address, memory-operand sources, ``mem_dst``)."""

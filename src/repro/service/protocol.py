@@ -74,7 +74,10 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field, replace
 
+from ..allocation import allocation_code_size, render_allocation
 from ..core import AllocatorConfig
+from ..ir import format_function
+from ..tiers import TIER_BASELINE, TIER_IP
 
 PROTOCOL_VERSION = 1
 
@@ -221,6 +224,78 @@ def request_config(
     return config
 
 
+def config_to_wire(config: AllocatorConfig) -> dict:
+    """The request ``config`` object that :func:`request_config` reads
+    back into ``config``'s whitelisted fields."""
+    return {key: getattr(config, name) for key, name in CONFIG_FIELDS.items()}
+
+
+def allocation_entry(
+    name: str, alloc, target, *, source: str, tier: str,
+    cache_hit: bool = False, timed_out: bool = False,
+) -> dict:
+    """One function of an ``allocate`` reply, exact or fast path: what
+    produced it, and its code when the allocation succeeded."""
+    entry = {
+        "function": name,
+        "status": alloc.status,
+        "allocator": alloc.allocator,
+        "source": source,
+        "cache_hit": cache_hit,
+        "timed_out": timed_out,
+        "tier": tier,
+    }
+    if alloc.succeeded:
+        entry["rendered"] = render_allocation(alloc, target)
+        entry["code"] = format_function(alloc.function)
+        entry["assignment"] = {
+            v: r.name for v, r in sorted(alloc.assignment.items())
+        }
+        entry["code_size"] = allocation_code_size(alloc, target)
+    return entry
+
+
+def outcome_entry(outcome, target, report: bool = False) -> dict:
+    """An engine outcome as one reply entry; ``report`` attaches the
+    per-function run report when the attempt carries one."""
+    entry = allocation_entry(
+        outcome.function, outcome.final, target,
+        source=outcome.source,
+        tier=TIER_BASELINE if outcome.fell_back else TIER_IP,
+        cache_hit=outcome.cache_hit,
+        timed_out=outcome.timed_out,
+    )
+    if outcome.fingerprint:
+        # The cache key of this function's record — what the gateway's
+        # successor replicator fetches and pushes.
+        entry["fingerprint"] = outcome.fingerprint
+    if outcome.attempt.succeeded:
+        entry["objective"] = outcome.attempt.objective
+    run_report = getattr(outcome.attempt, "report", None)
+    if run_report is not None and report:
+        entry["report"] = run_report.to_dict()
+    return entry
+
+
+def allocate_reply(
+    request: "AllocateRequest", queue_seconds: float, functions: list,
+    **extra,
+) -> dict:
+    """An answered ``allocate``: ``tier`` is the one tier every function
+    used, else ``"mixed"``; ``extra`` adds or overrides result fields."""
+    tiers = {entry["tier"] for entry in functions}
+    return {
+        "ok": True,
+        "result": {
+            "target": request.target_name,
+            "functions": functions,
+            "queue_seconds": queue_seconds,
+            "tier": tiers.pop() if len(tiers) == 1 else "mixed",
+            **extra,
+        },
+    }
+
+
 @dataclass(slots=True)
 class AllocateRequest:
     """A validated, compiled ``allocate`` request (pre-admission)."""
@@ -245,9 +320,6 @@ class AllocateRequest:
     @property
     def wants_report(self) -> bool:
         return self.config.collect_report
-
-    def function_names(self) -> set[str]:
-        return {fn.name for fn in self.functions}
 
 
 def parse_allocate(

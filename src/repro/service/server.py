@@ -39,6 +39,7 @@ from dataclasses import dataclass
 from .. import obs
 from ..core import AllocatorConfig
 from ..engine import DEFAULT_CACHE_DIR  # noqa: F401  (re-export)
+from ..engine.cache import REPLICA_OUTCOMES
 from ..faults import (
     SITE_SERVICE_MALFORMED,
     SITE_SERVICE_OVERSIZED,
@@ -76,6 +77,7 @@ from .protocol import (
     decode_line,
     encode,
     error_response,
+    ok_response,
     parse_allocate,
 )
 from .scheduler import HIST_BATCH_SOLVE, HIST_QUEUE_WAIT, BatchScheduler
@@ -348,13 +350,13 @@ class AllocationServer:
         if verb == VERB_ALLOCATE:
             return await self._handle_allocate(message, client)
         if verb == VERB_STATUS:
-            return self._wrap(message, verb, self.status())
+            return ok_response(message, verb, self.status())
         if verb == VERB_STATS:
-            return self._wrap(message, verb, self.stats())
+            return ok_response(message, verb, self.stats())
         if verb == VERB_HEALTH:
-            return self._wrap(message, verb, self.health())
+            return ok_response(message, verb, self.health())
         if verb == VERB_METRICS:
-            return self._wrap(
+            return ok_response(
                 message, verb,
                 {
                     "content_type": PROM_CONTENT_TYPE,
@@ -362,7 +364,7 @@ class AllocationServer:
                 },
             )
         if verb == VERB_TRACE:
-            return self._wrap(
+            return ok_response(
                 message, verb, self.trace(message.get("request"))
             )
         if verb == VERB_UPGRADE_STATUS:
@@ -374,19 +376,19 @@ class AllocationServer:
                     "id of a fast-answered allocate",
                 )
             record = await self._upgrade_record(ref, message)
-            return self._wrap(
+            return ok_response(
                 message, verb,
                 {
                     "upgrade": record,
-                    "queue": self.scheduler.upgrades.snapshot(),
+                    "queue": self.scheduler.tiers.queue.snapshot(),
                 },
             )
         if verb == VERB_REPLICATE:
-            return self._wrap(
+            return ok_response(
                 message, verb, await self._handle_replicate(message)
             )
         if verb == VERB_PING:
-            return self._wrap(
+            return ok_response(
                 message, verb, {"protocol": PROTOCOL_VERSION}
             )
         if verb == VERB_CANCEL:
@@ -398,12 +400,12 @@ class AllocationServer:
                     "queued allocate",
                 )
             found = self.scheduler.cancel(ref)
-            return self._wrap(
+            return ok_response(
                 message, verb, {"cancelled": bool(found)}
             )
         if verb == VERB_DRAIN:
             await self.drain()
-            return self._wrap(
+            return ok_response(
                 message, verb,
                 {
                     "state": "drained",
@@ -434,9 +436,10 @@ class AllocationServer:
         the queued status before the client can possibly poll it, so
         there is nothing coming that is worth parking for.
         """
+        upgrades = self.scheduler.tiers.queue
         wait_ms = message.get("wait_ms")
         if wait_ms is None:
-            return self.scheduler.upgrade_status(ref)
+            return upgrades.status(ref)
         try:
             wait_s = min(float(wait_ms), self.MAX_WAIT_MS) / 1000.0
         except (TypeError, ValueError):
@@ -444,15 +447,14 @@ class AllocationServer:
                 E_BAD_REQUEST, "wait_ms must be a number"
             ) from None
         if wait_s <= 0:
-            return self.scheduler.upgrade_status(ref)
+            return upgrades.status(ref)
         loop = asyncio.get_running_loop()
         # The ref goes through unchanged: _status_locked str()-coerces
         # only for the trace_id lookup and falls back to comparing
         # request ids by value, so a numeric protocol id resolves on
         # the long-poll path exactly as it does without wait_ms.
         return await loop.run_in_executor(
-            None, self.scheduler.upgrades.wait_terminal,
-            ref, wait_s,
+            None, upgrades.wait_terminal, ref, wait_s
         )
 
     async def _handle_replicate(self, message: dict) -> dict:
@@ -467,32 +469,30 @@ class AllocationServer:
                 "(fingerprints to export) or 'records' (to import)",
             )
         loop = asyncio.get_running_loop()
+        cache = self.scheduler.cache_for(tenant)
         if fetch is not None:
             if not isinstance(fetch, list):
                 raise ProtocolError(
                     E_BAD_REQUEST, "fetch must be a list of fingerprints"
                 )
-            fingerprints = [str(f) for f in fetch]
-            return await loop.run_in_executor(
-                None, self.scheduler.export_records, tenant,
-                fingerprints,
-            )
+            exported = []
+            if cache is not None:
+                exported = await loop.run_in_executor(
+                    None, cache.export_records, [str(f) for f in fetch]
+                )
+            return {"tenant": tenant, "records": exported}
         if not isinstance(records, list):
             raise ProtocolError(
                 E_BAD_REQUEST, "records must be a list of record dicts"
             )
-        return await loop.run_in_executor(
-            None, self.scheduler.import_records, tenant, records
-        )
-
-    def _wrap(self, message: dict, verb: str, result: dict) -> dict:
-        return {
-            "id": message.get("id"),
-            "trace_id": message.get("trace_id", ""),
-            "verb": verb,
-            "ok": True,
-            "result": result,
-        }
+        if cache is None:
+            counts = dict.fromkeys(REPLICA_OUTCOMES, 0)
+            counts["invalid"] = len(records)
+        else:
+            counts = await loop.run_in_executor(
+                None, cache.import_records, records
+            )
+        return {"tenant": tenant, **counts}
 
     async def _handle_allocate(
         self, message: dict, client: str = ""
@@ -571,7 +571,7 @@ class AllocationServer:
             "tiers": {
                 "fast_slo_ms": self.config.fast_slo_ms,
                 "fast_enabled": sched.policy.fast_enabled,
-                "upgrades": sched.upgrades.snapshot(),
+                "upgrades": sched.tiers.queue.snapshot(),
             },
         }
 
@@ -620,7 +620,7 @@ class AllocationServer:
         return {
             "shard_id": self.config.shard_id,
             "counters": counters,
-            "tenants": sched.tenant_stats(),
+            "tenants": sched.tally.rows(),
             "queue": {
                 "depth": sched.queue_depth,
                 "capacity": self.config.queue_capacity,
@@ -653,7 +653,7 @@ class AllocationServer:
                 "cached_optimal_replies": counters.get(
                     "tiers.cached_optimal_replies", 0.0
                 ),
-                "upgrades": sched.upgrades.snapshot(),
+                "upgrades": sched.tiers.queue.snapshot(),
             },
             "uptime_seconds": time.monotonic() - self._started,
         }
@@ -686,7 +686,7 @@ class AllocationServer:
         }
         if breakers:
             labelled["breaker.state"] = breakers
-        tenants = sched.tenant_stats()
+        tenants = sched.tally.rows()
         if tenants:
             labelled["tenant.queue_depth"] = {
                 (("tenant", key),): float(t.get("queue_depth", 0))

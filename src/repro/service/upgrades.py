@@ -1,15 +1,17 @@
-"""Background optimal-upgrade queue for fast-tier answers.
+"""The tiered path: fast-tier replies and their background upgrades.
 
-When the service replies from the fast tier (linear scan, or its
-coloring fallback) it enqueues the *exact* IP solve here.  A single
-background worker thread drains the queue tenant-fairly and runs each
-job through the shared engine stack; when optimality lands, the result
-cache holds the optimal record under the request's canonical
-fingerprint — so the next identical submit (on this shard, which the
-gateway's warm-affinity routing makes the likely one) replays the
-optimal allocation — and the job's status record carries the measured
-optimality gap for the ``upgrade_status`` verb and ``submit
---wait-optimal`` polling.
+:class:`FastTier` is what the scheduler calls when the tier policy
+picks a fast tier.  It answers from the cache when an optimal record
+already landed, else from the linear scan (or its coloring fallback),
+and enqueues the *exact* IP solve on an :class:`UpgradeQueue`.  A
+single background worker thread drains the queue tenant-fairly and
+runs each job through the shared engine stack; when optimality lands,
+the result cache holds the optimal record under the request's
+canonical fingerprint — so the next identical submit (on this shard,
+which the gateway's warm-affinity routing makes the likely one)
+replays the optimal allocation — and the job's status record carries
+the measured optimality gap for the ``upgrade_status`` verb and
+``submit --wait-optimal`` polling.
 
 Properties:
 
@@ -24,8 +26,8 @@ Properties:
 * **crash-durable** — when the shard has a cache dir, every queued
   job is journaled to an append-only JSONL file
   (:class:`UpgradeJournal`) and marked off when it settles; on
-  startup the scheduler replays incomplete entries, so a SIGKILL'd
-  shard's promised optimal solves still land after respawn.  A
+  startup :meth:`FastTier.recover` replays incomplete entries, so a
+  SIGKILL'd shard's promised optimal solves still land after respawn.  A
   truncated final line (torn write — the process died mid-append) is
   skipped, never a crash.
 """
@@ -37,13 +39,31 @@ import os
 import tempfile
 import threading
 import time
-from collections import OrderedDict, deque
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from ..core import AllocatorConfig
 from ..faults import SITE_JOURNAL_TORN_WRITE, should_fire
-from ..obs import define_counter, define_gauge
+from ..ir import format_function, parse_module
+from ..obs import Span, capture, define_counter, define_gauge, trace_phase
 from ..telemetry import define_histogram
+from ..tiers import (
+    TIER_BASELINE,
+    TIER_IP,
+    fast_allocate,
+    optimality_gap,
+    tier_cost,
+)
+from .protocol import (
+    E_INTERNAL,
+    allocate_reply,
+    allocation_entry,
+    config_to_wire,
+    outcome_entry,
+    request_config,
+)
+from .tenancy import ANON, FairQueue
 
 STAT_ENQUEUED = define_counter(
     "tiers.upgrades_enqueued", "background IP upgrades accepted"
@@ -81,6 +101,20 @@ STAT_REPLAY_SKIPPED = define_counter(
     "tiers.journal_replay_skipped",
     "undecodable upgrade-journal lines skipped during replay",
 )
+HIST_FAST_REPLY = define_histogram(
+    "service.fast_reply",
+    "seconds a fast-tier reply took to produce (queue wait excluded)",
+)
+STAT_FAST_REPLIES = define_counter(
+    "tiers.fast_replies", "requests answered on the fast path"
+)
+STAT_SLO_MISSES = define_counter(
+    "tiers.slo_misses", "fast-path replies that exceeded --fast-slo-ms"
+)
+STAT_CACHED_OPTIMAL = define_counter(
+    "tiers.cached_optimal_replies",
+    "fast-path requests answered straight from the upgraded cache",
+)
 
 #: terminal states a status record can reach
 TERMINAL_STATES = ("done", "failed", "dropped")
@@ -113,12 +147,9 @@ def serialize_job(job: UpgradeJob) -> dict:
 
     Functions travel as printed IR text (the parser/printer round
     trip is stable, so the replayed job computes the same cache
-    fingerprints) and the config as the protocol's semantic dict — the
-    same whitelisted knobs ``request_config`` accepts.
+    fingerprints) and the config in the protocol's wire form, which
+    recovery reads back through ``request_config``.
     """
-    from ..ir import format_function
-
-    cfg = job.config
     return {
         "event": "queued",
         "trace_id": job.trace_id,
@@ -127,14 +158,7 @@ def serialize_job(job: UpgradeJob) -> dict:
         "request_id": job.request_id,
         "fast": job.fast,
         "fast_cost": job.fast_cost,
-        "config": {
-            "backend": cfg.backend,
-            "time_limit": cfg.time_limit,
-            "presolve": cfg.presolve,
-            "size_only": cfg.optimize_size_only,
-            "code_size_weight": cfg.code_size_weight,
-            "data_size_weight": cfg.data_size_weight,
-        },
+        "config": config_to_wire(job.config),
         "ir": "\n\n".join(
             format_function(fn) for fn in job.functions
         ),
@@ -279,9 +303,7 @@ class UpgradeQueue:
         self._on_settle = on_settle
         self._journal = journal
         self._cv = threading.Condition()
-        self._queues: dict[str, deque[UpgradeJob]] = {}
-        self._rr: deque[str] = deque()
-        self._queued = 0
+        self._fair = FairQueue()
         self._in_flight = 0
         self._stop = False
         self._thread: threading.Thread | None = None
@@ -293,7 +315,7 @@ class UpgradeQueue:
         self.completed = 0
         self.dropped = 0
         self.failed = 0
-        # journal-recovery accounting (set by the scheduler's replay)
+        # journal-recovery accounting (set by FastTier.recover)
         self.recovered = 0
         self.recovered_cached = 0
         self.replay_skipped = 0
@@ -317,18 +339,10 @@ class UpgradeQueue:
             self._thread = None
 
     @property
-    def depth(self) -> int:
-        return self._queued
-
-    @property
-    def in_flight(self) -> int:
-        return self._in_flight
-
-    @property
     def idle(self) -> bool:
         """No queued and no in-flight upgrade work (drain gate)."""
         with self._cv:
-            return self._queued == 0 and self._in_flight == 0
+            return not self._fair and self._in_flight == 0
 
     def wait_idle(self, timeout: float | None = None) -> bool:
         """Block until idle (the drain path's synchronous form)."""
@@ -336,7 +350,7 @@ class UpgradeQueue:
             time.monotonic() + timeout if timeout is not None else None
         )
         with self._cv:
-            while self._queued or self._in_flight:
+            while self._fair or self._in_flight:
                 remaining = None
                 if expiry is not None:
                     remaining = expiry - time.monotonic()
@@ -351,7 +365,6 @@ class UpgradeQueue:
         """Enqueue one upgrade; False (with a terminal ``dropped``
         status) when the bound is hit — never blocks."""
         job.enqueued = time.monotonic()
-        key = job.tenant or "anon"
         with self._cv:
             if self._stop:
                 self.dropped += 1
@@ -359,7 +372,7 @@ class UpgradeQueue:
                 event = self._set_status(job, state="dropped",
                                          reason="shutting down")
                 accepted = False
-            elif self._queued >= self.capacity:
+            elif len(self._fair) >= self.capacity:
                 self.dropped += 1
                 STAT_DROPPED.incr()
                 event = self._set_status(
@@ -368,16 +381,10 @@ class UpgradeQueue:
                 )
                 accepted = False
             else:
-                queue = self._queues.get(key)
-                if queue is None:
-                    queue = self._queues[key] = deque()
-                if not queue:
-                    self._rr.append(key)
-                queue.append(job)
-                self._queued += 1
+                self._fair.push(job.tenant or ANON, job)
                 self.enqueued += 1
                 STAT_ENQUEUED.incr()
-                GAUGE_DEPTH.set(self._queued)
+                GAUGE_DEPTH.set(len(self._fair))
                 event = self._set_status(job, state="queued")
                 accepted = True
                 self._cv.notify_all()
@@ -428,14 +435,11 @@ class UpgradeQueue:
     def snapshot(self) -> dict:
         """Queue vitals for the status/stats verbs."""
         with self._cv:
-            per_tenant = {
-                key: len(queue) for key, queue in self._queues.items()
-            }
             return {
-                "depth": self._queued,
+                "depth": len(self._fair),
                 "in_flight": self._in_flight,
                 "capacity": self.capacity,
-                "per_tenant": per_tenant,
+                "per_tenant": self._fair.depths(),
                 "enqueued": self.enqueued,
                 "completed": self.completed,
                 "dropped": self.dropped,
@@ -455,7 +459,7 @@ class UpgradeQueue:
     def settle_recovered(self, job: UpgradeJob, **fields) -> None:
         """Complete a journal-recovered job without re-solving.
 
-        The scheduler calls this when the replayed job's cache
+        :meth:`FastTier.recover` calls this when the replayed job's cache
         entries already read ``tier: "ip"`` — the crashed process got
         the optimal records to disk before dying, so the only missing
         piece is the terminal status (and the journal's terminal
@@ -475,26 +479,15 @@ class UpgradeQueue:
 
     # -- worker ----------------------------------------------------------
 
-    def _take_next_locked(self) -> UpgradeJob:
-        key = self._rr.popleft()
-        queue = self._queues[key]
-        job = queue.popleft()
-        self._queued -= 1
-        if queue:
-            self._rr.append(key)
-        else:
-            del self._queues[key]
-        GAUGE_DEPTH.set(self._queued)
-        return job
-
     def _loop(self) -> None:
         while True:
             with self._cv:
-                while not self._rr and not self._stop:
+                while not self._fair and not self._stop:
                     self._cv.wait()
-                if not self._rr and self._stop:
+                if not self._fair and self._stop:
                     return
-                job = self._take_next_locked()
+                job = self._fair.pop()
+                GAUGE_DEPTH.set(len(self._fair))
                 self._in_flight += 1
                 self._set_status(job, state="solving")
             try:
@@ -583,3 +576,282 @@ class UpgradeQueue:
             # Wake any upgrade_status long-pollers parked on this job.
             self._cv.notify_all()
         return event
+
+
+def _total_cost(outcomes, target, code_size_weight: float) -> float:
+    """Summed :func:`~repro.tiers.tier_cost` of the final allocations."""
+    return sum(
+        tier_cost(o.final, target, code_size_weight=code_size_weight)
+        for o in outcomes
+    )
+
+
+class FastTier:
+    """Fast replies, their background exact upgrades, journal recovery.
+
+    ``engine(target_name, config, tenant)`` builds an engine on the
+    server's shared stack (cache namespace, process pool);
+    ``target(name)`` returns a target machine and raises ``KeyError``
+    for an unknown one.  A landed upgrade grafts its spans onto the
+    request's trace in ``traces``; a reply served from the cache counts
+    its cache traffic in ``tally``.  The journal exists only when the
+    fast tier is on and there is a cache dir to keep it in (the medium
+    the recovered solves land in).
+    """
+
+    def __init__(
+        self, engine, target, traces, tally, *, policy,
+        cache_dir: str | None = None, capacity: int = 64,
+        keep: int = 256, on_settle=None,
+    ) -> None:
+        self._engine = engine
+        self._target = target
+        self._traces = traces
+        self._tally = tally
+        self.policy = policy
+        self.journal: UpgradeJournal | None = None
+        if cache_dir and policy.fast_enabled:
+            self.journal = UpgradeJournal(Path(cache_dir) / JOURNAL_NAME)
+        self.queue = UpgradeQueue(
+            runner=self.run_upgrade,
+            capacity=capacity,
+            keep=keep,
+            on_settle=on_settle,
+            journal=self.journal,
+        )
+
+    def start(self) -> None:
+        if self.policy.fast_enabled:
+            self.queue.start()
+            self.recover()
+
+    # -- fast reply (solver threads) -------------------------------------
+
+    def respond(self, pending) -> dict:
+        """Answer one admitted request within the fast SLO and enqueue
+        its exact solve; returns the reply payload.
+
+        Cache first: when the background upgrade (or any earlier run)
+        already landed the optimal record, the reply *is* the optimal
+        allocation under ``tier: "ip"`` and nothing is enqueued.
+        Otherwise the linear scan answers — degrading to the coloring
+        baseline per the SLO-miss ordering — and the exact IP solve
+        goes on the upgrade queue.
+        """
+        req = pending.request
+        t1 = time.monotonic()
+        engine = self._engine(
+            req.target_name, pending.solve_config(), req.tenant
+        )
+        target = self._target(req.target_name)
+        queue_seconds = pending.started - pending.admitted
+        cached = None
+        if engine.cache is not None:
+            try:
+                cached = engine.cached_module(req.functions)
+            except Exception:
+                cached = None
+        if cached is not None:
+            STAT_CACHED_OPTIMAL.incr()
+            self._tally.note_cache(pending.tenant, list(cached))
+            entries = [
+                outcome_entry(o, target, req.wants_report) for o in cached
+            ]
+            self._note(pending, time.monotonic() - t1, TIER_IP)
+            # Served straight from the upgraded cache: the reply *is*
+            # the optimal allocation, so its gap to optimal is zero.
+            return allocate_reply(
+                req, queue_seconds, entries,
+                tier=TIER_IP, optimality_gap=0.0,
+            )
+        entries = []
+        fast_summary: dict[str, dict] = {}
+        total_cost = 0.0
+        try:
+            with trace_phase(
+                "service-fast",
+                functions=len(req.functions),
+                trace_id=req.trace_id,
+            ):
+                for fn in req.functions:
+                    alloc, tier, cost = fast_allocate(
+                        fn, target,
+                        code_size_weight=req.config.code_size_weight,
+                    )
+                    total_cost += cost
+                    fast_summary[fn.name] = {"tier": tier, "cost": cost}
+                    entry = allocation_entry(
+                        fn.name, alloc, target, source="fast", tier=tier
+                    )
+                    entry["fast_cost"] = cost
+                    entries.append(entry)
+        except Exception as exc:
+            detail = f"{type(exc).__name__}: {exc}"
+            return {
+                "ok": False,
+                "error": {"code": E_INTERNAL, "message": detail},
+            }
+        accepted = self.queue.submit(UpgradeJob(
+            trace_id=req.trace_id,
+            tenant=req.tenant or "",
+            target_name=req.target_name,
+            config=req.config,
+            functions=req.functions,
+            fast=fast_summary,
+            fast_cost=total_cost,
+            request_id=req.message.get("id"),
+        ))
+        elapsed = time.monotonic() - t1
+        reply = allocate_reply(
+            req, queue_seconds, entries,
+            fast_cost=total_cost,
+            fast_seconds=elapsed,
+            upgrade={
+                "state": "queued" if accepted else "dropped",
+                "trace_id": req.trace_id,
+            },
+        )
+        self._note(pending, elapsed, reply["result"]["tier"])
+        return reply
+
+    def _note(self, pending, elapsed: float, tier: str) -> None:
+        STAT_FAST_REPLIES.incr()
+        HIST_FAST_REPLY.observe(elapsed)
+        missed = elapsed * 1000.0 > self.policy.fast_slo_ms
+        if missed:
+            STAT_SLO_MISSES.incr()
+        if pending.trace is not None:
+            pending.trace.stage(
+                "fast-solve",
+                seconds=elapsed,
+                tier=tier,
+                slo_ms=self.policy.fast_slo_ms,
+                slo_missed=missed,
+            )
+
+    # -- background upgrade (upgrade thread) -----------------------------
+
+    def run_upgrade(self, job: UpgradeJob) -> dict:
+        """Upgrade-worker entry: the exact IP solve for one job.
+
+        The engine writes the optimal record into the shared
+        (per-tenant) result cache under the same fingerprint the
+        fast-answered request probes on its next submit — that put
+        *is* the in-place cache upgrade.  Returns the fields the queue
+        merges into the job's status record.
+        """
+        target = self._target(job.target_name)
+        engine = self._engine(job.target_name, job.config, job.tenant)
+        t0 = time.monotonic()
+        with trace_phase("service-upgrade", trace_id=job.trace_id):
+            with capture() as cap:
+                module_alloc = engine.allocate_module(job.functions)
+        seconds = time.monotonic() - t0
+        optimal_cost = _total_cost(
+            module_alloc, target, job.config.code_size_weight
+        )
+        gap = optimality_gap(job.fast_cost, optimal_cost)
+        # The request's trace finished (and was stored) when the fast
+        # reply went out, so the upgrade is appended to the stored root
+        # in place: the root keeps its slot, and the newest request
+        # stays the newest.
+        self._traces.append(job.trace_id, Span(
+            name="upgrade",
+            seconds=seconds,
+            meta={
+                "trace_id": job.trace_id,
+                "background": True,
+                "gap": gap,
+                "functions": len(job.functions),
+            },
+            children=list(cap.spans),
+        ))
+        return {
+            "optimal_cost": optimal_cost,
+            "gap": gap,
+            "solve_seconds": seconds,
+            "optimal_tiers": {
+                o.function: TIER_BASELINE if o.fell_back else TIER_IP
+                for o in module_alloc
+            },
+        }
+
+    # -- journal recovery (startup) --------------------------------------
+
+    def recover(self) -> None:
+        """Replay the upgrade journal after a restart.
+
+        Incomplete entries — upgrades a crashed predecessor accepted
+        but never settled — are rebuilt into jobs.  A job whose cache
+        entries already read ``tier: "ip"`` (the optimal records hit
+        disk before the crash) settles immediately; the rest go back
+        on the queue and solve normally.  Undecodable lines, e.g. the
+        torn final append of a SIGKILL'd process, are skipped, never
+        fatal.
+        """
+        if self.journal is None:
+            return
+        incomplete, stats = self.journal.replay()
+        self.queue.replay_skipped = stats["skipped"]
+        self.journal.compact(incomplete)
+        for entry in incomplete.values():
+            job = self._job_from_journal(entry)
+            if job is None:
+                continue
+            self.queue.recovered += 1
+            STAT_RECOVERED.incr()
+            engine = self._engine(job.target_name, job.config, job.tenant)
+            cached = None
+            if engine.cache is not None:
+                try:
+                    cached = engine.cached_module(job.functions)
+                except Exception:
+                    cached = None
+            if cached is None:
+                self.queue.submit(job)
+                continue
+            optimal_cost = _total_cost(
+                cached, self._target(job.target_name),
+                job.config.code_size_weight,
+            )
+            self.queue.recovered_cached += 1
+            STAT_RECOVERED_CACHED.incr()
+            self.queue.settle_recovered(
+                job,
+                optimal_cost=optimal_cost,
+                gap=optimality_gap(job.fast_cost, optimal_cost),
+            )
+
+    def _job_from_journal(self, entry: dict) -> UpgradeJob | None:
+        """Rebuild one journaled job; ``None`` (skip) on any defect —
+        an unknown target, a bad config, an unparsable IR snapshot, a
+        missing trace_id — because recovery must never stop a restart."""
+        try:
+            trace_id = str(entry.get("trace_id") or "")
+            target_name = str(entry.get("target") or "")
+            if not trace_id:
+                return None
+            self._target(target_name)
+            config = request_config(
+                {"config": entry.get("config"), "trace_id": trace_id},
+                AllocatorConfig(),
+            )
+            functions = list(
+                parse_module(str(entry.get("ir") or ""), name="journal")
+            )
+            if not functions:
+                return None
+            fast = entry.get("fast")
+            return UpgradeJob(
+                trace_id=trace_id,
+                tenant=str(entry.get("tenant") or ""),
+                target_name=target_name,
+                config=config,
+                functions=functions,
+                fast=fast if isinstance(fast, dict) else {},
+                fast_cost=float(entry.get("fast_cost") or 0.0),
+                request_id=entry.get("request_id"),
+                recovered=True,
+            )
+        except Exception:
+            return None

@@ -66,12 +66,6 @@ class RegisterState:
         self._families = dict(snap)
 
 
-@dataclass(slots=True)
-class SlotAddress:
-    base: int
-    slot: MemorySlot
-
-
 class Memory:
     """Flat little-endian byte memory with bump allocation of slots."""
 

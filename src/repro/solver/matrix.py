@@ -158,9 +158,6 @@ class MatrixModel:
     def n_free(self) -> int:
         return self.a.shape[1]
 
-    def free_names(self) -> list[str]:
-        return [self.var_names[i] for i in self.col_index]
-
     def row_bounds(self) -> tuple[np.ndarray, np.ndarray]:
         """Per-row (lower, upper) bounds for interval-form consumers
         (``scipy.optimize.LinearConstraint``)."""

@@ -28,6 +28,7 @@ from repro.ir import (
     function_fingerprint,
     parse_function,
 )
+from repro.lang import compile_program
 from repro.lowering import lower_for_target
 from repro.obs import reset_stats, set_stats_enabled, snapshot
 from repro.solver import (
@@ -605,3 +606,43 @@ class TestEngineOutcomeShape:
         )
         assert outcome.function == "double"
         assert outcome.attempt.succeeded
+
+    def test_same_name_functions_keep_their_positions(self, x86, tmp_path):
+        """Functions of several programs may share a name: outcomes
+        come back by position, and a fingerprint twin of a function
+        solved in the same call replays that solve from the cache."""
+        first, second = (
+            compile_program(source, name=name).functions["main"]
+            for name, source in (
+                ("a", "int main(int n) { return n * 7 + 2; }"),
+                ("b", "int main(int n) { return n - 9; }"),
+            )
+        )
+        alone = [
+            format_function(
+                AllocationEngine(x86, fast_config()).allocate(fn)
+                .final.function
+            )
+            for fn in (first, second)
+        ]
+        assert alone[0] != alone[1]
+        engine = AllocationEngine(
+            x86, fast_config(), EngineConfig(jobs=2),
+            cache=ResultCache(tmp_path),
+        )
+        outcomes = engine.allocate_module([first, second, first]).outcomes
+        assert [format_function(o.final.function) for o in outcomes] == [
+            *alone, alone[0]
+        ]
+        assert [o.source for o in outcomes] == ["solver", "solver", "cache"]
+        counters = snapshot()
+        assert counters["engine.cache_misses"] == 2
+        assert counters["engine.cache_hits"] == 1
+        # Without a cache the twin has nothing to replay: it is solved.
+        uncached = AllocationEngine(x86, fast_config()).allocate_module(
+            [first, second, first]
+        )
+        assert [o.source for o in uncached] == ["solver"] * 3
+        assert [
+            format_function(o.final.function) for o in uncached
+        ] == [*alone, alone[0]]

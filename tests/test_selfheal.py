@@ -25,6 +25,8 @@ from pathlib import Path
 import pytest
 
 from repro.__main__ import EXIT_UNAVAILABLE, main as repro_main
+from repro.core import AllocatorConfig
+from repro.engine import AllocationEngine, ResultCache, config_signature
 from repro.faults import FaultPlan, RetryPolicy, set_injector
 from repro.gateway import (
     GatewayClient,
@@ -34,14 +36,24 @@ from repro.gateway import (
     ShardManager,
     ShardSupervisor,
 )
-from repro.obs import reset_stats, set_stats_enabled, snapshot
+from repro.lang import compile_program
+from repro.obs import TraceStore, reset_stats, set_stats_enabled, snapshot
 from repro.service import (
     ServerThread,
     ServiceClient,
     ServiceConfig,
     UpgradeJournal,
 )
-from repro.service.upgrades import JOURNAL_NAME
+from repro.service.protocol import CONFIG_FIELDS
+from repro.service.tenancy import TenantTally
+from repro.service.upgrades import (
+    JOURNAL_NAME,
+    FastTier,
+    UpgradeJob,
+    serialize_job,
+)
+from repro.target import x86_target
+from repro.tiers import TierPolicy
 
 SOURCE = """
 int scale(int a) { return a * 5 + 1; }
@@ -124,6 +136,88 @@ def test_journal_torn_write_is_skipped_on_replay(tmp_path):
     incomplete, stats = journal.replay()
     assert list(incomplete) == ["good"]
     assert stats["skipped"] == 1
+
+
+# -- journal lines <-> jobs -----------------------------------------------
+
+#: a ``queued`` journal line as an earlier release wrote it, with every
+#: request config knob away from its default
+JOURNAL_FIXTURE = (
+    Path(__file__).resolve().parent / "data" / "upgrade_journal_queued.jsonl"
+)
+
+FIXTURE_SOURCE = (
+    "int main(int n) { int s = 0; "
+    "for (int i = 0; i < n; i += 1) { s += i * 3; } return s; }"
+)
+
+
+def _fast_tier(tmp_path) -> FastTier:
+    targets = {"x86": x86_target}
+    return FastTier(
+        lambda name, config, tenant: AllocationEngine(
+            targets[name](), config, cache=ResultCache(tmp_path / "c")
+        ),
+        lambda name: targets[name](),
+        TraceStore(), TenantTally(),
+        policy=TierPolicy(fast_slo_ms=50.0),
+        cache_dir=str(tmp_path / "c"),
+    )
+
+
+def _fixture_job() -> UpgradeJob:
+    """The job the fixture line was written for."""
+    config = AllocatorConfig(
+        backend="branch-bound", time_limit=7.5, presolve=False,
+        optimize_size_only=True, code_size_weight=250.0,
+        data_size_weight=2.0,
+    )
+    return UpgradeJob(
+        trace_id="journal-fixture-1", tenant="acme", target_name="x86",
+        config=config,
+        functions=list(compile_program(FIXTURE_SOURCE, name="fixture")),
+        fast={"main": {"tier": "linear-scan", "cost": 1234.0}},
+        fast_cost=1234.0, request_id=7,
+    )
+
+
+def test_serialize_job_round_trip_keeps_every_config_field(tmp_path):
+    job = _fixture_job()
+    default = AllocatorConfig()
+    # The round trip below would be vacuous for a field left at its
+    # default, so every wire field is set away from it.
+    for name in CONFIG_FIELDS.values():
+        assert getattr(job.config, name) != getattr(default, name), name
+    entry = json.loads(json.dumps(serialize_job(job)))
+    rebuilt = _fast_tier(tmp_path)._job_from_journal(entry)
+    assert rebuilt is not None and rebuilt.recovered
+    assert config_signature(rebuilt.config) == config_signature(job.config)
+    assert rebuilt.config.trace_id == job.trace_id
+    assert [fn.name for fn in rebuilt.functions] == ["main"]
+
+
+def test_journal_line_of_earlier_release_is_byte_compatible(tmp_path):
+    line = JOURNAL_FIXTURE.read_text(encoding="utf-8").strip()
+    # Today's writer emits the same bytes for the same job...
+    assert json.dumps(
+        serialize_job(_fixture_job()), sort_keys=True,
+        separators=(",", ":"),
+    ) == line
+    # ...and today's recovery rebuilds the job from the old line.
+    tier = _fast_tier(tmp_path)
+    (tmp_path / "c").mkdir()
+    (tmp_path / "c" / JOURNAL_NAME).write_text(line + "\n")
+    tier.recover()
+    assert tier.queue.recovered == 1
+    snap = tier.queue.snapshot()
+    assert snap["depth"] == 1 and snap["per_tenant"] == {"acme": 1}
+    status = tier.queue.status("journal-fixture-1")
+    assert status["state"] == "queued" and status["recovered"] is True
+    assert status["request_id"] == 7
+    job = tier._job_from_journal(json.loads(line))
+    assert config_signature(job.config) == config_signature(
+        _fixture_job().config
+    )
 
 
 # -- journal recovery across a restart ------------------------------------

@@ -26,6 +26,7 @@ from repro.ir import format_function
 from repro.lang import compile_program
 from repro.obs import reset_stats, set_stats_enabled
 from repro.service import (
+    BatchScheduler,
     E_BAD_REQUEST,
     E_DRAINING,
     E_OVERLOADED,
@@ -34,6 +35,9 @@ from repro.service import (
     ServiceConfig,
     ServiceError,
 )
+from repro.service.protocol import parse_allocate
+from repro.service.scheduler import _Pending
+from repro.solver import BACKENDS
 from repro.target import x86_target
 
 SOURCE = """
@@ -47,6 +51,16 @@ int main(int n) {
 
 OTHER_SOURCE = """
 int twice(int a) { return a + a; }
+"""
+
+#: two different programs that both define ``main``
+MAIN_A = "int main(int n) { return n * 7 + 2; }"
+MAIN_B = """
+int main(int n) {
+    int s = 0;
+    for (int i = 0; i < n; i += 1) { s += i * i; }
+    return s;
+}
 """
 
 
@@ -333,6 +347,118 @@ class TestCacheSharing:
             for r in results.values()
         ]
         assert renders[0] == renders[1]
+
+
+    def test_same_name_programs_share_one_engine_call(
+        self, tmp_path, monkeypatch
+    ):
+        """Two different programs that both define ``main`` and a twin
+        of the first, solved as one batch, go through one engine call;
+        each request gets its own allocation, the twin a replay."""
+        calls = []
+        allocate_module = AllocationEngine.allocate_module
+
+        def counting(engine, functions, *args, **kwargs):
+            functions = list(functions)
+            calls.append([fn.name for fn in functions])
+            return allocate_module(engine, functions, *args, **kwargs)
+
+        monkeypatch.setattr(AllocationEngine, "allocate_module", counting)
+        targets = {"x86": x86_target}
+        sched = BatchScheduler(
+            ServiceConfig(cache_dir=str(tmp_path / "cache")), targets
+        )
+        batch = [
+            _Pending(
+                request=parse_allocate(
+                    {"source": source}, "x86",
+                    AllocatorConfig(time_limit=64.0), f"t{i}", targets,
+                    BACKENDS,
+                ),
+                future=None,
+            )
+            for i, source in enumerate((MAIN_A, MAIN_B, MAIN_A))
+        ]
+        responses = sched._solve_batch(batch)
+        assert calls == [["main", "main", "main"]]
+        entries = [
+            ServiceClient.check(responses[id(p)])["result"]["functions"]
+            for p in batch
+        ]
+        assert [len(e) for e in entries] == [1, 1, 1]
+        assert [e[0]["cache_hit"] for e in entries] == [False, False, True]
+        calls.clear()
+        expected = [
+            serial_reference(source)["main"]
+            for source in (MAIN_A, MAIN_B, MAIN_A)
+        ]
+        assert [e[0]["rendered"] for e in entries] == expected
+        assert expected[0] != expected[1]
+
+
+class TestTenantTally:
+    def test_anonymous_connections_share_one_row(
+        self, make_server, tmp_path
+    ):
+        """A shard keeps one tally row for anonymous traffic, however
+        many connections carried it: no row, and no /metrics series,
+        per connection."""
+        handle = make_server(cache_dir=str(tmp_path / "cache"))
+        for _ in range(24):
+            with client_for(handle) as client:
+                ServiceClient.check(client.allocate(source=OTHER_SOURCE))
+        with client_for(handle) as client:
+            ServiceClient.check(
+                client.allocate(source=OTHER_SOURCE, tenant="acme")
+            )
+            tenants = client.stats()["result"]["tenants"]
+            text = client.metrics()["result"]["text"]
+        assert set(tenants) == {"anon", "acme"}
+        assert tenants["anon"]["admitted"] == 24
+        assert tenants["anon"]["completed"] == 24
+        assert tenants["anon"]["functions"] == 24
+        assert tenants["anon"]["queue_depth"] == 0
+        assert 'tenant="conn-' not in text
+        assert 'tenant="anon"' in text
+
+    def test_queued_anonymous_requests_count_under_anon(
+        self, make_server
+    ):
+        """Fair queueing still keys anonymous requests by connection;
+        only the tally folds them into ``anon``."""
+        release = threading.Event()
+        handle = make_server(
+            batch_hook=lambda batch: release.wait(timeout=30),
+            max_in_flight=1, max_batch=1,
+        )
+        threads = [
+            threading.Thread(
+                target=lambda: client_for(handle).allocate(
+                    source=OTHER_SOURCE
+                )
+            )
+            for _ in range(3)
+        ]
+        for t in threads:
+            t.start()
+        deadline = time.monotonic() + 30
+        with client_for(handle) as client:
+            # One request held in flight by the hook, two queued: the
+            # state stays put until the release.
+            while time.monotonic() < deadline:
+                status = client.status()["result"]
+                if (status["in_flight"], status["queue_depth"]) == (1, 2):
+                    break
+                time.sleep(0.01)
+            tenants = client.stats()["result"]["tenants"]
+            per_client = client.health()["result"]["queue"]["per_client"]
+        release.set()
+        for t in threads:
+            t.join(60)
+        assert set(tenants) == {"anon"}
+        assert tenants["anon"]["queue_depth"] == 2
+        assert len(per_client) == 2
+        assert all(key.startswith("conn-") for key in per_client)
 
 
 class TestAdmissionControl:

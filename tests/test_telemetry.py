@@ -354,7 +354,7 @@ class TestLifecycle:
             root = Span("request", meta={"trace_id": ref})
             root.stage("reply")
             sched.traces.put(ref, root.finish("ok"))
-        sched._run_upgrade(UpgradeJob(
+        sched.tiers.run_upgrade(UpgradeJob(
             trace_id="A", tenant="", target_name="x86",
             config=AllocatorConfig(time_limit=30.0),
             functions=list(compile_program(SOURCE, name="stitch")),
