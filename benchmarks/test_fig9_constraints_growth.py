@@ -23,37 +23,28 @@ from repro.presolve import presolve_model
 def build_reports(target):
     allocator = IPAllocator(target)
     reports = []
+    presolved_v = presolved_c = 0
     for module, fn in scaling_functions(
         seeds=range(4)
     ):
         _, model, table, _ = allocator.build_model(fn)
         # Source the figure from the observability struct so Fig. 9
         # and run reports can never diverge.
-        report = FunctionReport.from_stats(
+        reports.append(FunctionReport.from_stats(
             benchmark=module.name,
             function=fn.name,
             n_instructions=fn.n_instructions,
             model=ModelStats.from_model(model, table),
-        )
+        ))
         # Fig. 9 never solves, so measure the presolved sizes directly.
         summary = presolve_model(model).summary
-        report.n_presolved_variables = summary.post_variables
-        report.n_presolved_constraints = summary.post_constraints
-        reports.append(report)
-    return reports
-
-
-def print_reduction(reports, label):
-    raw_c = sum(r.n_constraints for r in reports)
-    pre_c = sum(r.n_presolved_constraints for r in reports)
-    raw_v = sum(r.n_variables for r in reports)
-    pre_v = sum(r.n_presolved_variables for r in reports)
-    print(f"{label}: constraints {raw_c} -> {pre_c} presolved, "
-          f"variables {raw_v} -> {pre_v} presolved")
+        presolved_v += summary.post_variables
+        presolved_c += summary.post_constraints
+    return reports, (presolved_v, presolved_c)
 
 
 def test_fig9(benchmark, suite, target):
-    generated = benchmark.pedantic(
+    generated, (pre_v, pre_c) = benchmark.pedantic(
         build_reports, args=(target,), iterations=1, rounds=1
     )
     reports = suite.function_reports + generated
@@ -72,5 +63,7 @@ def test_fig9(benchmark, suite, target):
         "instructions.",
         "paper: growth only slightly higher than linear",
     ))
-    print_reduction(generated, "fig9 scaling set")
-    print_reduction(reports, "fig9 full set")
+    raw_c = sum(r.n_constraints for r in generated)
+    raw_v = sum(r.n_variables for r in generated)
+    print(f"fig9 scaling set: constraints {raw_c} -> {pre_c} presolved, "
+          f"variables {raw_v} -> {pre_v} presolved")

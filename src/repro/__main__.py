@@ -8,7 +8,6 @@
                                [--allocator ip|gc|none]
     python -m repro experiments [--fast] [--bench NAME]
                                 [--jobs N] [--cache [DIR]]
-                                [--bench-json PATH]
     python -m repro serve [--port P] [--queue-capacity N]
                           [--max-in-flight N] [--jobs N]
                           [--cache [DIR]] [--metrics-port P]
@@ -63,14 +62,10 @@ Observability flags (accepted before or after the subcommand):
 Setting ``REPRO_TRACE=1`` in the environment is equivalent to passing
 both ``--stats`` and ``--trace``.
 
-Telemetry: ``exp`` records its perf trajectory (wall-clock, solve-time
-percentiles, presolve reductions, cache hit rate) to ``--bench-json``
-(default ``BENCH_suite.json``; CI gates it with
-``tools/check_bench_regression.py``).  ``serve --metrics-port P``
-exposes Prometheus text on an HTTP sidecar; ``submit --show-trace``
-makes the server record the request's full lifecycle (admission,
-queue, batch assembly, solve, reply) and renders the stitched span
-tree after the reply.
+Telemetry: ``serve --metrics-port P`` exposes Prometheus text on an
+HTTP sidecar; ``submit --show-trace`` makes the server record the
+request's full lifecycle (admission, queue, batch assembly, solve,
+reply) and renders the stitched span tree after the reply.
 
 Fault injection: ``--faults SPEC`` (on ``alloc``, ``run``, ``exp`` and
 ``serve``) installs a deterministic fault plan — equivalent to setting
@@ -293,8 +288,6 @@ def cmd_run(args) -> int:
 
 
 def cmd_experiments(args) -> int:
-    import time
-
     from .bench import (
         load_all,
         load_benchmark,
@@ -305,8 +298,6 @@ def cmd_experiments(args) -> int:
         run_suite,
         suite_fig9,
         suite_fig10,
-        suite_perf_summary,
-        write_bench_json,
     )
 
     target = x86_target()
@@ -321,19 +312,11 @@ def cmd_experiments(args) -> int:
         benchmarks = [load_benchmark("compress"), load_benchmark("cc1")]
     else:
         benchmarks = load_all()
-    t0 = time.perf_counter()
     suite = run_suite(
         target, config, benchmarks,
         report_path=getattr(args, "report_json", None),
         engine=_engine_config(args),
     )
-    wall = time.perf_counter() - t0
-    if args.bench_json:
-        write_bench_json(
-            args.bench_json, suite_perf_summary(suite, wall)
-        )
-        print(f"perf trajectory written to {args.bench_json}",
-              file=sys.stderr)
     print(render_table1())
     print()
     print(render_table2(suite, config.time_limit))
@@ -856,14 +839,6 @@ def main(argv=None) -> int:
         help="run only the named benchmark (repeatable)",
     )
     p_exp.add_argument("--time-limit", type=float, default=64.0)
-    p_exp.add_argument(
-        "--bench-json", metavar="PATH", dest="bench_json",
-        default="BENCH_suite.json",
-        help="write the suite's perf trajectory (wall-clock, solve "
-             "percentiles, presolve reductions, cache/degradation "
-             "counters) as JSON (default: BENCH_suite.json; pass an "
-             "empty string to skip)",
-    )
     _add_presolve_option(p_exp)
     _add_faults_option(p_exp)
     _add_engine_options(p_exp)
@@ -1069,13 +1044,9 @@ def main(argv=None) -> int:
     env_on = os.environ.get("REPRO_TRACE", "0") not in ("", "0")
     show_stats = args.stats or env_on
     show_trace = args.trace or env_on
-    # --report-json needs live counters for the per-function deltas;
-    # --bench-json needs them for the cache/degradation sections.
-    obs.enable(
-        stats=(show_stats or bool(args.report_json)
-               or bool(getattr(args, "bench_json", None))),
-        trace=show_trace,
-    )
+    # --report-json needs live counters for the per-function deltas.
+    obs.enable(stats=show_stats or bool(args.report_json),
+               trace=show_trace)
     try:
         code = args.func(args)
     finally:

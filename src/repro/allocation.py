@@ -60,11 +60,6 @@ class Allocation:
     n_variables: int = 0
     n_constraints: int = 0
     solve_seconds: float = 0.0
-    #: wall-clock spent assembling CSR constraint matrices (presolve
-    #: input plus per-submodel backend forms), inside ``solve_seconds``
-    build_seconds: float = 0.0
-    #: wall-clock the presolve pipeline spent reducing the model
-    presolve_seconds: float = 0.0
     objective: float = 0.0
     #: :class:`repro.obs.FunctionRunReport` when the allocator ran with
     #: ``collect_report`` (phase timings, §5 breakdown, solver stats)

@@ -22,11 +22,6 @@ from .metrics import (
     aggregate,
     spill_overhead,
 )
-from .perf import (
-    BENCH_SCHEMA,
-    suite_perf_summary,
-    write_bench_json,
-)
 from .suite import (
     BenchmarkResult,
     FunctionReport,
@@ -55,7 +50,6 @@ from .workloads import (
 
 __all__ = [
     "ALL_BENCHMARKS",
-    "BENCH_SCHEMA",
     "BY_NAME",
     "Benchmark",
     "BenchmarkResult",
@@ -85,10 +79,8 @@ __all__ = [
     "spill_overhead",
     "suite_fig10",
     "suite_fig9",
-    "suite_perf_summary",
     "table1_rows",
     "table2_rows",
     "table3",
     "table_summaries",
-    "write_bench_json",
 ]

@@ -20,7 +20,6 @@ default configuration solves serially with no cache, exactly as before.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 
 from ..allocation import Allocation, AllocationError, validate_allocation
@@ -40,7 +39,6 @@ from ..obs import (
 )
 from ..sim import AllocatedFunction, Interpreter, RunResult
 from ..target import TargetMachine
-from ..tiers import fast_allocate, optimality_gap, tier_cost
 from .workloads import Benchmark, load_all
 
 STAT_BENCHMARKS = define_counter(
@@ -69,39 +67,12 @@ class FunctionReport:
     optimal: bool = False
     n_variables: int = 0
     n_constraints: int = 0
-    #: model size after presolve (what the backend actually saw);
-    #: equal to the raw counts when presolve was off or did nothing
-    n_presolved_variables: int = 0
-    n_presolved_constraints: int = 0
     solve_seconds: float = 0.0
-    #: wall-clock spent assembling CSR matrix forms (inside
-    #: ``solve_seconds``) and reducing the model in presolve
-    build_seconds: float = 0.0
-    presolve_seconds: float = 0.0
     objective: float = 0.0
-    #: fast-tier measurement: which tier answered (``linear-scan`` or
-    #: ``coloring``), how long it took, and its §4-style cost vs. the
-    #: landed exact answer (the measured optimality gap)
-    fast_tier: str = ""
-    fast_seconds: float = 0.0
-    fast_cost: float = 0.0
-    optimal_cost: float = 0.0
-    tier_gap: float = 0.0
     #: model-size breakdown by §5 feature class, when collected
     model: ModelStats | None = None
     #: solver statistics (nodes, LP relaxations, incumbents)
     solver: SolverStats | None = None
-
-    def apply_presolve_counts(self) -> None:
-        """Fill the presolved sizes from the solver stats (falling back
-        to the raw counts for direct solves)."""
-        p = self.solver.presolve if self.solver is not None else None
-        if p:
-            self.n_presolved_variables = p.get("post_variables", 0)
-            self.n_presolved_constraints = p.get("post_constraints", 0)
-        else:
-            self.n_presolved_variables = self.n_variables
-            self.n_presolved_constraints = self.n_constraints
 
     @classmethod
     def from_stats(
@@ -125,15 +96,9 @@ class FunctionReport:
             report.n_constraints = model.n_constraints
         if solver is not None:
             report.solve_seconds = solver.solve_seconds
-            report.build_seconds = solver.build_seconds
-            if solver.presolve:
-                report.presolve_seconds = solver.presolve.get(
-                    "seconds", 0.0
-                )
             report.objective = solver.objective
             report.solved = solver.status in ("optimal", "feasible")
             report.optimal = solver.status == "optimal"
-        report.apply_presolve_counts()
         return report
 
 
@@ -235,8 +200,6 @@ def run_benchmark(
         report.n_variables = a.n_variables
         report.n_constraints = a.n_constraints
         report.solve_seconds = a.solve_seconds
-        report.build_seconds = a.build_seconds
-        report.presolve_seconds = a.presolve_seconds
         report.objective = a.objective
         report.solved = a.succeeded
         report.optimal = a.status == "optimal"
@@ -245,31 +208,6 @@ def run_benchmark(
             a.report.benchmark = bench.name
             report.model = a.report.model
             report.solver = a.report.solver
-        report.apply_presolve_counts()
-        # Fast-tier measurement: time the linear-scan tier on the same
-        # function/profile and price both answers with the shared
-        # tier_cost model — the bench artifact's per-tier percentiles
-        # and measured optimality gap.
-        try:
-            t0 = time.perf_counter()
-            _, fast_tier, fast_cost = fast_allocate(
-                fn, target, freq=freqs[fn.name],
-                code_size_weight=config.code_size_weight,
-            )
-            report.fast_seconds = time.perf_counter() - t0
-            report.fast_tier = fast_tier
-            report.fast_cost = fast_cost
-            final = outcome.final
-            if final.succeeded:
-                report.optimal_cost = tier_cost(
-                    final, target, freq=freqs[fn.name],
-                    code_size_weight=config.code_size_weight,
-                )
-                report.tier_gap = optimality_gap(
-                    fast_cost, report.optimal_cost
-                )
-        except AllocationError:
-            pass  # fast tier unavailable for this fn; row reads zero
         if a.succeeded:
             if validate and not config.validate:
                 validate_allocation(a, target)

@@ -142,9 +142,6 @@ class IPAllocator:
             alloc.n_variables = model.n_vars
             alloc.n_constraints = model.n_constraints
             alloc.solve_seconds = result.solve_seconds
-            alloc.build_seconds = result.build_seconds
-            if result.presolve is not None:
-                alloc.presolve_seconds = result.presolve.seconds
             return alloc, model, table, result
 
         t_rewrite = time.perf_counter()
@@ -181,11 +178,6 @@ class IPAllocator:
             n_variables=model.n_vars,
             n_constraints=model.n_constraints,
             solve_seconds=result.solve_seconds,
-            build_seconds=result.build_seconds,
-            presolve_seconds=(
-                result.presolve.seconds
-                if result.presolve is not None else 0.0
-            ),
             objective=result.objective,
         )
         if self.config.validate:

@@ -14,6 +14,11 @@ import json
 from http.client import HTTPConnection
 from urllib.parse import quote, urlparse
 
+#: the server closed a kept-alive connection before any reply, so the
+#: request never ran and is safe to send again
+#: (``http.client.RemoteDisconnected`` is a ``ConnectionResetError``)
+_STALE_CONNECTION = (BrokenPipeError, ConnectionResetError)
+
 
 class GatewayClient:
     """One persistent HTTP/1.1 connection; one thread at a time."""
@@ -46,27 +51,42 @@ class GatewayClient:
         """
         payload = (json.dumps(body).encode("utf-8")
                    if body is not None else None)
-        headers = {"Content-Type": "application/json"} if payload \
-            else {}
-        try:
-            self._conn.request(method, path, body=payload,
-                               headers=headers)
-            resp = self._conn.getresponse()
-            raw = resp.read()
-        except (OSError, ValueError):
-            # One reconnect: the pooled server may have closed an
-            # idle keep-alive connection under us.
-            self._conn.close()
-            self._conn.connect()
-            self._conn.request(method, path, body=payload,
-                               headers=headers)
-            resp = self._conn.getresponse()
-            raw = resp.read()
+        raw = self._round_trip(method, path, payload)
         if not raw:
             raise ConnectionError(
                 "gateway closed the connection without responding"
             )
         return json.loads(raw)
+
+    def _round_trip(
+        self, method: str, path: str, payload: bytes | None
+    ) -> bytes:
+        """Send one request and return the raw reply body.
+
+        Sends again, once, only when the server closed the kept-alive
+        connection before replying.  Any other failure (a read timeout
+        above all) is raised as is: the server may still be working on
+        the request, so sending it again could run it twice.
+        """
+        try:
+            return self._send(method, path, payload)
+        except _STALE_CONNECTION:
+            return self._send(method, path, payload)
+
+    def _send(
+        self, method: str, path: str, payload: bytes | None
+    ) -> bytes:
+        headers = {"Content-Type": "application/json"} if payload \
+            else {}
+        try:
+            self._conn.request(method, path, body=payload,
+                               headers=headers)
+            return self._conn.getresponse().read()
+        except BaseException:
+            # The next request opens a fresh connection, so a late
+            # reply to this one can never be read as its answer.
+            self._conn.close()
+            raise
 
     def close(self) -> None:
         self._conn.close()
@@ -121,9 +141,7 @@ class GatewayClient:
 
     def metrics(self) -> str:
         """GET /metrics — raw Prometheus text, not JSON."""
-        self._conn.request("GET", "/metrics")
-        resp = self._conn.getresponse()
-        return resp.read().decode("utf-8")
+        return self._round_trip("GET", "/metrics", None).decode("utf-8")
 
 
 __all__ = ["GatewayClient"]

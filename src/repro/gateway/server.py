@@ -772,11 +772,23 @@ def _make_handler(gateway: AllocationGateway):
             self._send(status, text.encode("utf-8"), content_type)
 
         def _read_body(self) -> dict | None:
-            length = int(self.headers.get("Content-Length") or 0)
+            # A refused body is never read, so the reply closes the
+            # connection; its bytes would parse as the next request.
+            close = {"Connection": "close"}
+            try:
+                length = int(self.headers.get("Content-Length") or 0)
+            except ValueError:
+                length = -1
+            if length < 0:
+                self._send_json(400, error_response(
+                    {}, "allocate", E_BAD_REQUEST,
+                    "Content-Length must be a non-negative integer"),
+                    close)
+                return None
             if length > MAX_LINE_BYTES:
                 self._send_json(413, error_response(
                     {}, "allocate", E_TOO_LARGE,
-                    f"body exceeds {MAX_LINE_BYTES} bytes"))
+                    f"body exceeds {MAX_LINE_BYTES} bytes"), close)
                 return None
             raw = self.rfile.read(length) if length else b"{}"
             try:

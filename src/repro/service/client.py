@@ -190,20 +190,12 @@ class ServiceClient:
     #: under the socket timeout so a parked reply never trips it
     LONG_POLL_MS = 25_000.0
 
-    def wait_optimal(
-        self,
-        request_ref,
-        timeout: float = 120.0,
-        interval: float = 0.05,
-    ) -> dict:
+    def wait_optimal(self, request_ref, timeout: float = 120.0) -> dict:
         """Wait until the upgrade reaches a terminal state
         (done/failed/dropped) or ``timeout`` elapses, via server-side
         long-polls — each round parks on the server instead of
-        sleeping client-side.  ``interval`` is kept for backward
-        compatibility but no longer paces anything.  Returns the
-        final status response.
+        sleeping client-side.  Returns the final status response.
         """
-        del interval  # long-polling replaced the busy-poll cadence
         expiry = time.monotonic() + timeout
         response = self.upgrade_status(request_ref)
         while True:

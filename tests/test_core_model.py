@@ -21,6 +21,7 @@ from repro.ir import (
     Opcode,
     SlotKind,
 )
+from repro.presolve import presolve_model
 from repro.solver import solve
 from repro.target import risc_target, x86_target
 
@@ -262,6 +263,15 @@ GOLDEN_MODEL_DIGESTS = {
 }
 
 
+#: presolve's output on the same models: (post_variables,
+#: post_constraints) summed over each program's functions.  The raw
+#: sizes are 3636/5546 (compress) and 6494/10302 (cc1).
+GOLDEN_PRESOLVE_SIZES = {
+    "compress": (3449, 4245),
+    "cc1": (5999, 7845),
+}
+
+
 def model_digest(model, table) -> str:
     """sha256 over variables (index order: name, cost, fixing), the
     objective constant, rows (in order: name, sense, rhs, (col, coef)
@@ -287,12 +297,18 @@ def model_digest(model, table) -> str:
 @pytest.mark.parametrize("program", ["compress", "cc1"])
 def test_model_identity_golden(x86, program):
     _, module = load_benchmark(program)
-    digests = {
-        (program, name): model_digest(*build(fn, x86)[1:3])
-        for name, fn in module.functions.items()
-    }
+    digests = {}
+    post_variables = post_constraints = 0
+    for name, fn in module.functions.items():
+        _, model, table, _ = build(fn, x86)
+        digests[(program, name)] = model_digest(model, table)
+        summary = presolve_model(model).summary
+        post_variables += summary.post_variables
+        post_constraints += summary.post_constraints
     expected = {
         key: value for key, value in GOLDEN_MODEL_DIGESTS.items()
         if key[0] == program
     }
     assert digests == expected
+    assert (post_variables, post_constraints) == \
+        GOLDEN_PRESOLVE_SIZES[program]

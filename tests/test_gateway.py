@@ -33,7 +33,7 @@ from repro.gateway import (
     GatewayThread,
     routing_fingerprint,
 )
-from repro.obs import reset_stats, set_stats_enabled
+from repro.obs import reset_stats, set_stats_enabled, snapshot
 from repro.service import ServerThread, ServiceClient, ServiceConfig
 
 SOURCE = """
@@ -429,6 +429,98 @@ def test_gateway_answers_expect_100_continue():
             assert sock.recv(64).startswith(b"HTTP/1.1 503")
     finally:
         gwt.stop()
+
+
+@pytest.mark.parametrize("length", [b"abc", b"-1"])
+def test_gateway_refuses_a_bad_content_length(length):
+    """A length that is no non-negative integer gets a 400 JSON reply,
+    not a dropped socket or a read that waits for the client to hang
+    up."""
+    gwt = GatewayThread(GatewayConfig(port=0)).start()
+    try:
+        with socket.create_connection(("127.0.0.1", gwt.port),
+                                      timeout=5.0) as sock:
+            sock.sendall(
+                b"POST /v1/allocate HTTP/1.1\r\nHost: gateway\r\n"
+                b"Content-Length: " + length + b"\r\n\r\n{}")
+            reply = sock.makefile("rb").read()
+        head, _, body = reply.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 400"), reply
+        assert json.loads(body)["error"]["code"] == "bad_request"
+        assert snapshot()["gateway.rejected"] == 1
+    finally:
+        gwt.stop()
+
+
+class _StubHTTP:
+    """A bare HTTP/1.1 server that counts requests by method.  It
+    answers each after ``delay`` seconds and, with ``one_shot``, closes
+    the connection after the reply without saying so, as a server does
+    with an idle keep-alive connection."""
+
+    def __init__(self, delay: float = 0.0, one_shot: bool = False):
+        from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+
+        seen = self.seen = Counter()
+
+        class Handler(BaseHTTPRequestHandler):
+            protocol_version = "HTTP/1.1"
+
+            def log_message(self, fmt, *args):
+                pass
+
+            def _answer(self):
+                seen[self.command] += 1
+                self.rfile.read(int(self.headers.get("Content-Length")
+                                    or 0))
+                time.sleep(delay)
+                data = b'{"ok": true}'
+                self.send_response(200)
+                self.send_header("Content-Length", str(len(data)))
+                self.end_headers()
+                self.wfile.write(data)
+                self.close_connection = one_shot
+
+            do_GET = do_POST = _answer
+
+        self.server = ThreadingHTTPServer(("127.0.0.1", 0), Handler)
+        self.url = f"http://127.0.0.1:{self.server.server_address[1]}"
+        threading.Thread(target=self.server.serve_forever,
+                         daemon=True).start()
+
+    def __enter__(self) -> "_StubHTTP":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.server.shutdown()
+        self.server.server_close()
+
+
+def test_gateway_client_does_not_resend_after_a_read_timeout():
+    """A read timeout is no closed connection: the server may be
+    working on the request, so sending it again could allocate twice
+    and doubles the caller's wait."""
+    timeout = 0.5
+    with _StubHTTP(delay=1.5) as stub:
+        with GatewayClient(stub.url, timeout=timeout) as client:
+            start = time.perf_counter()
+            with pytest.raises(TimeoutError):
+                client.allocate(source=OTHER_SOURCE)
+            elapsed = time.perf_counter() - start
+        assert stub.seen["POST"] == 1
+        assert elapsed < 2 * timeout
+
+
+def test_gateway_client_reopens_a_closed_keepalive_connection():
+    """Requests and /metrics alike survive a server that closed the
+    kept-alive connection between two calls, and nothing runs
+    twice."""
+    with _StubHTTP(one_shot=True) as stub:
+        with GatewayClient(stub.url, timeout=5.0) as client:
+            for _ in range(2):
+                assert client.status()["ok"]
+                assert client.metrics() == '{"ok": true}'
+        assert stub.seen["GET"] == 4
 
 
 def test_gateway_breaker_down_and_half_open_revival(tmp_path):
