@@ -344,6 +344,22 @@ class ORAAnalysis:
             self.model.add_constraint(
                 terms, Sense.LE, 0.0, f"copyin-cap/{s.name}/{where}"
             )
+
+        # Implied "held" row: every must-allocate term of this use is
+        # an incoming occupancy, memory, a remat, or bounded by one of
+        # them (loadmem, memuse-mem, cmemud-mem, copyin-cap), so each
+        # 0-1 point meets it.  It only cuts fractional points, such as
+        # a half-stored value loaded into several registers.
+        held = [(1.0, v) for v in s_cur.values()]
+        if s_mem is not None:
+            held.append((1.0, s_mem))
+        held.extend(
+            (1.0, sv.remat) for sv in site.by_reg.values()
+            if sv.remat is not None
+        )
+        self.model.add_constraint(
+            held, Sense.GE, 1.0, f"held/{s.name}/{where}"
+        )
         return site
 
     def _copyin_allowed(self, instr: Instr, s: VirtualRegister) -> bool:

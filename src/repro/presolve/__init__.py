@@ -9,8 +9,8 @@ The passes (each individually toggleable, iterated to a fixpoint):
    cheapest representative.
 3. **Dominance elimination** — constraints implied term-wise by a
    surviving constraint drop.
-4. **Component decomposition** — the reduced model splits on the
-   variable-constraint incidence graph; components solve separately.
+
+What survives reaches the backend as one model per function.
 
 Everything is deterministic and fingerprint-stable; solutions of the
 reduced model expand back to full original-index assignments, so solver

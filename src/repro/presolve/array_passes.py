@@ -4,12 +4,12 @@
 :class:`~repro.solver.model.IPModel`: its working state is the model's
 CSR matrix plus flat per-row/per-column arrays, the hot inner loops
 are numpy sweeps, and the surviving rows/columns go back to the
-pipeline for sub-model construction.
+pipeline as one reduced model.
 
 Soundness and determinism, pass by pass (each pass preserves the
 optimal objective value and maps every reduced solution to a feasible
 original one; the same model and configuration always give the same
-fixings, dropped rows, components and submodels):
+fixings, dropped rows and reduced model):
 
 * **Implication fixing** (pass 1) is 0-1 activity propagation: a
   variable whose 0 or 1 value would push a constraint past its bound
@@ -37,16 +37,11 @@ fixings, dropped rows, components and submodels):
   part is the replay, in row-id order with a live-implier check —
   order-sensitivity for mutually-dominating duplicates (the smaller
   row id survives) lives entirely there.
-* **Components** come from ``scipy.sparse.csgraph`` over the bipartite
-  variable/constraint graph, ordered by their smallest original
-  variable index, variables ascending, rows in input order.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy import sparse
-from scipy.sparse import csgraph
 
 from ..solver.model import (
     CODE_SENSE,
@@ -503,64 +498,17 @@ class ArrayReducer:
     def fixed_dict(self) -> dict[int, int]:
         return dict(self.fixed)
 
-    def components(self) -> list[tuple[list[int], list[int]]]:
-        """Connected components via ``csgraph`` over the bipartite
-        variable/constraint graph, in a canonical order: sorted by
-        smallest original variable index, variables ascending, rows in
-        input order."""
-        cols_alive = np.flatnonzero(self.col_alive)
-        rows_alive = np.flatnonzero(self.row_alive & (self.nnz > 0))
-        n_c, n_r = cols_alive.size, rows_alive.size
-        if not n_c:
-            return []
-        col_node = np.full(self.col_alive.size, -1, dtype=np.intp)
-        col_node[cols_alive] = np.arange(n_c)
-        row_node = np.full(self.row_alive.size, -1, dtype=np.intp)
-        row_node[rows_alive] = np.arange(n_r) + n_c
-        a = self.m.a
-        r = self.entry_row
-        j = a.indices
-        live = self.row_alive[r] & self.col_alive[j] \
-            & (self.nnz[r] > 0)
-        edges_c = col_node[j[live]]
-        edges_r = row_node[r[live]]
-        n_nodes = n_c + n_r
-        graph = sparse.coo_matrix(
-            (np.ones(edges_c.size), (edges_c, edges_r)),
-            shape=(n_nodes, n_nodes),
-        )
-        _, labels = csgraph.connected_components(graph, directed=False)
-        vars_of: dict[int, list[int]] = {}
-        for k, col in enumerate(cols_alive):
-            vars_of.setdefault(int(labels[k]), []).append(
-                int(self.m.col_index[col])
-            )
-        label_of_rows: dict[int, list[int]] = {
-            label: [] for label in vars_of
-        }
-        for k, rid in enumerate(rows_alive):
-            label_of_rows[int(labels[n_c + k])].append(int(rid))
-        return [
-            (vars_of[label], label_of_rows[label])
-            for label in sorted(
-                vars_of, key=lambda lab: vars_of[lab][0]
-            )
-        ]
-
-    def single_component(self) -> list[tuple[list[int], list[int]]]:
-        all_vars = self.free_indices()
-        if not all_vars:
-            return []
-        all_rows = [int(r) for r in np.flatnonzero(self.row_alive)]
-        return [(all_vars, all_rows)]
-
-    def build_submodel(
-        self, var_ids: list[int], row_ids: list[int], k: int
-    ) -> SubModel:
-        """Batch-construct one component's sub-model from the array
-        form (terms arrive in column order, as the CSR stores them)."""
+    def build_submodel(self) -> SubModel | None:
+        """Batch-construct the reduced model from the array form: the
+        surviving variables ascending, the live rows in input order
+        (terms arrive in column order, as the CSR stores them).
+        ``None`` when presolve decided every variable."""
+        var_ids = self.free_indices()
+        if not var_ids:
+            return None
+        row_ids = [int(r) for r in np.flatnonzero(self.row_alive)]
         original = self.model
-        sub = IPModel(name=f"{original.name}/presolve{k}")
+        sub = IPModel(name=f"{original.name}/presolve")
         sub.add_vars(
             (original.variables[i].name for i in var_ids),
             (original.variables[i].cost for i in var_ids),

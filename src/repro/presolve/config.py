@@ -34,9 +34,6 @@ class PresolveConfig:
     merge_duplicate_columns: bool = True
     #: drop constraints implied term-wise by another constraint
     drop_dominated: bool = True
-    #: split the reduced model on the variable-constraint incidence
-    #: graph and solve independent components separately
-    decompose: bool = True
     #: fixpoint bound: rounds of the (fix, merge, dominate) loop
     max_rounds: int = 10
     #: skip the dominance scan for a constraint whose cheapest variable

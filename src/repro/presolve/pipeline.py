@@ -32,7 +32,7 @@ STAT_CONS_DROPPED = define_counter(
     "presolve.cons_dropped", "vacuous/dominated constraints dropped"
 )
 STAT_COMPONENTS = define_counter(
-    "presolve.components", "independent components solved separately"
+    "presolve.components", "backend calls on presolved models"
 )
 STAT_TIME = define_counter(
     "presolve.time", "seconds spent reducing models"
@@ -74,7 +74,7 @@ def presolve_model(
         except InfeasibleModel:
             reduction.infeasible = True
             STAT_INFEASIBLE.incr()
-    _finish(reducer, config, reduction, summary)
+    _finish(reducer, reduction, summary)
     summary.seconds = time.perf_counter() - start
     STAT_VARS_FIXED.add(summary.vars_fixed)
     STAT_COLS_MERGED.add(summary.cols_merged)
@@ -101,7 +101,6 @@ def _run_passes(reducer: ArrayReducer, config: PresolveConfig) -> None:
 
 def _finish(
     reducer: ArrayReducer,
-    config: PresolveConfig,
     reduction: PresolveReduction,
     summary: PresolveSummary,
 ) -> None:
@@ -112,19 +111,8 @@ def _finish(
     if reduction.infeasible:
         return
     reduction.fixed = reducer.fixed_dict()
-    if config.decompose:
-        components = reducer.components()
-    else:
-        components = reducer.single_component()
-    for var_ids, row_ids in components:
-        reduction.submodels.append(
-            reducer.build_submodel(var_ids, row_ids,
-                                   len(reduction.submodels))
-        )
-    summary.components = len(reduction.submodels)
-    summary.post_variables = sum(
-        len(sub.var_map) for sub in reduction.submodels
-    )
-    summary.post_constraints = sum(
-        sub.model.n_constraints for sub in reduction.submodels
-    )
+    sub = reduction.submodel = reducer.build_submodel()
+    if sub is not None:
+        summary.components = 1
+        summary.post_variables = len(sub.var_map)
+        summary.post_constraints = sub.model.n_constraints

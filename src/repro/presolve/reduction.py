@@ -1,16 +1,16 @@
-"""What presolve produced: reduced sub-models plus the way back.
+"""What presolve produced: the reduced model plus the way back.
 
 A :class:`PresolveReduction` is the bridge between the original
 :class:`~repro.solver.model.IPModel` and what the backend actually
 solves.  It owns
 
 * the variables presolve decided (``fixed``, by *original* index),
-* one :class:`SubModel` per connected component of the reduced
-  variable-constraint incidence graph, each with its map from
-  sub-model variable index back to original index, and
+* the reduced model as one :class:`SubModel` (the whole function goes
+  to the backend in one call), with its map from sub-model variable
+  index back to original index, and
 * a :class:`PresolveSummary` of pre/post sizes and per-pass counts.
 
-:meth:`PresolveReduction.expand` merges component solutions with the
+:meth:`PresolveReduction.expand` merges the reduced solution with the
 presolve and build-time fixings into a full original-index assignment,
 so :class:`~repro.solver.result.SolveResult` values — and everything
 built on them: the engine's persistent cache records, the service's
@@ -40,7 +40,7 @@ class PresolveSummary:
     vars_fixed: int = 0
     cols_merged: int = 0
     cons_dropped: int = 0
-    #: independent components solved separately (0 = nothing left)
+    #: backend calls: 1, or 0 when presolve decided every variable
     components: int = 0
     #: fixpoint rounds the pass loop ran
     rounds: int = 0
@@ -83,7 +83,7 @@ class PresolveSummary:
 
 @dataclass(slots=True)
 class SubModel:
-    """One independent component of the reduced model."""
+    """The reduced model the backend solves."""
 
     model: IPModel
     #: sub-model variable index -> original variable index
@@ -95,7 +95,8 @@ class PresolveReduction:
     """A reduced model plus the mapping back to the original."""
 
     original: IPModel
-    submodels: list[SubModel] = field(default_factory=list)
+    #: ``None`` when presolve decided every variable
+    submodel: SubModel | None = None
     #: {original variable index: value} decided by presolve (build-time
     #: fixings are *not* repeated here)
     fixed: dict[int, int] = field(default_factory=dict)
@@ -103,17 +104,15 @@ class PresolveReduction:
     #: presolve proved the model has no feasible assignment
     infeasible: bool = False
 
-    def expand(
-        self, sub_values: list[dict[int, int]]
-    ) -> dict[int, int]:
-        """Merge per-component solutions into a full original-index
-        assignment (build-time fixings included)."""
+    def expand(self, sub_values: dict[int, int]) -> dict[int, int]:
+        """Merge the reduced model's solution into a full
+        original-index assignment (build-time fixings included)."""
         values: dict[int, int] = {}
         for v in self.original.variables:
             if v.fixed is not None:
                 values[v.index] = v.fixed
         values.update(self.fixed)
-        for sub, vals in zip(self.submodels, sub_values):
-            for j, orig in enumerate(sub.var_map):
-                values[orig] = vals[j]
+        if self.submodel is not None:
+            for j, orig in enumerate(self.submodel.var_map):
+                values[orig] = sub_values[j]
         return values

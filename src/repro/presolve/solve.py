@@ -1,9 +1,8 @@
-"""Solving through a reduction: presolve, solve components, expand.
+"""Solving through a reduction: presolve, solve, expand.
 
 This is what :func:`repro.solver.solve` runs when presolve is enabled:
-the model is reduced, each independent component goes to the backend
-under the remaining time budget (largest first, so the long pole gets
-the freshest clock), and the component solutions are expanded back to
+the model is reduced, what remains goes to the backend as one model
+under the remaining time budget, and its solution is expanded back to
 original variable indices.  The returned
 :class:`~repro.solver.result.SolveResult` is indistinguishable from an
 unpresolved one — full original-index ``values``, objective evaluated
@@ -56,26 +55,15 @@ def solve_reduced(
             build_seconds=summary.build_seconds,
         )
 
-    # Largest component first: it gets the freshest time budget, and
-    # an early INFEASIBLE/UNSOLVED outcome short-circuits the rest.
-    order = sorted(
-        range(len(reduction.submodels)),
-        key=lambda k: -len(reduction.submodels[k].var_map),
-    )
-    sub_values: list[dict[int, int]] = [
-        {} for _ in reduction.submodels
-    ]
-    all_optimal = True
+    sub_values: dict[int, int] = {}
+    nodes = lp_relaxations = 0
     timed_out = False
-    nodes = 0
-    lp_relaxations = 0
+    status = SolveStatus.OPTIMAL
     build_seconds = summary.build_seconds
-    for k in order:
-        sub = reduction.submodels[k]
-        res = backend_fn(sub.model, time_limit=remaining())
-        nodes += res.nodes
-        lp_relaxations += res.lp_relaxations
-        timed_out |= res.timed_out
+    if reduction.submodel is not None:
+        res = backend_fn(reduction.submodel.model, time_limit=remaining())
+        nodes, lp_relaxations = res.nodes, res.lp_relaxations
+        timed_out = res.timed_out
         build_seconds += res.build_seconds
         if not res.status.has_solution:
             return SolveResult(
@@ -88,11 +76,10 @@ def solve_reduced(
                 presolve=summary,
                 build_seconds=build_seconds,
             )
-        if res.status is not SolveStatus.OPTIMAL:
-            all_optimal = False
-        sub_values[k] = res.values
+        status = res.status
+        sub_values = res.values
 
-    with trace_phase("expand", components=len(reduction.submodels)):
+    with trace_phase("expand"):
         values = reduction.expand(sub_values)
         sound = model.check(values)
     if not sound:
@@ -103,8 +90,7 @@ def solve_reduced(
     elapsed = time.perf_counter() - start
     objective = model.evaluate(values)
     return SolveResult(
-        status=SolveStatus.OPTIMAL if all_optimal
-        else SolveStatus.FEASIBLE,
+        status=status,
         values=values,
         objective=objective,
         solve_seconds=elapsed,

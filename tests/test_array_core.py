@@ -160,10 +160,10 @@ def test_matrix_evaluate_matches_model():
 #: per ``fig_models()`` model, in order: (vars_fixed, cols_merged,
 #: cons_dropped, components, rounds, post_variables, post_constraints)
 FIG_PRESOLVE_SUMMARIES = [
-    (0, 0, 82, 1, 2, 313, 370),
-    (19, 0, 123, 1, 2, 282, 353),
-    (6, 0, 143, 2, 2, 488, 560),
-    (19, 0, 123, 1, 2, 282, 353),
+    (0, 0, 82, 1, 2, 313, 383),
+    (19, 0, 123, 1, 2, 282, 362),
+    (6, 0, 143, 1, 2, 488, 581),
+    (19, 0, 123, 1, 2, 282, 362),
 ]
 
 

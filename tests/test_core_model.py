@@ -2,7 +2,9 @@
 
 import hashlib
 
+import numpy as np
 import pytest
+from scipy.optimize import Bounds, LinearConstraint, milp
 
 from repro.core import (
     ActionKind,
@@ -11,7 +13,7 @@ from repro.core import (
     IPAllocator,
     find_predefined_candidates,
 )
-from repro.analysis import static_frequencies
+from repro.analysis import profiled_frequencies, static_frequencies
 from repro.bench import load_benchmark
 from repro.ir import (
     Cond,
@@ -22,6 +24,7 @@ from repro.ir import (
     SlotKind,
 )
 from repro.presolve import presolve_model
+from repro.sim import Interpreter
 from repro.solver import solve
 from repro.target import risc_target, x86_target
 
@@ -231,44 +234,53 @@ class TestCostModel:
 #: deliberately.
 GOLDEN_MODEL_DIGESTS = {
     ("compress", "fill_input"):
-        "30782f372ba26853ff32152af1681163c88e40361acf0f7ed6f895099c00ccc0",
+        "ba65a2886dc11f79083299481f0a5a1c3db21ae5d5650c255c2911cddcd8e28d",
     ("compress", "emit"):
-        "a053e3eb4366d3688e99f7af0d52980639e0d2173de9855a45c4bad692fe99ab",
+        "393260f2a03195d72313f793d6c25acc7cb840cdc9f0e423ed257a69cd1dd06d",
     ("compress", "run_length"):
-        "3318d9ba9bf2f627221efca913199a442f29e1009241b6548fd2c66cb48fb8a1",
+        "84eeb8e54c735b430bba1428bcb38cff5059af760c15ba26e3423aa6f10583e2",
     ("compress", "compress_block"):
-        "900f097b4a1298a4a67c85839d71a15eeb7de0e34707da28a193932279a718c8",
+        "c09b004f163b8220f8c77477528f313aca0274a71b1038e9d12d02c6a89264d7",
     ("compress", "checksum"):
-        "53cf404b511ea7057373735bc0645c285e6512d90cd58b70d09730896c4eea26",
+        "4fdaed5ba99f99d6bfbb4849f5c943d5aec0e770092bddc66430e5d80540dc8a",
     ("compress", "window_hash"):
-        "e54fd7635f7105d63ab43838aca6ee75a97ce6270c084fae161ff13819d5cf5f",
+        "75c98c8b7fd51d12d14033c33e959d6abafb25c29af1b03acb68745a04d1d734",
     ("compress", "main"):
-        "2055e53c766c942e2265f340f6d675d18d8b30f89f6e48ccdcfb6829547bafe9",
+        "d4f080d6af1a13180ebb8487621e98cb7578387078a3ba4a370be5abc847c3bf",
     ("cc1", "fill_source"):
-        "102555051fd4a6b282798dee747341af8d205e811a47f4982331c94d89d91569",
+        "86b095474cae54c29741fe2f9e897daafae9fef690ca84ae7e679e91a1c50051",
     ("cc1", "is_digit"):
-        "0cdfe5c3bdea46d3e77eb6ea1bc20d037d0325298a74381956526924ada7ffb6",
+        "95da506cdc519e6fecc0f3e455d84e36e7af7807223a0e246181ed7de4da5433",
     ("cc1", "tokenize"):
-        "c72cc6cd5d748737406a1e91ebf0bec0bb8bd40b17cfd0862705ca2b0d5797d6",
+        "8eec1de97900e9b400b063868cdc39a5aa473bebbd097eddc8c0b9c4e2f2f7db",
     ("cc1", "precedence"):
-        "9f4553d63532a819463527b4498e18d1e26ddb55d3f57bec54ec239666becf42",
+        "6067b7536717aa4ec271f3f694a8640ad21c8ac29bd186c779fc6e8ab9f51b4a",
     ("cc1", "apply"):
-        "f34e0514a399dd6d3a771174f7bf37a03afad74041898ff6107844b44c7463ce",
+        "59246d8ca9264acc66413b66b4e5e32e68cb653f947414f0ab2ab862bce97a49",
     ("cc1", "evaluate"):
-        "1c306f758def22091396626e6bfdea38f1cd1cbb2783a6cdcadbb487aa9dd7a3",
+        "421bc8d68cb1f084f6e986eddc972b2b94c8b2269a6d322218f7d867b97ca95d",
     ("cc1", "symbol_stats"):
-        "3e8d91af12cc9423dcce20ae2d226261cc969a94181792e02a699abdece3dd95",
+        "286698dbbb2267c4419bb7e6f93a8cd9c752e261dfa2d1f62acfe1eb0e46a65b",
     ("cc1", "main"):
-        "ffe3245ff1f75858981b6925703be57de249c2ad1797dc2ca388e8e4ac218ea5",
+        "19a4be21ec774567a2de17184ccce79a5b5588a5da541d3209a647ac3347a118",
 }
 
 
 #: presolve's output on the same models: (post_variables,
 #: post_constraints) summed over each program's functions.  The raw
-#: sizes are 3636/5546 (compress) and 6494/10302 (cc1).
+#: sizes are 3636/5673 (compress) and 6494/10494 (cc1).
 GOLDEN_PRESOLVE_SIZES = {
-    "compress": (3449, 4245),
-    "cc1": (5999, 7845),
+    "compress": (3445, 4355),
+    "cc1": (5993, 8011),
+}
+
+#: root LP relaxation bound of each program's models built with the
+#: suite's profiled frequencies, summed over its functions (the raw
+#: models, before presolve).  Without the held rows they read 773118.5
+#: (compress) and 259020.8 (cc1); the optima sum to 1097010 and 381020.
+GOLDEN_ROOT_BOUNDS = {
+    "compress": 1096110.0,
+    "cc1": 381020.0,
 }
 
 
@@ -312,3 +324,42 @@ def test_model_identity_golden(x86, program):
     assert digests == expected
     assert (post_variables, post_constraints) == \
         GOLDEN_PRESOLVE_SIZES[program]
+
+
+def suite_models(program, target):
+    """``{function name: model}`` for one suite program, built with the
+    profiled frequencies the suite solves it with."""
+    bench, module = load_benchmark(program)
+    ref = Interpreter(module).run(bench.entry, list(bench.args))
+    allocator = IPAllocator(target, AllocatorConfig())
+    return {
+        fn.name: allocator.build_model(
+            fn, profiled_frequencies(fn, ref.blocks_of(fn.name))
+        )[1]
+        for fn in module
+    }
+
+
+def root_lp_bound(model) -> float:
+    """Optimum of the LP relaxation of ``model``, in objective units."""
+    m = model.matrix()
+    lower, upper = m.row_bounds()
+    res = milp(m.cost, constraints=[LinearConstraint(m.a, lower, upper)],
+               bounds=Bounds(0, 1))
+    assert res.success, res.message
+    return res.fun + m.evaluate_free(np.zeros(m.n_free))
+
+
+@pytest.mark.parametrize("program", ["compress", "cc1"])
+def test_root_lp_bound_golden(x86, program):
+    """A change that weakens the model lowers the root bound; on the
+    long pole it would reopen the 37.9% root gap the held rows close."""
+    models = suite_models(program, x86)
+    bounds = {name: root_lp_bound(model) for name, model in models.items()}
+    assert sum(bounds.values()) == pytest.approx(
+        GOLDEN_ROOT_BOUNDS[program], rel=1e-9
+    )
+    if program == "compress":
+        optimum = solve(models["window_hash"], "scipy",
+                        time_limit=60).objective
+        assert optimum - bounds["window_hash"] <= 0.005 * optimum

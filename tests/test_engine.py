@@ -177,8 +177,8 @@ class TestParallelEqualsSerial:
             list(module)
         )
         # solver invocations happened in workers but are visible here;
-        # with presolve on, the backend runs once per reduced component
-        # (a fully-presolved model reaches no backend at all)
+        # with presolve on, the backend runs once per function (a
+        # fully-presolved model reaches no backend at all)
         assert counters.get("presolve.runs") == len(list(module))
         solves = sum(
             v for k, v in counters.items()

@@ -47,7 +47,7 @@ class TestFixImplied:
         assert red.fixed[xs["x"].index] == 1
         # y is an orphan with negative cost: fixed to 1
         assert red.fixed[xs["y"].index] == 1
-        assert not red.submodels
+        assert red.submodel is None
 
     def test_le_overshoot_forces_zero(self):
         m, xs = model_of(
@@ -196,36 +196,6 @@ class TestDropDominated:
         assert on.objective == pytest.approx(-1.0)
 
 
-class TestDecomposition:
-    def test_independent_components_split(self):
-        m, _ = model_of(
-            [
-                ([(1, "a"), (1, "b")], Sense.EQ, 1),
-                ([(1, "c"), (1, "d")], Sense.EQ, 1),
-            ],
-            {"a": 1.0, "b": 2.0, "c": 3.0, "d": 4.0},
-        )
-        red = presolve_model(m, PresolveConfig(
-            merge_duplicate_columns=False
-        ))
-        assert red.summary.components == 2
-        on = assert_equivalent(m)
-        assert on.objective == pytest.approx(4.0)
-
-    def test_decompose_off_keeps_one_submodel(self):
-        m, _ = model_of(
-            [
-                ([(1, "a"), (1, "b")], Sense.EQ, 1),
-                ([(1, "c"), (1, "d")], Sense.EQ, 1),
-            ],
-            {"a": 1.0, "b": 2.0, "c": 3.0, "d": 4.0},
-        )
-        red = presolve_model(m, PresolveConfig(
-            merge_duplicate_columns=False, decompose=False
-        ))
-        assert red.summary.components == 1
-
-
 class TestOrphans:
     def test_costs_decide_unconstrained_variables(self):
         m, xs = model_of([], {"neg": -1.0, "pos": 1.0, "zero": 0.0})
@@ -303,7 +273,7 @@ class TestConfigPlumbing:
         sig = PresolveConfig().signature()
         assert set(sig) == {
             "enabled", "fix_implied", "merge_duplicate_columns",
-            "drop_dominated", "decompose", "max_rounds",
+            "drop_dominated", "max_rounds",
             "dominance_candidate_limit",
         }
 
@@ -317,7 +287,7 @@ class TestConfigPlumbing:
         )
         red = presolve_model(m, PresolveConfig(
             fix_implied=False, merge_duplicate_columns=False,
-            drop_dominated=False, decompose=False,
+            drop_dominated=False,
         ))
         assert red.summary.cons_dropped == 0
         assert red.summary.post_constraints == 2

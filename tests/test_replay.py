@@ -212,7 +212,7 @@ def test_golden_print_of_a_lowered_suite_function(x86):
 #: sha256 of the printed code and assignment of every IP allocation of
 #: compress and cc1, by the ALLOCATOR_VERSION that produces it
 ALLOCATOR_OUTPUT_DIGESTS = {
-    1: "4c1caf8cfaf4abb1fae6a6bf94c643dfeadbf2904a90a82a82dc3b60f87e15b9",
+    2: "85b7ff8d3b9b8d897a1758f60392276c2d46dcf77d715fb79f476f1094e6f945",
 }
 
 
