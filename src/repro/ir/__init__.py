@@ -10,6 +10,7 @@ from .builder import IRBuilder
 from .function import BasicBlock, Function, Module
 from .instructions import (
     ALU_OPS,
+    COND_OPERATORS,
     DIV_OPS,
     SHIFT_OPS,
     Cond,
@@ -43,6 +44,7 @@ __all__ = [
     "ALU_OPS",
     "Address",
     "BasicBlock",
+    "COND_OPERATORS",
     "Cond",
     "DIV_OPS",
     "Function",

@@ -14,6 +14,7 @@ and both compare operands are ordinary register/memory uses.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -80,18 +81,20 @@ class Cond(Enum):
 
     __hash__ = object.__hash__
 
-    def evaluate(self, a: int, b: int) -> bool:
-        return {
-            Cond.EQ: a == b,
-            Cond.NE: a != b,
-            Cond.LT: a < b,
-            Cond.LE: a <= b,
-            Cond.GT: a > b,
-            Cond.GE: a >= b,
-        }[self]
-
     def __str__(self) -> str:
         return self._value_
+
+
+#: The comparison each condition performs, as a two-argument function:
+#: the interpreter binds it into decoded CJUMPs, constant folding calls it.
+COND_OPERATORS = {
+    Cond.EQ: operator.eq,
+    Cond.NE: operator.ne,
+    Cond.LT: operator.lt,
+    Cond.LE: operator.le,
+    Cond.GT: operator.gt,
+    Cond.GE: operator.ge,
+}
 
 
 @dataclass(frozen=True, slots=True)

@@ -18,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..ir import (
+    COND_OPERATORS,
     I8,
     I32,
     Address,
@@ -266,7 +267,7 @@ class _FunctionCodeGen:
             a = self.coerce(left, type_)
             bv = self.coerce(right, type_)
             if isinstance(a, Immediate) and isinstance(bv, Immediate):
-                taken = _CMP[e.op].evaluate(a.value, bv.value)
+                taken = COND_OPERATORS[_CMP[e.op]](a.value, bv.value)
                 self.goto(if_true if taken else if_false)
                 return
             self.b.cjump(_CMP[e.op], a, bv, if_true, if_false)

@@ -4,7 +4,6 @@ semantics, profiling, and dynamic spill-overhead accounting."""
 from .interpreter import AllocatedFunction, Interpreter, RunResult
 from .state import (
     CLOBBER_PATTERN,
-    Frame,
     Memory,
     RegisterState,
     SimulationError,
@@ -13,7 +12,6 @@ from .state import (
 __all__ = [
     "AllocatedFunction",
     "CLOBBER_PATTERN",
-    "Frame",
     "Interpreter",
     "Memory",
     "RegisterState",

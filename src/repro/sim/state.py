@@ -11,13 +11,15 @@ Two pieces of state matter:
   which every slot of every activation record gets a concrete address,
   so base+index*scale+disp address arithmetic behaves like the real
   machine.
+
+Both are updated in place for their whole life (``restore`` and
+``reset`` included): the interpreter's decoded code binds the family
+dict and the byte array once and inlines the arithmetic below.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
-from ..ir import Address, IntType, MemorySlot
+from ..ir import IntType, MemorySlot
 from ..target import RealRegister, RegisterFile
 
 #: Pattern written into clobbered registers at calls: any allocation that
@@ -35,15 +37,15 @@ class RegisterState:
 
     def __init__(self, register_file: RegisterFile) -> None:
         self.register_file = register_file
-        # One 32-bit unsigned payload per family.
-        self._families: dict[str, int] = {
+        #: one 32-bit unsigned payload per family
+        self.families: dict[str, int] = {
             r.family: 0 for r in register_file.registers
         }
 
     def read(self, reg: RealRegister, type: IntType) -> int:
         """Read ``reg`` and interpret it as a value of ``type``."""
         lo, hi = reg.part.bit_range
-        raw = (self._families[reg.family] >> lo) & ((1 << (hi - lo)) - 1)
+        raw = (self.families[reg.family] >> lo) & ((1 << (hi - lo)) - 1)
         return type.wrap(raw)
 
     def write(self, reg: RealRegister, value: int) -> None:
@@ -52,18 +54,23 @@ class RegisterState:
         width = hi - lo
         mask = ((1 << width) - 1) << lo
         payload = (value & ((1 << width) - 1)) << lo
-        family = self._families[reg.family]
-        self._families[reg.family] = (family & ~mask) | payload
+        family = self.families[reg.family]
+        self.families[reg.family] = (family & ~mask) | payload
 
     def clobber_family(self, family: str) -> None:
         """Overwrite a whole family with the clobber pattern."""
-        self._families[family] = CLOBBER_PATTERN
+        self.families[family] = CLOBBER_PATTERN
 
     def snapshot(self) -> dict[str, int]:
-        return dict(self._families)
+        return dict(self.families)
 
     def restore(self, snap: dict[str, int]) -> None:
-        self._families = dict(snap)
+        self.families.update(snap)
+
+    def reset(self) -> None:
+        """Zero every family (the state of a fresh register file)."""
+        for family in self.families:
+            self.families[family] = 0
 
 
 class Memory:
@@ -82,6 +89,11 @@ class Memory:
         if self._next > len(self.bytes):
             raise SimulationError("out of simulated memory")
         return base
+
+    def reset(self, mark: int = 16) -> None:
+        """Zero every byte and pop the allocation stack back to ``mark``."""
+        self.bytes[:] = bytes(len(self.bytes))
+        self._next = mark
 
     def free_to(self, mark: int) -> None:
         """Pop the allocation stack back to ``mark`` (function return)."""
@@ -107,33 +119,3 @@ class Memory:
         self.bytes[address:address + n] = (
             value & ((1 << (8 * n)) - 1)
         ).to_bytes(n, "little", signed=False)
-
-
-@dataclass(slots=True)
-class Frame:
-    """One function activation: slot addresses within :class:`Memory`."""
-
-    slot_addrs: dict[str, int]
-    memory_mark: int
-
-    def address_of(
-        self, addr: Address, reg_value: "callable"
-    ) -> int:
-        """Resolve an effective address against this frame.
-
-        ``reg_value(vreg)`` supplies register contents (virtual or real,
-        depending on interpreter mode).
-        """
-        total = addr.disp
-        if addr.slot is not None:
-            try:
-                total += self.slot_addrs[addr.slot.name]
-            except KeyError:
-                raise SimulationError(
-                    f"unknown slot @{addr.slot.name}"
-                ) from None
-        if addr.base is not None:
-            total += reg_value(addr.base)
-        if addr.index is not None:
-            total += reg_value(addr.index) * addr.scale
-        return total

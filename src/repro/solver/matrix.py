@@ -195,16 +195,11 @@ class MatrixModel:
     def evaluate_free(self, x: np.ndarray) -> float:
         """Objective of a 0/1 vector over the free columns.
 
-        Mirrors :meth:`IPModel.evaluate`: the constant plus every
-        variable's ``cost * value``, with fixed variables read at
-        their fixed value.
+        Mirrors :meth:`IPModel.evaluate`: the constant (which carries
+        the cost of every variable fixed to 1) plus each free column's
+        ``cost * value``.
         """
-        fixed_cost = float(
-            self.var_costs[self.fixed_values == 1].sum()
-        )
-        return (
-            float(self.cost @ x) + self.objective_constant + fixed_cost
-        )
+        return float(self.cost @ x) + self.objective_constant
 
     def check_free(self, x: np.ndarray, tol: float = 1e-6) -> bool:
         """Feasibility of a 0/1 vector over the free columns."""

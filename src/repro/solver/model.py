@@ -375,8 +375,10 @@ class IPModel:
     def evaluate(self, values: dict[int, int]) -> float:
         """Objective value of an assignment {var index: 0/1}.
 
-        Indices of fixed variables may be omitted (their fixed value is
-        used) — presolve-reduced solutions naturally cover only the
+        The objective constant already carries the cost of every
+        variable fixed to 1 (see :meth:`fix`), so only free variables
+        add ``cost * value``.  Indices of fixed variables may therefore
+        be omitted — presolve-reduced solutions naturally cover only the
         free variables.  A missing *free* index is still an error, and
         so is an index outside the model's variable range: silently
         ignoring one used to mask callers evaluating a solution
@@ -392,21 +394,16 @@ class IPModel:
                 )
         total = self.objective_constant
         for v in self.variables:
-            val = self._value_of(v, values)
-            total += v.cost * val
-        return total
-
-    @staticmethod
-    def _value_of(v: Variable, values: dict[int, int]) -> int:
-        val = values.get(v.index)
-        if val is None:
-            if v.fixed is None:
+            if v.fixed is not None:
+                continue
+            val = values.get(v.index)
+            if val is None:
                 raise KeyError(
                     f"assignment omits free variable {v.name} "
                     f"(index {v.index})"
                 )
-            val = v.fixed
-        return val
+            total += v.cost * val
+        return total
 
     def check(self, values: dict[int, int], tol: float = 1e-6) -> bool:
         """Is the assignment feasible for every constraint?

@@ -283,6 +283,24 @@ GOLDEN_ROOT_BOUNDS = {
     "cc1": 381020.0,
 }
 
+#: HiGHS branch-and-bound nodes (``solver.bb_nodes``) per function when
+#: each program's models, built with the suite's profiled frequencies,
+#: are solved cold under the suite's solver settings (presolve on).
+#: Every function closes at the root.  Removing the held rows alone
+#: leaves these at 1 (HiGHS's own cuts close the gap, only slower), so
+#: the root-bound golden above is what guards the model's strength; this
+#: one pins the search the benchmark's ``solver.bb_nodes`` reports.
+GOLDEN_BB_NODES = {
+    "compress": {
+        "fill_input": 1, "emit": 1, "run_length": 1, "compress_block": 1,
+        "checksum": 1, "window_hash": 1, "main": 1,
+    },
+    "cc1": {
+        "fill_source": 1, "is_digit": 1, "tokenize": 1, "precedence": 1,
+        "apply": 1, "evaluate": 1, "symbol_stats": 1, "main": 1,
+    },
+}
+
 
 def model_digest(model, table) -> str:
     """sha256 over variables (index order: name, cost, fixing), the
@@ -363,3 +381,14 @@ def test_root_lp_bound_golden(x86, program):
         optimum = solve(models["window_hash"], "scipy",
                         time_limit=60).objective
         assert optimum - bounds["window_hash"] <= 0.005 * optimum
+
+
+@pytest.mark.parametrize("program", ["compress", "cc1"])
+def test_bb_nodes_golden(x86, program):
+    config = AllocatorConfig()
+    nodes = {
+        name: solve(model, config.backend, time_limit=config.time_limit,
+                    presolve=config.presolve).nodes
+        for name, model in suite_models(program, x86).items()
+    }
+    assert nodes == GOLDEN_BB_NODES[program]

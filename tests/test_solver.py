@@ -6,6 +6,7 @@ branch-and-bound against exhaustive enumeration on random small models.
 
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -62,6 +63,24 @@ class TestModel:
         m.fix(x, 1)
         assert m.objective_constant == 7.0
         assert m.n_vars == 0
+
+    def test_fixed_to_one_cost_counted_once(self):
+        # Regression: the fixed variable's cost sat in the constant and
+        # was added again by evaluate/evaluate_free, so every backend
+        # reported 10 here and branch-bound's bound disagreed.
+        m = IPModel()
+        x = m.add_var("x", 5.0)
+        y = m.add_var("y", 1.0)
+        m.fix(x, 1)
+        m.add_constraint([(1, y)], Sense.LE, 1, "c")
+        assert m.evaluate({y.index: 0}) == 5
+        assert m.evaluate({x.index: 1, y.index: 0}) == 5
+        assert m.matrix().evaluate_free(np.zeros(1)) == 5
+        for backend in (solve_with_scipy, solve_with_branch_bound,
+                        solve_brute_force):
+            result = backend(m)
+            assert result.status is SolveStatus.OPTIMAL
+            assert result.objective == 5
 
     def test_fixing_folds_into_constraints(self):
         m = IPModel()
