@@ -44,10 +44,12 @@ and ``--cache [DIR]`` replays previously solved functions from a
 persistent on-disk result cache (default directory ``.repro-cache``,
 LRU-bounded via ``--cache-max-entries`` / ``REPRO_CACHE_MAX_ENTRIES``).
 
-IP models are shrunk by the presolve pipeline before any backend runs;
-``--no-presolve`` (or ``REPRO_PRESOLVE=0``) hands the solver the raw
-model instead.  The flag exists on ``alloc``, ``run``, ``exp``,
-``serve`` (service-wide default) and ``submit`` (per request).
+Presolve is on by default.  The ``scipy`` backend hands the setting
+to HiGHS as its own presolve option; ``branch-bound`` and
+``brute-force`` solve a model shrunk by our presolve pipeline.
+``--no-presolve`` (or ``REPRO_PRESOLVE=0``) turns both off, so the
+backend gets the raw model.  The flag exists on ``alloc``, ``run``,
+``exp``, ``serve`` (service-wide default) and ``submit`` (per request).
 
 Observability flags (accepted before or after the subcommand):
 
@@ -744,8 +746,9 @@ def _add_engine_options(parser) -> None:
 def _add_presolve_option(parser) -> None:
     parser.add_argument(
         "--no-presolve", action="store_true", dest="no_presolve",
-        help="skip the IP model-reduction pipeline (also: "
-             "REPRO_PRESOLVE=0)",
+        help="solve the raw IP model: no HiGHS presolve (scipy) and "
+             "no reduction pipeline (other backends); also "
+             "REPRO_PRESOLVE=0",
     )
 
 

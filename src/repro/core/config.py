@@ -19,9 +19,9 @@ class AllocatorConfig:
     backend: str = "scipy"
     #: per-function solver time limit in seconds (paper: 1024 s)
     time_limit: float = 1024.0
-    #: run the model-reduction pipeline before the backend (semantic
-    #: for fingerprints: reductions change the model the solver sees,
-    #: even though objectives and allocations are equivalent)
+    #: presolve the model: HiGHS's own presolve for ``scipy``, our
+    #: model-reduction pipeline for the other backends (semantic for
+    #: fingerprints: it can change which equal-cost optimum comes back)
     presolve: bool = field(default_factory=presolve_enabled_default)
 
     #: eq. (1) weight of one byte of code growth (paper: 1000)

@@ -13,9 +13,10 @@ those inputs, so
 
 Config fields that cannot affect the produced allocation (validation
 and report collection) are excluded from the digest.  The ``presolve``
-toggle *is* semantic and therefore included: presolve changes the model
-the backend sees (and can change which of several equal-cost optima it
-returns), so presolved and direct solves must never share a cache entry.
+toggle *is* semantic and therefore included: it changes what the
+backend does (HiGHS's own presolve for ``scipy``, our reduction pipeline
+for the other backends), which can change which of several equal-cost
+optima comes back, so the two settings must never share a cache entry.
 
 The cache stores the allocated code itself, so the digest also covers
 the allocator's own version (:data:`ALLOCATOR_VERSION`): a change to
@@ -41,7 +42,7 @@ from ..target import TargetMachine
 #: ``tests/test_replay.py`` pins a digest of the allocator's output on
 #: two suite programs to this number, so a change that forgets the bump
 #: fails there.
-ALLOCATOR_VERSION = 2
+ALLOCATOR_VERSION = 3
 
 #: AllocatorConfig fields with no influence on the allocation itself.
 NON_SEMANTIC_CONFIG_FIELDS = frozenset(

@@ -150,6 +150,21 @@ class SolverStats:
     #: (:meth:`repro.presolve.PresolveSummary.to_dict`); None when the
     #: model went to the backend directly
     presolve: dict | None = None
+    #: LP relaxation optimum in objective units, when the backend
+    #: solved the root LP (HiGHS does); None otherwise
+    root_bound: float | None = None
+
+    @property
+    def root_gap(self) -> float | None:
+        """How far the root bound sits below the objective, as a
+        fraction of the objective (0 when the root LP was integral)."""
+        if self.root_bound is None or self.status not in (
+            "optimal", "feasible"
+        ):
+            return None
+        return (self.objective - self.root_bound) / max(
+            1.0, abs(self.objective)
+        )
 
     @classmethod
     def from_result(cls, result) -> "SolverStats":
@@ -171,6 +186,7 @@ class SolverStats:
                 result.presolve.to_dict()
                 if result.presolve is not None else None
             ),
+            root_bound=result.root_bound,
         )
 
     def to_dict(self) -> dict:
@@ -185,6 +201,8 @@ class SolverStats:
             "objective": self.objective,
             "timed_out": self.timed_out,
             "presolve": dict(self.presolve) if self.presolve else None,
+            "root_bound": self.root_bound,
+            "root_gap": self.root_gap,
         }
 
     @classmethod
@@ -202,6 +220,7 @@ class SolverStats:
             presolve=(
                 dict(d["presolve"]) if d.get("presolve") else None
             ),
+            root_bound=d.get("root_bound"),
         )
 
 

@@ -1,5 +1,9 @@
 """Presolve: shrink the 0-1 IP before the solver sees it.
 
+It runs in front of the ``branch-bound`` and ``brute-force`` backends.
+The ``scipy`` backend gets the model as built and the setting as
+HiGHS's own presolve option (see :func:`repro.solver.solve`).
+
 The passes (each individually toggleable, iterated to a fixpoint):
 
 1. **Implication fixing** — variables forced by constraint slack are

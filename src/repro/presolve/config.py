@@ -2,8 +2,11 @@
 
 Presolve is on by default everywhere (CLI, engine, service, bare
 :func:`repro.solver.solve` calls); setting ``REPRO_PRESOLVE=0`` in the
-environment or passing ``--no-presolve`` disables it.  Each pass is
-individually toggleable so reductions can be ablated and bisected.
+environment or passing ``--no-presolve`` disables it.  For the
+``scipy`` backend only the master switch counts: it becomes HiGHS's own
+presolve option, and our pipeline does not run.  For ``branch-bound``
+and ``brute-force`` each pass is individually toggleable so reductions
+can be ablated and bisected.
 """
 
 from __future__ import annotations

@@ -1,6 +1,7 @@
 """Solving through a reduction: presolve, solve, expand.
 
-This is what :func:`repro.solver.solve` runs when presolve is enabled:
+This is what :func:`repro.solver.solve` runs when presolve is enabled
+for the ``branch-bound`` and ``brute-force`` backends:
 the model is reduced, what remains goes to the backend as one model
 under the remaining time budget, and its solution is expanded back to
 original variable indices.  The returned

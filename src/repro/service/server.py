@@ -141,7 +141,7 @@ class ServiceConfig:
     default_time_limit: float = 64.0
     #: default solver backend
     default_backend: str = "scipy"
-    #: run the IP presolve pipeline unless a request opts out
+    #: presolve IP models unless a request opts out
     default_presolve: bool = True
     #: grace given to open connections to flush after drain, seconds
     stop_grace: float = 2.0

@@ -1,6 +1,8 @@
 """0-1 integer programming: the model layer plus three backends.
 
-* ``scipy-highs`` — the production backend (plays the paper's CPLEX).
+* ``scipy-highs`` — the production backend (plays the paper's CPLEX);
+  it tries the root LP first and calls the MIP only when the root is
+  not integral.
 * ``branch-bound`` — a from-scratch LP-based branch and bound.
 * ``brute-force`` — exhaustive enumeration, the test oracle.
 
@@ -40,10 +42,13 @@ def solve(
 ) -> SolveResult:
     """Solve ``model`` with the named backend.
 
-    ``presolve`` selects the model-reduction pipeline: ``None`` follows
-    the ``REPRO_PRESOLVE`` environment default (on unless set to "0"),
-    a bool forces it on/off, and a
-    :class:`repro.presolve.PresolveConfig` gives full pass control.
+    ``presolve`` is the presolve setting: ``None`` follows the
+    ``REPRO_PRESOLVE`` environment default (on unless set to "0") and a
+    bool forces it on/off.  For ``scipy`` it is HiGHS's own presolve
+    option; our reduction pipeline in front of HiGHS only added time.
+    ``branch-bound`` and ``brute-force`` solve through that pipeline
+    when it is on, and a :class:`repro.presolve.PresolveConfig` gives
+    them per-pass control.
 
     Every call goes through the backend's circuit breaker: after a run
     of consecutive backend failures the breaker opens and calls raise
@@ -81,6 +86,9 @@ def solve(
                 backend=backend,
                 timed_out=True,
             )
+        elif backend == "scipy":
+            result = fn(model, time_limit=time_limit,
+                        presolve=config.enabled)
         elif config.enabled:
             result = solve_reduced(model, fn, backend, time_limit, config)
         else:

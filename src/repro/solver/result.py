@@ -50,6 +50,10 @@ class SolveResult:
     #: through the reduction pipeline; None for a direct backend solve.
     #: (Typed loosely to keep the solver layer import-cycle free.)
     presolve: object | None = None
+    #: optimum of the model's LP relaxation in objective units (the
+    #: objective constant included), when the backend solved it; None
+    #: otherwise
+    root_bound: float | None = None
 
     def value(self, var) -> int:
         return self.values[var.index]

@@ -1,9 +1,39 @@
 """Shared fixtures: small IR functions and targets used across tests."""
 
+import time
+from types import SimpleNamespace
+
 import pytest
 
 from repro.ir import Cond, IRBuilder, Module, SlotKind, verify_function
 from repro.target import risc_target, x86_target
+
+
+@pytest.fixture()
+def highs(monkeypatch):
+    """Record each HiGHS call of the scipy backend in ``highs.calls``
+    as ``(is_mip, options)``; a root LP call sleeps ``highs.lp_delay``
+    seconds first.  In-process solves only: pool workers do not see
+    the recorder."""
+    from repro.solver import scipy_backend
+
+    highs = SimpleNamespace(calls=[], lp_delay=0.0)
+    real = scipy_backend.milp
+
+    def recording(*args, options, integrality=None, **kwargs):
+        highs.calls.append((integrality is not None, dict(options)))
+        if integrality is None:
+            time.sleep(highs.lp_delay)
+        return real(*args, options=options, integrality=integrality,
+                    **kwargs)
+
+    monkeypatch.setattr(scipy_backend, "milp", recording)
+    return highs
+
+
+def highs_presolve(highs) -> set:
+    """The ``presolve`` options HiGHS received so far."""
+    return {options["presolve"] for _, options in highs.calls}
 
 
 @pytest.fixture(scope="session")

@@ -286,7 +286,8 @@ GOLDEN_ROOT_BOUNDS = {
 #: HiGHS branch-and-bound nodes (``solver.bb_nodes``) per function when
 #: each program's models, built with the suite's profiled frequencies,
 #: are solved cold under the suite's solver settings (presolve on).
-#: Every function closes at the root.  Removing the held rows alone
+#: Every function closes at the root, most of them on an integral root
+#: LP with no MIP call.  Removing the held rows alone
 #: leaves these at 1 (HiGHS's own cuts close the gap, only slower), so
 #: the root-bound golden above is what guards the model's strength; this
 #: one pins the search the benchmark's ``solver.bb_nodes`` reports.
@@ -359,13 +360,17 @@ def suite_models(program, target):
 
 
 def root_lp_bound(model) -> float:
-    """Optimum of the LP relaxation of ``model``, in objective units."""
+    """Optimum of the LP relaxation of ``model``, in objective units,
+    cross-checked against the bound the scipy backend reports."""
     m = model.matrix()
     lower, upper = m.row_bounds()
     res = milp(m.cost, constraints=[LinearConstraint(m.a, lower, upper)],
                bounds=Bounds(0, 1))
     assert res.success, res.message
-    return res.fun + m.evaluate_free(np.zeros(m.n_free))
+    bound = res.fun + m.evaluate_free(np.zeros(m.n_free))
+    backend = solve(model, "scipy", time_limit=60).root_bound
+    assert backend == pytest.approx(bound, rel=1e-9, abs=1e-6)
+    return bound
 
 
 @pytest.mark.parametrize("program", ["compress", "cc1"])

@@ -219,7 +219,7 @@ class TestRunReport:
                     backend="branch-bound", status="optimal",
                     solve_seconds=0.5, nodes=7, lp_relaxations=7,
                     incumbents=[(0.1, 99.0), (0.3, 42.0)],
-                    objective=42.0,
+                    objective=42.0, root_bound=40.5,
                 ),
                 cost=CostSplit(
                     total=42.0, cycle_term=30.0, size_term=12.0,
@@ -231,6 +231,8 @@ class TestRunReport:
         )
         back = RunReport.from_json(report.to_json())
         assert back.to_dict() == report.to_dict()
+        assert back.to_dict()["functions"][0]["solver"]["root_gap"] == \
+            pytest.approx(1.5 / 42.0)
         # And it is really JSON all the way down.
         json.loads(report.to_json())
 
@@ -264,6 +266,20 @@ class TestRunReport:
         )
         assert back.functions[0].model.n_constraints == \
             report.model.n_constraints
+
+    def test_report_carries_the_root_gap(self, fn):
+        config = AllocatorConfig(backend="scipy", collect_report=True)
+        alloc = IPAllocator(x86_target(), config).allocate(fn)
+        solver = alloc.report.solver
+        assert solver.root_bound is not None
+        assert solver.root_bound <= solver.objective + 1e-6
+        assert solver.root_gap == pytest.approx(
+            (solver.objective - solver.root_bound)
+            / max(1.0, abs(solver.objective))
+        )
+        row = alloc.report.to_dict()["solver"]
+        assert row["root_bound"] == solver.root_bound
+        assert row["root_gap"] == solver.root_gap
 
     def test_trace_id_stamped_and_round_tripped(self, fn):
         """A caller identity in the config flows into the function

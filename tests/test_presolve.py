@@ -11,6 +11,7 @@ from repro.presolve import (
     resolve_presolve_config,
 )
 from repro.solver import IPModel, Sense, SolveStatus, solve
+from tests.conftest import highs_presolve
 
 
 def model_of(constraints, costs):
@@ -24,16 +25,17 @@ def model_of(constraints, costs):
     return m, xs
 
 
-def assert_equivalent(m, backend="scipy"):
+def assert_equivalent(m, backend="branch-bound"):
     """Presolve on/off agree on status and objective; the presolved
-    solution satisfies the original model."""
+    solution satisfies the original model.  Our pipeline runs in front
+    of every backend but ``scipy``, which hands the setting to HiGHS."""
     on = solve(m, backend=backend, presolve=True)
     off = solve(m, backend=backend, presolve=False)
     assert on.status == off.status
     if off.status.has_solution:
         assert on.objective == pytest.approx(off.objective)
         assert m.check(on.values)
-    assert on.presolve is not None
+    assert (on.presolve is not None) == (backend != "scipy")
     assert off.presolve is None
     return on
 
@@ -233,8 +235,8 @@ class TestReductionMapping:
         d1.pop("seconds"), d2.pop("seconds")
         assert d1 == d2
         assert first.fixed == second.fixed
-        r1 = solve(m, presolve=True)
-        r2 = solve(m, presolve=True)
+        r1 = solve(m, backend="branch-bound", presolve=True)
+        r2 = solve(m, backend="branch-bound", presolve=True)
         assert r1.values == r2.values
 
     def test_original_model_untouched(self):
@@ -256,12 +258,17 @@ class TestConfigPlumbing:
         monkeypatch.setenv(PRESOLVE_ENV, "1")
         assert presolve_enabled_default()
 
-    def test_solve_follows_env(self, monkeypatch):
+    def test_solve_follows_env(self, monkeypatch, highs):
         m, _ = model_of([([(1, "x")], Sense.GE, 1)], {"x": 1.0})
         monkeypatch.setenv(PRESOLVE_ENV, "0")
+        assert solve(m, backend="branch-bound").presolve is None
         assert solve(m).presolve is None
+        assert highs_presolve(highs) == {False}
+        highs.calls.clear()
         monkeypatch.delenv(PRESOLVE_ENV)
-        assert solve(m).presolve is not None
+        assert solve(m, backend="branch-bound").presolve is not None
+        assert solve(m).presolve is None
+        assert highs_presolve(highs) == {True}
 
     def test_resolve_forms(self):
         assert resolve_presolve_config(True).enabled
@@ -306,7 +313,7 @@ class TestSolverWiring:
             ],
             {"a": -1.0, "b": -3.0},
         )
-        result = solve(m, presolve=True)
+        result = solve(m, backend="branch-bound", presolve=True)
         after = snapshot()
         assert result.presolve.pre_constraints == 2
         assert after["presolve.runs"] > before.get("presolve.runs", 0)
@@ -317,7 +324,7 @@ class TestSolverWiring:
 
     def test_fully_presolved_model_skips_backend(self):
         m, _ = model_of([([(1, "x")], Sense.GE, 1)], {"x": 2.0})
-        result = solve(m, presolve=True)
+        result = solve(m, backend="branch-bound", presolve=True)
         assert result.status is SolveStatus.OPTIMAL
         assert result.objective == pytest.approx(2.0)
         assert result.presolve.components == 0

@@ -212,7 +212,7 @@ def test_golden_print_of_a_lowered_suite_function(x86):
 #: sha256 of the printed code and assignment of every IP allocation of
 #: compress and cc1, by the ALLOCATOR_VERSION that produces it
 ALLOCATOR_OUTPUT_DIGESTS = {
-    2: "85b7ff8d3b9b8d897a1758f60392276c2d46dcf77d715fb79f476f1094e6f945",
+    3: "9a19ef02012959b64b1be4d80dba006b8ca096cd89b1ce757c632b0e192b7fe7",
 }
 
 

@@ -39,6 +39,7 @@ from repro.service.protocol import parse_allocate
 from repro.service.scheduler import _Pending
 from repro.solver import BACKENDS
 from repro.target import x86_target
+from tests.conftest import highs_presolve
 
 SOURCE = """
 int helper(int a) { return a * 3; }
@@ -224,12 +225,16 @@ class TestAllocate:
             )
         assert resp["result"]["functions"][0]["status"] == "optimal"
 
-    def test_per_request_presolve_toggle(self, make_server):
-        handle = make_server()
+    def test_per_request_presolve_toggle(self, make_server, highs,
+                                         tmp_path):
+        # the in-process server (jobs=1) solves in this process
+        handle = make_server(cache_dir=str(tmp_path / "cache"))
         with client_for(handle) as client:
             on = ServiceClient.check(
                 client.allocate(source=OTHER_SOURCE, report=True)
             )
+            seen_on = highs_presolve(highs)
+            highs.calls.clear()
             off = ServiceClient.check(
                 client.allocate(
                     source=OTHER_SOURCE, report=True,
@@ -239,7 +244,12 @@ class TestAllocate:
         on_fn = on["result"]["functions"][0]
         off_fn = off["result"]["functions"][0]
         assert on_fn["status"] == off_fn["status"] == "optimal"
-        assert on_fn["report"]["solver"]["presolve"] is not None
+        # the toggle reaches the solve: its own cache key, and HiGHS
+        # runs with its presolve on, then off
+        assert not off_fn["cache_hit"]
+        assert on_fn["fingerprint"] != off_fn["fingerprint"]
+        assert (seen_on, highs_presolve(highs)) == ({True}, {False})
+        assert on_fn["report"]["solver"]["presolve"] is None
         assert off_fn["report"]["solver"]["presolve"] is None
         # presolve must not change what the service hands back
         assert on_fn["report"]["solver"]["objective"] == pytest.approx(

@@ -378,6 +378,101 @@ class TestBackends:
             assert res.timed_out
 
 
+def one_row_model(cost, coef, sense, rhs):
+    m = IPModel("one")
+    x = m.add_var("x", cost)
+    m.add_constraint([(coef, x)], sense, rhs, "row")
+    return m, x
+
+
+def triangle_model():
+    """Three binaries, pairwise ``x_i + x_j <= 1``, cost -1 each: the
+    root LP sets every x to 0.5 (bound -1.5), the optimum is -1."""
+    m = IPModel("triangle")
+    xs = [m.add_var(f"x{i}", -1.0) for i in range(3)]
+    for i in range(3):
+        for j in range(i + 1, 3):
+            m.add_constraint([(1, xs[i]), (1, xs[j])], Sense.LE, 1)
+    return m, xs
+
+
+def mip_calls(highs) -> list[bool]:
+    return [is_mip for is_mip, _ in highs.calls]
+
+
+class TestRootLP:
+    """The scipy backend takes an integral root LP as the optimum only
+    when its rounded vertex is feasible and as cheap as the LP bound."""
+
+    def test_integral_root_skips_the_mip(self, highs):
+        m = IPModel("pick")
+        xs = [m.add_var(f"x{i}", float(c)) for i, c in enumerate([3, 1, 2])]
+        m.add_constraint([(1, x) for x in xs], Sense.EQ, 1)
+        res = solve(m, "scipy")
+        assert res.status is SolveStatus.OPTIMAL
+        assert res.objective == 1.0 and res.values[xs[1].index] == 1
+        assert (res.nodes, res.lp_relaxations) == (1, 1)
+        assert res.root_bound == pytest.approx(1.0)
+        assert mip_calls(highs) == [False]
+
+    def test_fractional_root_falls_back_to_the_mip(self, highs):
+        m, xs = triangle_model()
+        res = solve(m, "scipy")
+        assert res.status is SolveStatus.OPTIMAL
+        assert res.objective == -1.0
+        assert sum(res.values[x.index] for x in xs) == 1
+        assert res.root_bound == pytest.approx(-1.5)
+        assert mip_calls(highs) == [False, True]
+
+    def test_infeasible_rounding_falls_back(self, highs):
+        # the root sets x to 1e-7, integral within the tolerance, but
+        # x = 0 misses the row by 1e-5: only model.check catches it
+        m, x = one_row_model(1.0, 100.0, Sense.GE, 1e-5)
+        res = solve(m, "scipy")
+        assert res.status is SolveStatus.OPTIMAL
+        assert res.values[x.index] == 1 and m.check(res.values)
+        assert mip_calls(highs) == [False, True]
+
+    def test_rounding_above_the_bound_falls_back(self, highs):
+        # x = 1 - 1e-7 rounds to a feasible 1, but costs 1 more than
+        # the LP bound: not a proof of optimality
+        m, x = one_row_model(1e7, 1.0, Sense.GE, 1 - 1e-7)
+        res = solve(m, "scipy")
+        assert res.status is SolveStatus.OPTIMAL
+        assert res.objective == 1e7
+        assert res.root_bound == pytest.approx(1e7 - 1)
+        assert mip_calls(highs) == [False, True]
+
+    def test_near_integral_root_is_fractional(self, highs):
+        # x = 1 - 1e-5 would round to a feasible point within 1e-6 of
+        # the bound; it is still 1e-5 from integral, so the MIP decides
+        m, x = one_row_model(0.01, 1.0, Sense.GE, 1 - 1e-5)
+        res = solve(m, "scipy")
+        assert res.status is SolveStatus.OPTIMAL
+        assert res.values[x.index] == 1
+        assert mip_calls(highs) == [False, True]
+
+    def test_time_limit_is_shared(self, highs):
+        highs.lp_delay = 0.2
+        m, _ = triangle_model()
+        res = solve(m, "scipy", time_limit=5.0)
+        assert res.status is SolveStatus.OPTIMAL
+        (lp, lp_options), (mip, mip_options) = highs.calls
+        assert (lp, mip) == (False, True)
+        assert lp_options["time_limit"] == 5.0
+        assert 0.0 <= mip_options["time_limit"] <= 5.0 - 0.2
+
+    def test_repeat_solves_return_identical_values(self):
+        m, _ = triangle_model()
+        pick = IPModel("pick")
+        xs = [pick.add_var(f"x{i}", 2.0) for i in range(4)]
+        pick.add_constraint([(1, x) for x in xs], Sense.EQ, 2)
+        for model in (m, pick):
+            first, second = solve(model, "scipy"), solve(model, "scipy")
+            assert first.values == second.values
+            assert first.objective == second.objective
+
+
 @st.composite
 def random_models(draw):
     n_vars = draw(st.integers(min_value=1, max_value=8))

@@ -2,12 +2,15 @@
 """CI gate: presolved and direct solves must agree.
 
 Compares two run reports produced by
-``python -m repro exp ... --report-json``::
+``python -m repro alloc FILE --backend branch-bound --report-json``::
 
     python tools/check_presolve_parity.py WITH.json WITHOUT.json
 
 ``WITH.json`` / ``WITHOUT.json`` come from runs with presolve on and
-off (``--no-presolve``).  Fails unless every function appears in both
+off (``--no-presolve``).  Use a backend our pipeline runs in front of
+(``branch-bound``; the ``scipy`` backend hands the setting to HiGHS and
+records no presolve stats) and a program it proves within the time
+limit.  Fails unless every function appears in both
 reports with the same status, objectives match to a relative
 tolerance, the presolved run reduced something, and every presolved
 function records pre/post model sizes.
