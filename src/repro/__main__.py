@@ -44,12 +44,21 @@ and ``--cache [DIR]`` replays previously solved functions from a
 persistent on-disk result cache (default directory ``.repro-cache``,
 LRU-bounded via ``--cache-max-entries`` / ``REPRO_CACHE_MAX_ENTRIES``).
 
+The allocator config flags (``--backend``, ``--time-limit``,
+``--size-only``, ``--no-presolve``) are the rows of
+:data:`repro.core.CONFIG_KNOBS`, the table the service's request
+``config`` is decoded by; each subcommand names the rows it takes.
+They set the run's config on ``alloc``, ``run`` and ``exp``, the
+service-wide default on ``serve`` and one request's ``config`` on
+``submit``.  A flag not given leaves the default: a 64 s time limit
+on the CLI (8 s for ``gateway --spawn``'s shards), the server's own
+for ``submit``.
+
 Presolve is on by default.  The ``scipy`` backend hands the setting
 to HiGHS as its own presolve option; ``branch-bound`` and
 ``brute-force`` solve a model shrunk by our presolve pipeline.
 ``--no-presolve`` (or ``REPRO_PRESOLVE=0``) turns both off, so the
-backend gets the raw model.  The flag exists on ``alloc``, ``run``,
-``exp``, ``serve`` (service-wide default) and ``submit`` (per request).
+backend gets the raw model.
 
 Observability flags (accepted before or after the subcommand):
 
@@ -89,13 +98,11 @@ from . import obs
 from .allocation import render_allocation, validate_allocation
 from .analysis import profiled_frequencies
 from .baseline import GraphColoringAllocator
-from .core import AllocatorConfig, IPAllocator
+from .core import CONFIG_KNOBS, AllocatorConfig, IPAllocator, config_from_wire
 from .engine import DEFAULT_CACHE_DIR, AllocationEngine, EngineConfig
 from .lang import compile_program
 from .obs import FunctionRunReport, RunReport
 from .sim import AllocatedFunction, Interpreter
-from .presolve import presolve_enabled_default
-from .solver import BACKENDS
 from .target import risc_target, x86_target
 
 TARGETS = {
@@ -103,6 +110,10 @@ TARGETS = {
     "x86+ebp": lambda: x86_target(allow_ebp=True),
     "risc": lambda: risc_target(),
 }
+
+#: solver time limit in seconds when ``--time-limit`` is not given
+#: (:class:`AllocatorConfig` keeps the paper's 1024 s)
+CLI_TIME_LIMIT = 64.0
 
 #: ``submit`` exit codes (documented in the module docstring)
 EXIT_OK = 0
@@ -133,25 +144,30 @@ def _resolve_trace_id(args) -> str:
     return ""
 
 
-def _presolve_setting(args) -> bool:
-    """``--no-presolve`` wins; otherwise the REPRO_PRESOLVE default."""
-    if getattr(args, "no_presolve", False):
-        return False
-    return presolve_enabled_default()
+def _wire_config(args) -> dict:
+    """The config flags given on the command line, as a request
+    ``config`` object (see :func:`_add_config_flags`)."""
+    return {
+        knob.key: getattr(args, knob.key)
+        for knob in CONFIG_KNOBS if hasattr(args, knob.key)
+    }
+
+
+def _allocator_config(args) -> AllocatorConfig:
+    """The config flags over the CLI's defaults, stamped with the run's
+    report settings (a service request replaces both stamps)."""
+    return config_from_wire(
+        _wire_config(args),
+        AllocatorConfig(time_limit=CLI_TIME_LIMIT),
+        collect_report=bool(getattr(args, "report_json", None)),
+        trace_id=_resolve_trace_id(args),
+    )
 
 
 def _make_allocator(args, target):
     if args.allocator == "gc":
         return GraphColoringAllocator(target)
-    config = AllocatorConfig(
-        backend=getattr(args, "backend", "scipy"),
-        time_limit=getattr(args, "time_limit", 64.0),
-        presolve=_presolve_setting(args),
-        optimize_size_only=getattr(args, "size_only", False),
-        collect_report=bool(getattr(args, "report_json", None)),
-        trace_id=_resolve_trace_id(args),
-    )
-    return IPAllocator(target, config)
+    return IPAllocator(target, _allocator_config(args))
 
 
 def _default_jobs() -> int:
@@ -303,11 +319,7 @@ def cmd_experiments(args) -> int:
     )
 
     target = x86_target()
-    config = AllocatorConfig(
-        time_limit=args.time_limit,
-        presolve=_presolve_setting(args),
-        trace_id=_resolve_trace_id(args),
-    )
+    config = _allocator_config(args)
     if args.bench:
         benchmarks = [load_benchmark(name) for name in args.bench]
     elif args.fast:
@@ -354,9 +366,7 @@ def cmd_serve(args) -> int:
         cache_namespace_max_entries=args.cache_namespace_max_entries,
         shard_id=args.shard_id,
         default_target=args.target,
-        default_time_limit=args.time_limit,
-        default_backend=args.backend,
-        default_presolve=_presolve_setting(args),
+        defaults=_allocator_config(args),
         faults=getattr(args, "faults", None),
         metrics_port=args.metrics_port,
         fast_slo_ms=args.fast_slo_ms,
@@ -429,12 +439,8 @@ def cmd_gateway(args) -> int:
         host=args.host,
         port=args.port,
         shards=shards,
-        replicas=args.replicas,
         probe_interval=args.probe_interval,
-        probe_timeout=args.probe_timeout,
         breaker_threshold=args.breaker_threshold,
-        breaker_reset=args.breaker_reset,
-        proxy_timeout=args.proxy_timeout,
         state_file=args.state_file or "",
         replicate=max(0, args.replicate),
     )
@@ -485,15 +491,7 @@ def _allocate_request(args) -> dict | None:
         return None
     with open(args.file) as handle:
         text = handle.read()
-    config = {}
-    if args.backend is not None:
-        config["backend"] = args.backend
-    if args.time_limit is not None:
-        config["time_limit"] = args.time_limit
-    if args.size_only:
-        config["size_only"] = True
-    if args.no_presolve:
-        config["presolve"] = False
+    config = _wire_config(args)
     return dict(
         source=None if args.ir else text,
         ir=text if args.ir else None,
@@ -743,13 +741,24 @@ def _add_engine_options(parser) -> None:
     )
 
 
-def _add_presolve_option(parser) -> None:
-    parser.add_argument(
-        "--no-presolve", action="store_true", dest="no_presolve",
-        help="solve the raw IP model: no HiGHS presolve (scipy) and "
-             "no reduction pipeline (other backends); also "
-             "REPRO_PRESOLVE=0",
-    )
+def _add_config_flags(parser, *keys) -> None:
+    """Flags for the :data:`~repro.core.CONFIG_KNOBS` rows named by
+    ``keys`` (wire keys).
+
+    Each flag stores its value under the row's wire key, and only when
+    given, so an omitted flag leaves the default in force: the CLI's,
+    or for ``submit`` the server's.
+    """
+    for knob in CONFIG_KNOBS:
+        if knob.key not in keys:
+            continue
+        kw = {"dest": knob.key, "default": argparse.SUPPRESS,
+              "help": knob.help}
+        if knob.kind is bool:
+            kw.update(action="store_const", const=knob.flag_value)
+        else:
+            kw.update(type=knob.kind, choices=knob.choices or None)
+        parser.add_argument(knob.flag, **kw)
 
 
 def _add_faults_option(parser) -> None:
@@ -789,7 +798,8 @@ def _add_obs_options(parser, top_level: bool) -> None:
     )
 
 
-def main(argv=None) -> int:
+def build_parser() -> argparse.ArgumentParser:
+    """The ``repro`` argument parser, every subcommand included."""
     parser = argparse.ArgumentParser(
         prog="repro",
         description="IP register allocation for irregular "
@@ -805,12 +815,9 @@ def main(argv=None) -> int:
                          default="ip")
     p_alloc.add_argument("--target", choices=sorted(TARGETS),
                          default="x86")
-    p_alloc.add_argument("--backend",
-                         choices=sorted(BACKENDS),
-                         default="scipy")
-    p_alloc.add_argument("--size-only", action="store_true")
-    p_alloc.add_argument("--time-limit", type=float, default=64.0)
-    _add_presolve_option(p_alloc)
+    _add_config_flags(
+        p_alloc, "backend", "time_limit", "size_only", "presolve"
+    )
     _add_faults_option(p_alloc)
     _add_engine_options(p_alloc)
     _add_obs_options(p_alloc, top_level=False)
@@ -824,10 +831,7 @@ def main(argv=None) -> int:
                        default="ip")
     p_run.add_argument("--target", choices=sorted(TARGETS),
                        default="x86")
-    p_run.add_argument("--backend",
-                       choices=sorted(BACKENDS),
-                       default="scipy")
-    _add_presolve_option(p_run)
+    _add_config_flags(p_run, "backend", "presolve")
     _add_faults_option(p_run)
     _add_obs_options(p_run, top_level=False)
     p_run.set_defaults(func=cmd_run)
@@ -841,8 +845,7 @@ def main(argv=None) -> int:
         "--bench", action="append", metavar="NAME", default=None,
         help="run only the named benchmark (repeatable)",
     )
-    p_exp.add_argument("--time-limit", type=float, default=64.0)
-    _add_presolve_option(p_exp)
+    _add_config_flags(p_exp, "time_limit", "presolve")
     _add_faults_option(p_exp)
     _add_engine_options(p_exp)
     _add_obs_options(p_exp, top_level=False)
@@ -873,9 +876,7 @@ def main(argv=None) -> int:
                          default="x86",
                          help="target assumed when a request names "
                               "none")
-    p_serve.add_argument("--backend", choices=sorted(BACKENDS),
-                         default="scipy")
-    p_serve.add_argument("--time-limit", type=float, default=64.0)
+    _add_config_flags(p_serve, "backend", "time_limit", "presolve")
     p_serve.add_argument("--metrics-port", type=int, default=None,
                          metavar="P",
                          help="serve Prometheus text on an HTTP "
@@ -900,7 +901,6 @@ def main(argv=None) -> int:
                          help="per-tenant LRU bound on cache "
                               "namespaces (default: "
                               "--cache-max-entries)")
-    _add_presolve_option(p_serve)
     _add_faults_option(p_serve)
     _add_engine_options(p_serve)
     _add_obs_options(p_serve, top_level=False)
@@ -926,31 +926,17 @@ def main(argv=None) -> int:
                            metavar="DIR",
                            help="root for per-spawned-shard cache "
                                 "directories (DIR/shard-N)")
-    p_gateway.add_argument("--time-limit", type=float, default=8.0,
-                           help="solver time limit for spawned "
-                                "shards")
-    p_gateway.add_argument("--replicas", type=int, default=128,
-                           metavar="N",
-                           help="virtual nodes per shard on the "
-                                "hash ring")
+    # the spawned shards' solver time limit
+    _add_config_flags(p_gateway, "time_limit")
+    p_gateway.set_defaults(time_limit=8.0)
     p_gateway.add_argument("--probe-interval", type=float,
                            default=2.0, metavar="S",
                            help="seconds between shard health "
                                 "probes")
-    p_gateway.add_argument("--probe-timeout", type=float,
-                           default=5.0, metavar="S")
     p_gateway.add_argument("--breaker-threshold", type=int,
                            default=3, metavar="N",
                            help="consecutive failures before a "
                                 "shard's breaker opens")
-    p_gateway.add_argument("--breaker-reset", type=float,
-                           default=5.0, metavar="S",
-                           help="seconds an open breaker waits "
-                                "before the half-open probe")
-    p_gateway.add_argument("--proxy-timeout", type=float,
-                           default=300.0, metavar="S",
-                           help="per-attempt socket timeout toward "
-                                "a shard")
     p_gateway.add_argument("--state-file", default="",
                            metavar="PATH",
                            help="journal ring membership to PATH on "
@@ -995,12 +981,9 @@ def main(argv=None) -> int:
     p_submit.add_argument("--target", choices=sorted(TARGETS),
                           default=None,
                           help="(default: the server's)")
-    p_submit.add_argument("--backend", choices=sorted(BACKENDS),
-                          default=None,
-                          help="(default: the server's)")
-    p_submit.add_argument("--time-limit", type=float, default=None)
-    p_submit.add_argument("--size-only", action="store_true")
-    _add_presolve_option(p_submit)
+    _add_config_flags(
+        p_submit, "backend", "time_limit", "size_only", "presolve"
+    )
     p_submit.add_argument("--ir", action="store_true",
                           help="FILE is printed IR, not mini-C")
     p_submit.add_argument("--deadline", type=float, default=None,
@@ -1034,7 +1017,11 @@ def main(argv=None) -> int:
                           help="print the raw JSON response")
     _add_obs_options(p_submit, top_level=False)
     p_submit.set_defaults(func=cmd_submit)
+    return parser
 
+
+def main(argv=None) -> int:
+    parser = build_parser()
     args = parser.parse_args(argv)
     if getattr(args, "faults", None):
         from .faults import set_injector

@@ -1,5 +1,5 @@
 """Program analyses shared by both allocators: CFG, dominators, loops,
-liveness, webs, interference, execution frequency."""
+liveness, interference, execution frequency."""
 
 from .cfg import CFG, build_cfg, dominates, immediate_dominators
 from .frequency import (
@@ -11,7 +11,6 @@ from .frequency import (
 from .interference import InterferenceGraph, build_interference
 from .liveness import Liveness, compute_liveness
 from .loops import Loop, LoopInfo, find_loops
-from .webs import split_webs
 
 __all__ = [
     "CFG",
@@ -28,6 +27,5 @@ __all__ = [
     "find_loops",
     "immediate_dominators",
     "profiled_frequencies",
-    "split_webs",
     "static_frequencies",
 ]

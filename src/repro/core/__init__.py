@@ -4,7 +4,13 @@ overlapping registers, encoding irregularities, predefined memory)."""
 
 from .allocator import IPAllocator
 from .analysis_module import NetworkIndex, ORAAnalysis, SiteVars, UseSite
-from .config import AllocatorConfig
+from .config import (
+    CONFIG_KNOBS,
+    AllocatorConfig,
+    ConfigKnob,
+    config_from_wire,
+    config_to_wire,
+)
 from .costmodel import CostModel
 from .operands import (
     Position,
@@ -21,7 +27,9 @@ __all__ = [
     "ActionKind",
     "ActionRecord",
     "AllocatorConfig",
+    "CONFIG_KNOBS",
     "CoalesceCandidate",
+    "ConfigKnob",
     "CostModel",
     "DecisionVariableTable",
     "IPAllocator",
@@ -34,6 +42,8 @@ __all__ = [
     "UseSite",
     "allowed_registers",
     "cmemud_position",
+    "config_from_wire",
+    "config_to_wire",
     "find_predefined_candidates",
     "operand_positions",
     "solve_allocation",

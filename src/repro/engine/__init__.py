@@ -36,6 +36,7 @@ from .fingerprint import (
     frequency_signature,
     target_signature,
 )
+from .pool import SolverPool
 
 __all__ = [
     "ALLOCATOR_VERSION",
@@ -50,6 +51,7 @@ __all__ = [
     "NAMESPACE_DIR",
     "NON_SEMANTIC_CONFIG_FIELDS",
     "ResultCache",
+    "SolverPool",
     "allocation_fingerprint",
     "config_signature",
     "default_max_entries",

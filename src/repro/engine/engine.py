@@ -42,12 +42,7 @@ from __future__ import annotations
 import math
 import os
 import time
-from concurrent.futures import (
-    FIRST_COMPLETED,
-    BrokenExecutor,
-    ProcessPoolExecutor,
-    wait,
-)
+from concurrent.futures import FIRST_COMPLETED, BrokenExecutor, wait
 from dataclasses import dataclass, field
 
 from ..allocation import Allocation, AllocationError, validate_allocation
@@ -91,6 +86,7 @@ from ..telemetry import (
 )
 from .cache import CacheRecord, ResultCache
 from .fingerprint import allocation_fingerprint
+from .pool import SolverPool
 
 #: where ``--cache`` without an argument puts its records
 DEFAULT_CACHE_DIR = ".repro-cache"
@@ -373,17 +369,13 @@ class AllocationEngine:
         engine_config: EngineConfig | None = None,
         *,
         cache: ResultCache | None = None,
-        executor: ProcessPoolExecutor | None = None,
-        executor_respawn=None,
+        pool: SolverPool | None = None,
     ) -> None:
-        """``cache`` and ``executor``, when given, are externally owned
+        """``cache`` and ``pool``, when given, are externally owned
         and shared: the engine uses them but never shuts them down.
         The allocation service passes both so every request of a server
-        lifetime reuses one process pool and one result cache.
-        ``executor_respawn``, for shared pools, is a callable the owner
-        provides to replace a broken pool: it receives the executor
-        that broke and returns the replacement (or None if replacement
-        is impossible)."""
+        lifetime reuses one process pool and one result cache.  Without
+        ``pool`` the engine makes its own for each parallel solve."""
         self.target = target
         self.config = config or AllocatorConfig()
         self.engine_config = engine_config or EngineConfig()
@@ -397,8 +389,7 @@ class AllocationEngine:
                 )
                 if self.engine_config.cache_dir else None
             )
-        self._shared_executor = executor
-        self._executor_respawn = executor_respawn
+        self._pool = pool
 
     # -- public API ------------------------------------------------------
 
@@ -654,19 +645,14 @@ class AllocationEngine:
         # somehow surfaces twice across crash-retry waves must not
         # double-count its counter/histogram deltas.
         merged_tokens: set[str] = set()
-        if self._shared_executor is not None:
-            executor = self._shared_executor
-        else:
-            try:
-                executor = ProcessPoolExecutor(max_workers=workers)
-            except (OSError, ValueError):
-                # Restricted environment (no semaphores/fork): degrade
-                # to in-process solving rather than failing the run.
-                for job in jobs:
-                    outcomes[job.index] = self._solve_local(
-                        job, baseline
-                    )
-                return
+        pool = self._pool or SolverPool(workers)
+        executor = pool.executor
+        if executor is None:
+            # Restricted environment (no semaphores/fork): degrade to
+            # in-process solving rather than failing the run.
+            for job in jobs:
+                outcomes[job.index] = self._solve_local(job, baseline)
+            return
         try:
             wave = [(job, 0) for job in jobs]
             wave_no = 0
@@ -719,7 +705,7 @@ class AllocationEngine:
                     retry.sleep(
                         wave[0][1] - 1, salt=wave[0][0].fingerprint
                     )
-                    executor = self._respawn_executor(executor, workers)
+                    executor = pool.replace(executor)
                     if executor is None:
                         # No pool to retry in: finish the casualties in
                         # this process instead.
@@ -729,8 +715,8 @@ class AllocationEngine:
                             )
                         wave = []
         finally:
-            if self._shared_executor is None and executor is not None:
-                executor.shutdown(wait=False, cancel_futures=True)
+            if pool is not self._pool:
+                pool.shutdown()
 
     def _final_attempt(
         self, job: _Job, attempt: int, baseline
@@ -752,30 +738,6 @@ class AllocationEngine:
                 job, self._failed_allocation(job), False, 0, baseline
             )
         return self._solve_local(job, baseline)
-
-    def _respawn_executor(
-        self, executor: ProcessPoolExecutor, workers: int
-    ) -> ProcessPoolExecutor | None:
-        """Replace a broken pool (or hand back a healthy shared one)."""
-        if self._shared_executor is None:
-            executor.shutdown(wait=False, cancel_futures=True)
-            try:
-                fresh = ProcessPoolExecutor(max_workers=workers)
-            except (OSError, ValueError):
-                return None
-            counter("resilience.pool_respawns").incr()
-            return fresh
-        # Shared pool: only the owner may replace it.
-        if self._executor_respawn is None:
-            return None
-        try:
-            fresh = self._executor_respawn(executor)
-        except Exception:
-            return None
-        if fresh is not None and fresh is not self._shared_executor:
-            counter("resilience.pool_respawns").incr()
-            self._shared_executor = fresh
-        return fresh
 
     def _deadline(self, n_jobs: int, workers: int) -> float | None:
         """Wall-clock budget for the whole pool drain."""

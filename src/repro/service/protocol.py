@@ -72,10 +72,10 @@ service never silently drops an accepted request.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from ..allocation import allocation_code_size, render_allocation
-from ..core import AllocatorConfig
+from ..core import AllocatorConfig, config_from_wire
 from ..ir import format_function
 from ..tiers import TIER_BASELINE, TIER_IP
 
@@ -113,17 +113,6 @@ ERROR_CODES = (
     E_OVERLOADED, E_DRAINING, E_BAD_REQUEST, E_PARSE, E_UNKNOWN_VERB,
     E_INTERNAL, E_TOO_LARGE, E_CANCELLED, E_UNAVAILABLE,
 )
-
-#: request ``config`` keys -> AllocatorConfig field (whitelist: the
-#: service only exposes knobs that are safe per request)
-CONFIG_FIELDS = {
-    "backend": "backend",
-    "time_limit": "time_limit",
-    "size_only": "optimize_size_only",
-    "presolve": "presolve",
-    "code_size_weight": "code_size_weight",
-    "data_size_weight": "data_size_weight",
-}
 
 #: largest accepted request line (also the asyncio stream limit)
 MAX_LINE_BYTES = 8 * 1024 * 1024
@@ -184,50 +173,18 @@ def error_response(
 def request_config(
     message: dict, defaults: AllocatorConfig
 ) -> AllocatorConfig:
-    """Build the per-request :class:`AllocatorConfig`.
-
-    Starts from the server defaults and applies the whitelisted
-    ``config`` overrides; unknown keys are a ``bad_request`` so typos
-    fail loudly instead of silently running with defaults.
-    """
-    overrides = message.get("config") or {}
-    if not isinstance(overrides, dict):
-        raise ProtocolError(E_BAD_REQUEST, "config must be an object")
-    unknown = sorted(set(overrides) - set(CONFIG_FIELDS))
-    if unknown:
-        raise ProtocolError(
-            E_BAD_REQUEST,
-            f"unknown config keys: {', '.join(unknown)} "
-            f"(allowed: {', '.join(sorted(CONFIG_FIELDS))})",
+    """Build the per-request :class:`AllocatorConfig`: the server
+    defaults with the ``config`` object's knobs (the table
+    :data:`~repro.core.CONFIG_KNOBS`) applied.  A non-object, an
+    unknown key or an ill-typed value is a ``bad_request``."""
+    try:
+        return config_from_wire(
+            message.get("config"), defaults,
+            trace_id=str(message.get("trace_id", "") or ""),
+            collect_report=bool(message.get("report", False)),
         )
-    kwargs = {}
-    for key, value in overrides.items():
-        field_name = CONFIG_FIELDS[key]
-        if field_name in ("backend",):
-            if not isinstance(value, str):
-                raise ProtocolError(
-                    E_BAD_REQUEST, f"config.{key} must be a string"
-                )
-            kwargs[field_name] = value
-        elif field_name in ("optimize_size_only", "presolve"):
-            kwargs[field_name] = bool(value)
-        else:
-            try:
-                kwargs[field_name] = float(value)
-            except (TypeError, ValueError):
-                raise ProtocolError(
-                    E_BAD_REQUEST, f"config.{key} must be a number"
-                ) from None
-    config = replace(defaults, **kwargs)
-    config.trace_id = str(message.get("trace_id", "") or "")
-    config.collect_report = bool(message.get("report", False))
-    return config
-
-
-def config_to_wire(config: AllocatorConfig) -> dict:
-    """The request ``config`` object that :func:`request_config` reads
-    back into ``config``'s whitelisted fields."""
-    return {key: getattr(config, name) for key, name in CONFIG_FIELDS.items()}
+    except ValueError as exc:
+        raise ProtocolError(E_BAD_REQUEST, str(exc)) from None
 
 
 def allocation_entry(
@@ -328,13 +285,11 @@ def parse_allocate(
     defaults: AllocatorConfig,
     trace_id: str,
     targets: dict,
-    backends,
 ) -> AllocateRequest:
     """Validate and compile an ``allocate`` request.
 
     ``targets`` maps target names to factories (the CLI's TARGETS
-    table); ``backends`` is the set of legal solver backend names.
-    Raises :class:`ProtocolError` on any defect.
+    table).  Raises :class:`ProtocolError` on any defect.
     """
     from ..ir import parse_module
     from ..lang import compile_program
@@ -356,12 +311,6 @@ def parse_allocate(
         )
     config = request_config(message, defaults)
     config.trace_id = trace_id
-    if config.backend not in backends:
-        raise ProtocolError(
-            E_BAD_REQUEST,
-            f"unknown backend {config.backend!r} "
-            f"(known: {', '.join(sorted(backends))})",
-        )
     deadline = message.get("deadline")
     if deadline is not None:
         try:

@@ -44,13 +44,14 @@ import asyncio
 import json
 import threading
 import time
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 from ..engine import (
     AllocationEngine,
     EngineConfig,
     ResultCache,
+    SolverPool,
     config_signature,
 )
 from ..faults import breaker_snapshots
@@ -107,9 +108,6 @@ GAUGE_IN_FLIGHT = define_gauge(
 )
 STAT_CANCELLED = define_counter(
     "service.cancelled", "queued requests removed by the cancel verb"
-)
-STAT_POOL_RESPAWNS = define_counter(
-    "service.pool_respawns", "shared process pools replaced after a break"
 )
 HIST_QUEUE_WAIT = define_histogram(
     "service.queue_wait", "seconds a request waited for a solver slot"
@@ -183,7 +181,7 @@ class BatchScheduler:
         self._ns_caches: dict[str, ResultCache] = {}
         self._ns_lock = threading.Lock()
         self.jobs = max(1, config.jobs)
-        self._pool: ProcessPoolExecutor | None = None
+        self._pool: SolverPool | None = None
         self._solver: ThreadPoolExecutor | None = None
         self._engines: dict[tuple, AllocationEngine] = {}
         self._engine_lock = threading.Lock()
@@ -230,9 +228,8 @@ class BatchScheduler:
         self._room = asyncio.Event()
         self._room.set()
         if self.jobs > 1:
-            try:
-                self._pool = ProcessPoolExecutor(max_workers=self.jobs)
-            except (OSError, ValueError):
+            self._pool = SolverPool(self.jobs)
+            if self._pool.executor is None:
                 # Restricted environment: solve in-process instead.
                 self._pool = None
                 self.jobs = 1
@@ -268,7 +265,7 @@ class BatchScheduler:
             self._solver.shutdown(wait=True, cancel_futures=True)
             self._solver = None
         if self._pool is not None:
-            self._pool.shutdown(wait=False, cancel_futures=True)
+            self._pool.shutdown()
             self._pool = None
 
     # -- admission (event-loop thread) -----------------------------------
@@ -605,30 +602,8 @@ class BatchScheduler:
             config,
             EngineConfig(jobs=self.jobs, fallback=True),
             cache=self.cache_for(tenant),
-            executor=self._pool,
-            executor_respawn=self._respawn_pool,
+            pool=self._pool,
         )
-
-    def _respawn_pool(self, broken) -> ProcessPoolExecutor | None:
-        """Engine callback: replace the shared pool after it broke.
-
-        ``broken`` is the pool the calling engine saw fail; if another
-        engine already replaced it, hand back the current one instead
-        of churning pools.  Cached engines hold the dead pool, so they
-        are dropped and rebuilt lazily.
-        """
-        with self._engine_lock:
-            if self._pool is not None and self._pool is not broken:
-                return self._pool
-            if self._pool is not None:
-                self._pool.shutdown(wait=False, cancel_futures=True)
-            try:
-                self._pool = ProcessPoolExecutor(max_workers=self.jobs)
-                STAT_POOL_RESPAWNS.incr()
-            except (OSError, ValueError):
-                self._pool = None
-            self._engines.clear()
-            return self._pool
 
     def _engine_for(self, pending: _Pending) -> AllocationEngine:
         req = pending.request

@@ -34,7 +34,7 @@ import signal
 import threading
 import time
 import uuid
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .. import obs
 from ..core import AllocatorConfig
@@ -49,7 +49,6 @@ from ..faults import (
     should_fire,
 )
 from ..obs import Span, define_counter
-from ..solver import BACKENDS
 from ..telemetry import (
     PROM_CONTENT_TYPE,
     MetricsHTTPServer,
@@ -137,12 +136,10 @@ class ServiceConfig:
     shard_id: str = ""
     #: target assumed when a request names none
     default_target: str = "x86"
-    #: solver time limit assumed when a request sets none
-    default_time_limit: float = 64.0
-    #: default solver backend
-    default_backend: str = "scipy"
-    #: presolve IP models unless a request opts out
-    default_presolve: bool = True
+    #: allocator config a request's ``config`` knobs override
+    defaults: AllocatorConfig = field(
+        default_factory=lambda: AllocatorConfig(time_limit=64.0)
+    )
     #: grace given to open connections to flush after drain, seconds
     stop_grace: float = 2.0
     #: largest accepted request line in bytes (over it: ``too_large``;
@@ -499,19 +496,13 @@ class AllocationServer:
     ) -> dict:
         trace_id = str(message.get("trace_id") or "") or \
             f"req-{next(self._trace_seq):06d}-{uuid.uuid4().hex[:6]}"
-        defaults = AllocatorConfig(
-            backend=self.config.default_backend,
-            time_limit=self.config.default_time_limit,
-            presolve=self.config.default_presolve,
-        )
         try:
             request = parse_allocate(
                 message,
                 self.config.default_target,
-                defaults,
+                self.config.defaults,
                 trace_id,
                 self.targets,
-                BACKENDS,
             )
             # A lifecycle trace exists only when the client asked for
             # one (its own trace_id or "trace": true) — untraced

@@ -43,7 +43,7 @@ from collections import OrderedDict
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from ..core import AllocatorConfig
+from ..core import AllocatorConfig, config_to_wire
 from ..faults import SITE_JOURNAL_TORN_WRITE, should_fire
 from ..ir import format_function, parse_module
 from ..obs import Span, capture, define_counter, define_gauge, trace_phase
@@ -59,7 +59,6 @@ from .protocol import (
     E_INTERNAL,
     allocate_reply,
     allocation_entry,
-    config_to_wire,
     outcome_entry,
     request_config,
 )

@@ -1,4 +1,4 @@
-"""Tests for loop detection, frequency estimation and web splitting."""
+"""Tests for loop detection and frequency estimation."""
 
 from repro.analysis import (
     STATIC_LOOP_WEIGHT,
@@ -6,7 +6,6 @@ from repro.analysis import (
     compute_liveness,
     find_loops,
     profiled_frequencies,
-    split_webs,
     static_frequencies,
 )
 from repro.ir import Cond, IRBuilder, SlotKind, verify_function
@@ -93,46 +92,3 @@ class TestFrequencies:
         fn = loop_sum_module.functions["sum"]
         freq = profiled_frequencies(fn, {})
         assert 0 < freq.of("body") < 1
-
-
-class TestWebs:
-    def test_disjoint_reuses_split(self):
-        # t is used as two completely independent temporaries.
-        b = IRBuilder("w")
-        pn = b.slot("n", kind=SlotKind.PARAM)
-        b.block("entry")
-        n = b.load(pn)
-        t = b.vreg("t")
-        from repro.ir import Immediate, Instr, Opcode, I32
-
-        b.emit(Instr(Opcode.LI, dst=t, srcs=(Immediate(1, I32),)))
-        a = b.add(t, n, hint="a")
-        b.emit(Instr(Opcode.LI, dst=t, srcs=(Immediate(2, I32),)))
-        c = b.add(t, a, hint="c")
-        b.ret(c)
-        fn = b.done()
-        verify_function(fn)
-        created = split_webs(fn)
-        assert created == 2  # both independent webs get fresh names
-        verify_function(fn)
-
-    def test_loop_carried_not_split(self, loop_sum_module):
-        fn = loop_sum_module.functions["sum"]
-        before = {v.name for v in fn.vregs()}
-        split_webs(fn)
-        after = {v.name for v in fn.vregs()}
-        assert before == after  # phi-connected defs form one web
-        verify_function(fn)
-
-    def test_semantics_preserved(self):
-        from repro.bench.generator import GeneratorConfig, generate_module
-
-        module = generate_module(
-            123, GeneratorConfig(n_functions=2, body_statements=(3, 6))
-        )
-        ref = Interpreter(module).run("main", [4]).return_value
-        for fn in module:
-            split_webs(fn)
-            verify_function(fn)
-        got = Interpreter(module).run("main", [4]).return_value
-        assert got == ref

@@ -25,7 +25,7 @@ from pathlib import Path
 import pytest
 
 from repro.__main__ import EXIT_UNAVAILABLE, main as repro_main
-from repro.core import AllocatorConfig
+from repro.core import CONFIG_KNOBS, AllocatorConfig
 from repro.engine import AllocationEngine, ResultCache, config_signature
 from repro.faults import FaultPlan, RetryPolicy, set_injector
 from repro.gateway import (
@@ -44,7 +44,6 @@ from repro.service import (
     ServiceConfig,
     UpgradeJournal,
 )
-from repro.service.protocol import CONFIG_FIELDS
 from repro.service.tenancy import TenantTally
 from repro.service.upgrades import (
     JOURNAL_NAME,
@@ -186,8 +185,9 @@ def test_serialize_job_round_trip_keeps_every_config_field(tmp_path):
     default = AllocatorConfig()
     # The round trip below would be vacuous for a field left at its
     # default, so every wire field is set away from it.
-    for name in CONFIG_FIELDS.values():
-        assert getattr(job.config, name) != getattr(default, name), name
+    for knob in CONFIG_KNOBS:
+        field = knob.field
+        assert getattr(job.config, field) != getattr(default, field), field
     entry = json.loads(json.dumps(serialize_job(job)))
     rebuilt = _fast_tier(tmp_path)._job_from_journal(entry)
     assert rebuilt is not None and rebuilt.recovered

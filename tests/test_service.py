@@ -37,7 +37,6 @@ from repro.service import (
 )
 from repro.service.protocol import parse_allocate
 from repro.service.scheduler import _Pending
-from repro.solver import BACKENDS
 from repro.target import x86_target
 from tests.conftest import highs_presolve
 
@@ -159,6 +158,8 @@ class TestProtocolBasics:
                  "config": {"bogus_knob": 1}},
                 {"verb": "allocate", "source": SOURCE,
                  "config": {"backend": "not-a-backend"}},
+                {"verb": "allocate", "source": SOURCE,
+                 "config": {"presolve": "no"}},
                 {"verb": "allocate", "source": SOURCE,
                  "deadline": -1},
                 {"verb": "allocate", "source": "int ) broken {"},
@@ -383,7 +384,6 @@ class TestCacheSharing:
                 request=parse_allocate(
                     {"source": source}, "x86",
                     AllocatorConfig(time_limit=64.0), f"t{i}", targets,
-                    BACKENDS,
                 ),
                 future=None,
             )
