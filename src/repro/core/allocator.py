@@ -12,7 +12,7 @@ Every stage is wrapped in an observability phase span
 allocation comes back with a :class:`repro.obs.FunctionRunReport`
 attached: per-phase wall times, IP model size by §5 feature class,
 solver statistics, and the solved objective split into the §4
-``A*cycle + B*size`` terms.
+``A*cycle + B*size + C*data`` terms, priced from the emitted code.
 """
 
 from __future__ import annotations
@@ -74,6 +74,10 @@ class IPAllocator:
         freq: ExecutionFrequencies | None = None,
     ):
         """Run only the analysis module (model statistics, Fig. 9)."""
+        work, _, model, table, index = self._build(fn, freq)
+        return work, model, table, index
+
+    def _build(self, fn: Function, freq: ExecutionFrequencies | None):
         with trace_phase("lower"):
             work = clone_function(fn)
             lower_for_target(work, self.target)
@@ -84,7 +88,7 @@ class IPAllocator:
             analysis = ORAAnalysis(work, self.target, cost, self.config)
             model, table, index = analysis.build()
         STAT_MODELS.incr()
-        return work, model, table, index
+        return work, cost, model, table, index
 
     def allocate(
         self,
@@ -104,17 +108,18 @@ class IPAllocator:
         STAT_FUNCTIONS.incr()
         if not self.config.collect_report:
             with trace_phase("ip-allocate", function=fn.name):
-                alloc, _, _, _ = self._allocate(fn, freq, solve_override)
+                alloc, *_ = self._allocate(fn, freq, solve_override)
             return alloc
 
         counters_before = snapshot()
         with capture() as cap:
             with trace_phase("ip-allocate", function=fn.name):
-                alloc, model, table, result = self._allocate(
+                alloc, model, table, result, split = self._allocate(
                     fn, freq, solve_override
                 )
         alloc.report = self._build_report(
-            fn, alloc, model, table, result, cap.spans, counters_before
+            fn, alloc, model, table, result, split, cap.spans,
+            counters_before,
         )
         return alloc
 
@@ -125,12 +130,13 @@ class IPAllocator:
         solve_override=None,
     ):
         """The pipeline proper; returns (allocation, model, table,
-        solve result), the latter three ``None`` where unreached."""
+        solve result, cost split), the latter four ``None`` where
+        unreached.  The split is priced only for run reports."""
         try:
-            work, model, table, index = self.build_model(fn, freq)
+            work, cost, model, table, index = self._build(fn, freq)
         except InfeasibleModel:
             STAT_FAILED.incr()
-            return self._failed(fn, "failed"), None, None, None
+            return self._failed(fn, "failed"), None, None, None, None
 
         if solve_override is not None:
             result = solve_override(model, table)
@@ -142,8 +148,14 @@ class IPAllocator:
             alloc.n_variables = model.n_vars
             alloc.n_constraints = model.n_constraints
             alloc.solve_seconds = result.solve_seconds
-            return alloc, model, table, result
+            return alloc, model, table, result, None
 
+        # The rewrite edits ``work`` in place: price the lowered code
+        # first.
+        lowered = (
+            cost.price(work, self.target)
+            if self.config.collect_report else None
+        )
         t_rewrite = time.perf_counter()
         with trace_phase("rewrite"):
             rewrite = ORARewrite(
@@ -153,7 +165,9 @@ class IPAllocator:
                 function, assignment, stats = rewrite.apply()
             except RewriteError:
                 STAT_FAILED.incr()
-                return self._failed(fn, "failed"), model, table, result
+                return (
+                    self._failed(fn, "failed"), model, table, result, None
+                )
         HIST_REWRITE.observe(time.perf_counter() - t_rewrite)
         STAT_REWRITES.incr()
 
@@ -183,10 +197,18 @@ class IPAllocator:
         if self.config.validate:
             with trace_phase("validate"):
                 validate_allocation(alloc, self.target)
-        return alloc, model, table, result
+        split = None
+        if lowered is not None:
+            final = cost.price(function, self.target, assignment)
+            split = CostSplit(
+                result.objective,
+                *(f - b for f, b in zip(final, lowered)),
+            )
+        return alloc, model, table, result, split
 
     def _build_report(
-        self, fn, alloc, model, table, result, spans, counters_before
+        self, fn, alloc, model, table, result, split, spans,
+        counters_before,
     ) -> FunctionRunReport:
         counters_after = snapshot()
         delta = {
@@ -204,8 +226,7 @@ class IPAllocator:
             if model is not None else None,
             solver=SolverStats.from_result(result)
             if result is not None else None,
-            cost=CostSplit.from_solution(model, table, result)
-            if model is not None and result is not None else None,
+            cost=split,
             phases=spans,
             counters=delta,
         )

@@ -121,7 +121,7 @@ class ORAAnalysis:
         self.cost = cost
         self.config = config
         self.model = IPModel(name=f"ora.{fn.name}")
-        self.table = DecisionVariableTable(self.model, cost)
+        self.table = DecisionVariableTable(self.model)
         self.index = NetworkIndex()
 
         with trace_phase("liveness"):

@@ -5,6 +5,10 @@
 ``A`` is the execution count of the instruction the action applies to
 (profiled, or statically estimated from loop depth), ``B`` the cycle
 cost of one byte of code growth, ``C`` of one byte of data traffic.
+
+The action costs the IP is built from and :meth:`CostModel.price` of
+whole functions are the same model: the solved objective of a function
+equals ``price(allocated code) - price(lowered code)``.
 """
 
 from __future__ import annotations
@@ -12,6 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..analysis import ExecutionFrequencies
+from ..ir import Address, Function
 from ..target import (
     MEM_OPERAND_EXTRA_CYCLES,
     MEM_OPERAND_EXTRA_SIZE,
@@ -20,26 +25,21 @@ from ..target import (
     SPILL_LOAD,
     SPILL_REMAT,
     SPILL_STORE,
-    base_cycles,
+    RealRegister,
+    TargetMachine,
     base_size,
+    instr_cycles,
+    rewritten_instr_size,
 )
 from .config import AllocatorConfig
 
 
 @dataclass(slots=True)
 class CostModel:
-    """Computes eq.-(1) costs for every allocation action.
-
-    Each cost method also records the eq.-(1) term split of the value
-    it just returned; :meth:`take_split` hands that split to whoever
-    stores the cost (the decision-variable table), so run reports can
-    decompose the solved objective into its A/B/C components.
-    """
+    """Computes eq.-(1) costs of allocation actions and of code."""
 
     freq: ExecutionFrequencies
     config: AllocatorConfig
-    #: (A*cycle, B*size, C*data) of the most recent cost computation
-    last_split: tuple[float, float, float] = (0.0, 0.0, 0.0)
 
     def _a(self, block: str) -> float:
         scale = (
@@ -50,31 +50,52 @@ class CostModel:
 
     def _combine(self, block: str, cycles: float, size: float,
                  data: float = 0.0) -> float:
+        return sum(self._terms(block, cycles, size, data))
+
+    def _terms(self, block: str, cycles: float, size: float,
+               data: float) -> tuple[float, float, float]:
         if self.config.optimize_size_only:
             # §4: pure code-size optimisation drops the A and C terms.
-            self.last_split = (
-                0.0, self.config.code_size_weight * size, 0.0
-            )
-            return self.last_split[1]
-        self.last_split = (
+            return (0.0, self.config.code_size_weight * size, 0.0)
+        return (
             self._a(block) * cycles,
             self.config.code_size_weight * size,
             self.config.data_size_weight * data,
         )
-        return sum(self.last_split)
 
-    def take_split(
-        self, total: float
-    ) -> tuple[float, float, float] | None:
-        """The term split of a cost equal to ``total``, if the most
-        recent computation produced it (zero costs split trivially)."""
-        if total == 0.0:
-            return (0.0, 0.0, 0.0)
-        if abs(sum(self.last_split) - total) <= 1e-9 * max(
-            1.0, abs(total)
-        ):
-            return self.last_split
-        return None
+    # -- whole functions ---------------------------------------------------
+
+    def price(
+        self,
+        fn: Function,
+        target: TargetMachine,
+        assignment: dict[str, RealRegister] | None = None,
+    ) -> tuple[float, float, float]:
+        """The eq.-(1) terms ``(A*cycle, B*size, C*data)`` of ``fn``'s
+        code: sizes under ``assignment`` (§5.4 deltas; none without
+        one), data as the bytes spill code and memory operands move."""
+        assignment = assignment or {}
+        cycle = size = data = 0.0
+        for block, _, instr in fn.instructions():
+            moved = 0
+            if instr.origin == "spill-load":
+                moved += instr.dst.type.bytes
+            elif instr.origin == "spill-store":
+                moved += instr.srcs[0].type.bytes
+            for src in instr.srcs:
+                if isinstance(src, Address):
+                    moved += src.slot.type.bytes
+            if instr.mem_dst is not None:
+                moved += 2 * instr.mem_dst.slot.type.bytes
+            c, s, d = self._terms(
+                block.name, instr_cycles(instr),
+                rewritten_instr_size(instr, assignment, target.encoding),
+                moved,
+            )
+            cycle += c
+            size += s
+            data += d
+        return cycle, size, data
 
     # -- spill-code actions (Table 1) -----------------------------------
 
@@ -94,9 +115,7 @@ class CostModel:
 
     def copy_deletion(self, block: str) -> float:
         """Savings (negative cost) for deleting an input copy."""
-        saving = -self.copy(block)
-        self.last_split = tuple(-t for t in self.last_split)
-        return saving
+        return -self.copy(block)
 
     # -- §5.2 memory operands -----------------------------------------------
 
@@ -118,17 +137,12 @@ class CostModel:
         """Pure code-size cost (short opcodes, address penalties).
 
         ``bytes_delta`` may be negative (a per-register discount)."""
-        self.last_split = (
-            0.0, self.config.code_size_weight * bytes_delta, 0.0
-        )
-        return self.last_split[1]
+        return self.config.code_size_weight * bytes_delta
 
     # -- §5.5 predefined-memory coalescing ---------------------------------
 
     def coalesce_saving(self, block: str, load_instr) -> float:
         """Savings from deleting the original defining load."""
-        saving = -self._combine(
-            block, base_cycles(load_instr), base_size(load_instr)
+        return -self._combine(
+            block, instr_cycles(load_instr), base_size(load_instr)
         )
-        self.last_split = tuple(-t for t in self.last_split)
-        return saving

@@ -216,6 +216,12 @@ class ORARewrite:
                     force[k] = def_reg
                     break
 
+        # A chosen copy deletion was linked to the def register's copy
+        # of the source: read it there, so the postpass drops the copy.
+        if instr.opcode is Opcode.COPY and def_reg is not None \
+                and self.table.chosen_at(bname, i, ActionKind.COPYDEL):
+            force[0] = def_reg
+
         new_srcs = self._rewrite_sources(bname, i, instr, rules, force)
         new_addr = self._rewrite_address(bname, i, instr, instr.addr)
 

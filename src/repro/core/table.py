@@ -55,19 +55,13 @@ class ActionRecord:
     reg: str | None = None
     #: operand position for MEMUSE/USEFROM
     pos: int | None = None
-    #: eq.-(1) split (A*cycle, B*size, C*data) of this action's cost,
-    #: recorded when the table was built with a cost model attached
-    split: tuple[float, float, float] | None = None
 
 
 class DecisionVariableTable:
     """All decision variables of one function's allocation problem."""
 
-    def __init__(self, model: IPModel, cost=None) -> None:
+    def __init__(self, model: IPModel) -> None:
         self.model = model
-        #: optional :class:`~repro.core.costmodel.CostModel`; when
-        #: present, new actions record their eq.-(1) cost split
-        self.cost = cost
         self.records: list[ActionRecord] = []
         self._by_site: dict[tuple[str, int], list[ActionRecord]] = {}
         self.solution: SolveResult | None = None
@@ -105,13 +99,9 @@ class DecisionVariableTable:
             if pos is not None:
                 bits.append(f"p{pos}")
             name = "/".join(bits)
-        var = self.model.add_var(name, cost)
-        split = (
-            self.cost.take_split(cost) if self.cost is not None else None
-        )
         return self.add(ActionRecord(
-            var=var, kind=kind, vreg=vreg, block=block, index=index,
-            reg=reg, pos=pos, split=split,
+            var=self.model.add_var(name, cost), kind=kind, vreg=vreg,
+            block=block, index=index, reg=reg, pos=pos,
         ))
 
     # -- solution access (used by the rewrite module) -----------------------

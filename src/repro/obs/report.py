@@ -226,40 +226,14 @@ class SolverStats:
 
 @dataclass(slots=True)
 class CostSplit:
-    """The solved objective split into the §4 eq.-(1) terms."""
+    """The solved objective split into the §4 eq.-(1) terms: each term
+    is the price of the allocated code minus that of the lowered code
+    (:meth:`repro.core.CostModel.price`)."""
 
     total: float = 0.0
     cycle_term: float = 0.0      # sum of A * cycle(x)
     size_term: float = 0.0       # sum of B * instruction_size(x)
     data_term: float = 0.0       # sum of C * data_size(x)
-    #: objective constant (costs of build-time-fixed actions)
-    constant: float = 0.0
-
-    @classmethod
-    def from_solution(cls, model, table, result) -> "CostSplit | None":
-        """Accumulate the per-action splits of every action the solver
-        selected.  Requires the table to have been built with a cost
-        model attached (so records carry their splits)."""
-        if not result.status.has_solution:
-            return None
-        split = cls(
-            total=result.objective,
-            constant=model.objective_constant,
-        )
-        for record in table.records:
-            if record.split is None:
-                continue
-            value = (
-                record.var.fixed if record.var.fixed is not None
-                else result.values.get(record.var.index, 0)
-            )
-            if not value:
-                continue
-            cycle, size, data = record.split
-            split.cycle_term += cycle
-            split.size_term += size
-            split.data_term += data
-        return split
 
     def to_dict(self) -> dict:
         return {
@@ -267,15 +241,13 @@ class CostSplit:
             "cycle_term": self.cycle_term,
             "size_term": self.size_term,
             "data_term": self.data_term,
-            "constant": self.constant,
         }
 
     @classmethod
     def from_dict(cls, d: dict) -> "CostSplit":
         return cls(**{
             k: d.get(k, 0.0)
-            for k in ("total", "cycle_term", "size_term", "data_term",
-                      "constant")
+            for k in ("total", "cycle_term", "size_term", "data_term")
         })
 
 

@@ -577,14 +577,6 @@ class UpgradeQueue:
         return event
 
 
-def _total_cost(outcomes, target, code_size_weight: float) -> float:
-    """Summed :func:`~repro.tiers.tier_cost` of the final allocations."""
-    return sum(
-        tier_cost(o.final, target, code_size_weight=code_size_weight)
-        for o in outcomes
-    )
-
-
 class FastTier:
     """Fast replies, their background exact upgrades, journal recovery.
 
@@ -674,8 +666,7 @@ class FastTier:
             ):
                 for fn in req.functions:
                     alloc, tier, cost = fast_allocate(
-                        fn, target,
-                        code_size_weight=req.config.code_size_weight,
+                        fn, target, config=req.config
                     )
                     total_cost += cost
                     fast_summary[fn.name] = {"tier": tier, "cost": cost}
@@ -746,8 +737,9 @@ class FastTier:
             with capture() as cap:
                 module_alloc = engine.allocate_module(job.functions)
         seconds = time.monotonic() - t0
-        optimal_cost = _total_cost(
-            module_alloc, target, job.config.code_size_weight
+        optimal_cost = sum(
+            tier_cost(o.final, target, config=job.config)
+            for o in module_alloc
         )
         gap = optimality_gap(job.fast_cost, optimal_cost)
         # The request's trace finished (and was stored) when the fast
@@ -809,9 +801,10 @@ class FastTier:
             if cached is None:
                 self.queue.submit(job)
                 continue
-            optimal_cost = _total_cost(
-                cached, self._target(job.target_name),
-                job.config.code_size_weight,
+            target = self._target(job.target_name)
+            optimal_cost = sum(
+                tier_cost(o.final, target, config=job.config)
+                for o in cached
             )
             self.queue.recovered_cached += 1
             STAT_RECOVERED_CACHED.incr()

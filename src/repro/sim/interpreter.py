@@ -53,13 +53,7 @@ from ..ir import (
     Opcode,
     VirtualRegister,
 )
-from ..target import (
-    MEM_OPERAND_EXTRA_CYCLES,
-    MEM_RMW_EXTRA_CYCLES,
-    RealRegister,
-    TargetMachine,
-    base_cycles,
-)
+from ..target import RealRegister, TargetMachine, instr_cycles
 from .state import CLOBBER_PATTERN, Memory, RegisterState, SimulationError
 
 #: deepest call nesting a run may reach
@@ -342,15 +336,6 @@ _ALU = {
 }
 
 
-def _cycles(instr: Instr) -> float:
-    cycles = base_cycles(instr)
-    n_mem = sum(1 for s in instr.srcs if isinstance(s, Address))
-    cycles += MEM_OPERAND_EXTRA_CYCLES * n_mem
-    if instr.mem_dst is not None:
-        cycles += MEM_RMW_EXTRA_CYCLES
-    return cycles
-
-
 class _Decoder:
     """Decodes one function into :class:`_Code` for one interpreter.
 
@@ -439,7 +424,7 @@ class _Decoder:
             blk.term = _fault(f"block {blk.name} fell through")
         blk.ops = tuple(ops)
         blk.steps = len(executed)
-        blk.cycles = sum(_cycles(i) for i in executed)
+        blk.cycles = sum(instr_cycles(i) for i in executed)
         opcodes: dict[Opcode, int] = {}
         origins: dict[str, int] = {}
         for i in executed:

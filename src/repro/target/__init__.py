@@ -17,6 +17,7 @@ from .costs import (
     TABLE1,
     base_cycles,
     base_size,
+    instr_cycles,
     rewritten_instr_size,
 )
 from .encoding import (
@@ -62,6 +63,7 @@ __all__ = [
     "X86_ENCODING",
     "base_cycles",
     "base_size",
+    "instr_cycles",
     "rewritten_instr_size",
     "risc_register_file",
     "risc_target",

@@ -1,9 +1,9 @@
 """Cycle and size costs: the paper's Table 1 plus a base-cost model.
 
 Table 1 gives the Pentium costs of the four allocation actions the IP
-model can insert.  ``base_cycles``/``base_size`` extend that to whole
-instructions so the simulator's cycle accounting and the §4 code-size
-term use one consistent model.
+model can insert.  ``instr_cycles``/``rewritten_instr_size`` extend that
+to whole instructions, so the simulator's cycle accounting and the §4
+eq. (1) price of emitted code (``CostModel.price``) use one model.
 """
 
 from __future__ import annotations
@@ -116,6 +116,19 @@ def base_cycles(instr: Instr) -> float:
     if instr.opcode is Opcode.CALL:
         cycles += len(instr.srcs)
     return float(cycles)
+
+
+def instr_cycles(instr: Instr) -> float:
+    """Cycle cost of one execution, memory-operand deltas included:
+    each memory source adds the §5.2 extra, a read-modify-write
+    destination the RMW extra."""
+    cycles = base_cycles(instr)
+    for src in instr.srcs:
+        if isinstance(src, Address):
+            cycles += MEM_OPERAND_EXTRA_CYCLES
+    if instr.mem_dst is not None:
+        cycles += MEM_RMW_EXTRA_CYCLES
+    return cycles
 
 
 def base_size(instr: Instr) -> int:

@@ -12,28 +12,26 @@ Three allocator tiers answer an allocation request:
 :class:`TierPolicy` picks the tier for a request and the degradation
 order when a tier refuses (fast tier first, then the coloring
 baseline — an SLO miss must never jump straight past the cheaper
-heuristic).  :func:`tier_cost` prices any allocation with one static
-§4-style model so fast and optimal answers are comparable: the
+heuristic).  :func:`tier_cost` prices any allocation with the IP's own
+§4 eq. (1) model (:meth:`repro.core.CostModel.price`) under the
+request's weights, so fast and optimal answers are comparable: the
 optimality gap reported after a background upgrade is
-``tier_cost(fast) - tier_cost(optimal)`` and is non-negative by
-construction whenever the IP solve reached optimality.
+``tier_cost(fast) - tier_cost(optimal)``, signed.  A negative gap means
+a heuristic beat the IP optimum, which the model's missing copy sites
+allow; it is counted, not hidden.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
-from ..allocation import Allocation, allocation_code_size
+from ..allocation import Allocation
 from ..analysis import ExecutionFrequencies, static_frequencies
 from ..baseline import GraphColoringAllocator
-from ..ir import Address, Function
+from ..core import AllocatorConfig, CostModel
+from ..ir import Function
 from ..obs import define_counter
-from ..target import (
-    MEM_OPERAND_EXTRA_CYCLES,
-    MEM_RMW_EXTRA_CYCLES,
-    TargetMachine,
-    base_cycles,
-)
+from ..target import TargetMachine
 from .linear_scan import LinearScanAllocator, LinearScanFailure
 
 #: canonical tier names carried on replies, reports and bench rows
@@ -48,6 +46,10 @@ STAT_FALLBACKS = define_counter(
     "tiers.fast_fallbacks",
     "fast-tier refusals degraded to the coloring baseline",
 )
+STAT_NEGATIVE_GAPS = define_counter(
+    "tiers.negative_gaps",
+    "fast answers priced below the IP optimum they were compared with",
+)
 
 
 @dataclass(frozen=True, slots=True)
@@ -58,9 +60,6 @@ class TierDecision:
     tier: str
     #: whether an exact IP solve should be enqueued in the background
     upgrade: bool
-    #: degradation order if ``tier`` refuses (SLO-miss ordering:
-    #: the fast tier is always tried before the coloring baseline)
-    fallbacks: tuple[str, ...] = ()
 
 
 @dataclass(slots=True)
@@ -84,46 +83,36 @@ class TierPolicy:
             # Run reports carry IP model statistics (§5 breakdown,
             # B&B timeline) that only the exact pipeline produces.
             return TierDecision(tier=TIER_IP, upgrade=False)
-        return TierDecision(
-            tier=TIER_FAST,
-            upgrade=True,
-            fallbacks=(TIER_BASELINE,),
-        )
+        return TierDecision(tier=TIER_FAST, upgrade=True)
 
 
 def tier_cost(
     alloc: Allocation,
     target: TargetMachine,
     *,
-    code_size_weight: float = 1000.0,
     freq: ExecutionFrequencies | None = None,
+    config: AllocatorConfig | None = None,
+    code_size_weight: float | None = None,
 ) -> float:
-    """Static §4-style cost of an allocation: A·cycles + B·size.
-
-    Computed identically for every tier from the *rewritten* function
-    (spill code, memory operands and all), so a fast answer and the
-    optimal answer for the same request are directly comparable.
-    """
-    fn = alloc.function
-    if freq is None:
-        freq = static_frequencies(fn)
-    cycles = 0.0
-    for block, _, instr in fn.instructions():
-        weight = freq.of(block.name)
-        extra = 0.0
-        if instr.mem_dst is not None:
-            extra += MEM_RMW_EXTRA_CYCLES
-        extra += MEM_OPERAND_EXTRA_CYCLES * sum(
-            1 for s in instr.srcs if isinstance(s, Address)
-        )
-        cycles += weight * (base_cycles(instr) + extra)
-    return cycles + code_size_weight * allocation_code_size(alloc, target)
+    """The §4 eq. (1) price of an allocation's code under ``config``'s
+    weights (``code_size_weight`` overrides B), computed by the IP's
+    own :class:`~repro.core.CostModel` for every tier."""
+    config = config or AllocatorConfig()
+    if code_size_weight is not None:
+        config = replace(config, code_size_weight=code_size_weight)
+    cost = CostModel(
+        freq=freq or static_frequencies(alloc.function), config=config
+    )
+    return sum(cost.price(alloc.function, target, alloc.assignment))
 
 
 def optimality_gap(fast_cost: float, optimal_cost: float) -> float:
-    """Gap of a fast answer vs. the landed optimum (clamped at 0:
-    rounding in the cost model must never report a negative gap)."""
-    return max(0.0, fast_cost - optimal_cost)
+    """Signed gap of a fast answer vs. the landed optimum; a negative
+    gap is counted in ``tiers.negative_gaps``."""
+    gap = fast_cost - optimal_cost
+    if gap < 0:
+        STAT_NEGATIVE_GAPS.incr()
+    return gap
 
 
 def fast_allocate(
@@ -131,7 +120,8 @@ def fast_allocate(
     target: TargetMachine,
     *,
     freq: ExecutionFrequencies | None = None,
-    code_size_weight: float = 1000.0,
+    config: AllocatorConfig | None = None,
+    code_size_weight: float | None = None,
 ) -> tuple[Allocation, str, float]:
     """Allocate one function on the fast path.
 
@@ -139,7 +129,7 @@ def fast_allocate(
     coloring baseline (never the other way around).  Returns
     ``(allocation, tier, cost)`` where ``tier`` names the tier that
     actually produced the answer and ``cost`` is its
-    :func:`tier_cost`.
+    :func:`tier_cost` under ``freq`` and ``config``.
     """
     try:
         alloc = LinearScanAllocator(target).allocate(fn, freq)
@@ -149,5 +139,8 @@ def fast_allocate(
         STAT_FALLBACKS.incr()
         alloc = GraphColoringAllocator(target).allocate(fn, freq)
         tier = TIER_BASELINE
-    cost = tier_cost(alloc, target, code_size_weight=code_size_weight)
+    cost = tier_cost(
+        alloc, target, freq=freq, config=config,
+        code_size_weight=code_size_weight,
+    )
     return alloc, tier, cost

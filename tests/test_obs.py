@@ -35,6 +35,7 @@ from repro.obs import (
     trace_phase,
     variable_class,
 )
+from tests.test_pricing import price_delta
 
 SOURCE = """
 int f(int a, int b) {
@@ -250,12 +251,13 @@ class TestRunReport:
         assert report.solver.nodes >= 1
         assert report.solver.lp_relaxations >= 1
         assert report.solver.incumbents  # at least the final optimum
-        # §4: the term split reconstructs the solved objective.
+        # §4: the term split is the price delta of the emitted code,
+        # term by term, and reconstructs the solved objective.
         split = report.cost
-        total = (
-            split.cycle_term + split.size_term + split.data_term
-            + split.constant
-        )
+        assert (split.cycle_term, split.size_term, split.data_term) == \
+            price_delta(fn, alloc, x86_target(), config)
+        assert split.total == alloc.objective
+        total = split.cycle_term + split.size_term + split.data_term
         assert total == pytest.approx(alloc.objective)
         # Per-phase timings cover the pipeline.
         seconds = report.phase_seconds

@@ -41,6 +41,7 @@ from repro.obs import reset_stats, set_stats_enabled, snapshot
 from repro.sim import AllocatedFunction, Interpreter
 from tests.test_core_model import GOLDEN_MODEL_DIGESTS
 from tests.test_equivalence import ALLOCATED, SOURCE, allocation
+from tests.test_pricing import assert_priced_exactly
 
 CONFIG = AllocatorConfig(time_limit=60.0)
 
@@ -277,7 +278,11 @@ def test_reuse_paths_agree_with_a_fresh_solve(program, solved, x86,
         assert [signature(o.final) for o in result] == reference, label
         for o in result:
             validate_allocation(o.final, x86)
-            lowered = clone_function(run.module.functions[o.function])
+            fn = run.module.functions[o.function]
+            assert_priced_exactly(
+                fn, o.final, x86, CONFIG, run.freqs[o.function]
+            )
+            lowered = clone_function(fn)
             lower_for_target(lowered, x86)
             check_equivalence(o.final, lowered, x86)
         value, _, _ = run_allocated(run, x86, {

@@ -11,7 +11,9 @@ of the tiered serving path:
 * every reply in the burst is answered from the fast tier within the
   SLO (the reply's measured ``fast_seconds``, not queue wait);
 * every background upgrade reaches ``done`` with a non-negative
-  optimality gap (``optimal_cost <= fast_cost``);
+  optimality gap (``optimal_cost <= fast_cost``), for the default
+  weights and, on one program submitted ``size_only``, for the
+  size-only weighting of the same eq. (1) price;
 * resubmitting the same programs is served from the upgraded cache
   entries as ``tier: "ip"`` — the optimal answer, not the fast one;
 * graceful drain exits 0 only after the upgrade queue is empty.
@@ -40,6 +42,8 @@ PROGRAMS = [
     for i in range(6)
 ]
 TENANTS = ["acme", "zeta", ""]
+#: per-program request config: one program is priced size-only
+CONFIGS = [None, None, None, {"size_only": True}, None, None]
 
 
 def fail(msg: str) -> None:
@@ -83,6 +87,7 @@ def main() -> int:
             for i, source in enumerate(PROGRAMS):
                 resp = client.check(client.allocate(
                     source=source, tenant=TENANTS[i % len(TENANTS)],
+                    config=CONFIGS[i],
                 ))
                 result = resp["result"]
                 if result.get("tier") not in (
@@ -126,6 +131,7 @@ def main() -> int:
             for i, source in enumerate(PROGRAMS):
                 resp = client.check(client.allocate(
                     source=source, tenant=TENANTS[i % len(TENANTS)],
+                    config=CONFIGS[i],
                 ))
                 result = resp["result"]
                 if result.get("tier") != "ip":
