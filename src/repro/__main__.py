@@ -54,6 +54,11 @@ service-wide default on ``serve`` and one request's ``config`` on
 on the CLI (8 s for ``gateway --spawn``'s shards), the server's own
 for ``submit``.
 
+``serve``'s and ``gateway``'s deployment flags are generated from the
+fields of :class:`~repro.service.ServiceConfig` and
+:class:`~repro.gateway.GatewayConfig` (see :func:`_add_field_flags`):
+each flag is named, typed, defaulted and documented by its field.
+
 Presolve is on by default.  The ``scipy`` backend hands the setting
 to HiGHS as its own presolve option; ``branch-bound`` and
 ``brute-force`` solve a model shrunk by our presolve pipeline.
@@ -89,19 +94,41 @@ from __future__ import annotations
 
 import argparse
 import asyncio
+import dataclasses
 import json
 import os
 import sys
+import typing
 import uuid
 
 from . import obs
 from .allocation import render_allocation, validate_allocation
 from .analysis import profiled_frequencies
 from .baseline import GraphColoringAllocator
-from .core import CONFIG_KNOBS, AllocatorConfig, IPAllocator, config_from_wire
+from .core import (
+    CLI_TIME_LIMIT,
+    CONFIG_KNOBS,
+    AllocatorConfig,
+    IPAllocator,
+    config_from_wire,
+)
 from .engine import DEFAULT_CACHE_DIR, AllocationEngine, EngineConfig
+from .gateway import (
+    REPLICAS,
+    AllocationGateway,
+    GatewayClient,
+    GatewayConfig,
+    LocalShardFleet,
+    ShardSupervisor,
+)
 from .lang import compile_program
 from .obs import FunctionRunReport, RunReport
+from .service import (
+    AllocationServer,
+    ServiceClient,
+    ServiceConfig,
+    ServiceError,
+)
 from .sim import AllocatedFunction, Interpreter
 from .target import risc_target, x86_target
 
@@ -111,9 +138,9 @@ TARGETS = {
     "risc": lambda: risc_target(),
 }
 
-#: solver time limit in seconds when ``--time-limit`` is not given
-#: (:class:`AllocatorConfig` keeps the paper's 1024 s)
-CLI_TIME_LIMIT = 64.0
+#: the port ``serve`` listens on and ``submit`` connects to unless
+#: told otherwise
+SERVE_PORT = 8753
 
 #: ``submit`` exit codes (documented in the module docstring)
 EXIT_OK = 0
@@ -178,14 +205,17 @@ def _default_jobs() -> int:
         return 1
 
 
+def _config_from_args(cls, args, **given):
+    """The config dataclass ``cls`` built from the parsed flags whose
+    names are its field names, and from ``given``."""
+    names = {f.name for f in dataclasses.fields(cls)} & vars(args).keys()
+    return cls(**{name: getattr(args, name) for name in names}, **given)
+
+
 def _engine_config(args, fallback: bool = True) -> EngineConfig:
-    """Build the engine configuration from ``--jobs``/``--cache``."""
-    return EngineConfig(
-        jobs=getattr(args, "jobs", 1),
-        cache_dir=getattr(args, "cache", None),
-        cache_max_entries=getattr(args, "cache_max_entries", None),
-        fallback=fallback,
-    )
+    """The engine configuration from ``--jobs``/``--cache``/
+    ``--cache-max-entries``."""
+    return _config_from_args(EngineConfig, args, fallback=fallback)
 
 
 def _report_sink(args) -> RunReport | None:
@@ -351,29 +381,15 @@ def cmd_experiments(args) -> int:
     return 0
 
 
-def cmd_serve(args) -> int:
-    from .service import AllocationServer, ServiceConfig
-
-    config = ServiceConfig(
-        host=args.host,
-        port=args.port,
-        queue_capacity=args.queue_capacity,
-        max_in_flight=args.max_in_flight,
-        max_batch=args.max_batch,
-        jobs=args.jobs,
-        cache_dir=args.cache,
-        cache_max_entries=args.cache_max_entries,
-        cache_namespace_max_entries=args.cache_namespace_max_entries,
-        shard_id=args.shard_id,
-        default_target=args.target,
-        defaults=_allocator_config(args),
-        faults=getattr(args, "faults", None),
-        metrics_port=args.metrics_port,
-        fast_slo_ms=args.fast_slo_ms,
-        upgrade_queue_capacity=args.upgrade_queue_capacity,
+def _service_config(args) -> ServiceConfig:
+    """``serve``'s flags as the service's configuration."""
+    return _config_from_args(
+        ServiceConfig, args, defaults=_allocator_config(args)
     )
-    if args.max_request_bytes is not None:
-        config.max_request_bytes = args.max_request_bytes
+
+
+def cmd_serve(args) -> int:
+    config = _service_config(args)
     server = AllocationServer(config, targets=dict(TARGETS))
 
     async def _run() -> None:
@@ -409,41 +425,22 @@ def cmd_serve(args) -> int:
 def cmd_gateway(args) -> int:
     import signal as _signal
 
-    from .gateway import (
-        AllocationGateway,
-        GatewayConfig,
-        LocalShardFleet,
-        ShardSupervisor,
-    )
-
-    shards = [s for s in (args.shards or "").split(",") if s]
-    if not shards and not args.spawn and not args.state_file:
+    config = _config_from_args(GatewayConfig, args)
+    if not config.shards and not args.spawn and not config.state_file:
         print("error: gateway needs --shards host:port,..., "
               "--spawn N, and/or --state-file PATH", file=sys.stderr)
         return EXIT_USAGE
 
     fleet = None
     if args.spawn:
-        extra: list[str] = []
-        if args.fast_slo_ms:
-            extra += ["--fast-slo-ms", str(args.fast_slo_ms)]
         fleet = LocalShardFleet(
             count=args.spawn,
             cache_root=args.spawn_cache,
             time_limit=args.time_limit,
-            extra_args=extra,
+            fast_slo_ms=args.fast_slo_ms,
         )
         fleet.start()
 
-    config = GatewayConfig(
-        host=args.host,
-        port=args.port,
-        shards=shards,
-        probe_interval=args.probe_interval,
-        breaker_threshold=args.breaker_threshold,
-        state_file=args.state_file or "",
-        replicate=max(0, args.replicate),
-    )
     gateway = AllocationGateway(config)
     if fleet is not None:
         for shard in fleet.shards:
@@ -469,7 +466,7 @@ def cmd_gateway(args) -> int:
     print(f"repro gateway listening on "
           f"{config.host}:{gateway.bound_port} "
           f"(shards={len(gateway.manager.shards())} "
-          f"replicas={config.replicas})",
+          f"replicas={REPLICAS})",
           flush=True)
     try:
         gateway.serve_forever()
@@ -507,8 +504,6 @@ def _allocate_request(args) -> dict | None:
 
 
 def cmd_submit(args) -> int:
-    from .service import ServiceClient
-
     if getattr(args, "gateway", None):
         return _submit_gateway(args)
     if args.verb == "shards":
@@ -599,8 +594,6 @@ def _await_optimal(client, fields, response, timeout) -> dict:
 
 def _submit_gateway(args) -> int:
     """``repro submit --gateway URL``: same verbs over HTTP."""
-    from .gateway import GatewayClient
-
     supported = ("allocate", "status", "trace", "metrics", "shards")
     if args.verb not in supported:
         print(f"error: --gateway supports verbs: "
@@ -637,8 +630,6 @@ def _submit_gateway(args) -> int:
 
 
 def _render_submit(args, response: dict, lifecycle) -> int:
-    from .service import ServiceClient, ServiceError
-
     if args.json:
         print(json.dumps(response, indent=2))
     try:
@@ -729,7 +720,7 @@ def _add_engine_options(parser) -> None:
     )
     parser.add_argument(
         "--cache", nargs="?", const=DEFAULT_CACHE_DIR, default=None,
-        metavar="DIR",
+        dest="cache_dir", metavar="DIR",
         help="replay solved functions from a persistent result cache "
              f"(default directory: {DEFAULT_CACHE_DIR})",
     )
@@ -759,6 +750,37 @@ def _add_config_flags(parser, *keys) -> None:
         else:
             kw.update(type=knob.kind, choices=knob.choices or None)
         parser.add_argument(knob.flag, **kw)
+
+
+def _add_field_flags(parser, cls, *names, **defaults) -> None:
+    """Flags for the fields of the config dataclass ``cls`` that carry
+    ``help`` metadata (of those, only ``names`` when given).
+
+    ``queue_capacity`` becomes ``--queue-capacity``, typed by the
+    field's annotation (or its ``type`` metadata) and defaulted by the
+    field unless ``defaults`` names it.  The flag stores under the
+    field name, which is what :func:`_config_from_args` reads.
+    """
+    hints = typing.get_type_hints(cls)
+    for f in dataclasses.fields(cls):
+        if "help" not in f.metadata or (names and f.name not in names):
+            continue
+        hint = hints[f.name]
+        kind = f.metadata.get("type") or next(
+            t for t in typing.get_args(hint) or (hint,)
+            if t is not type(None)
+        )
+        default = (
+            f.default if f.default_factory is dataclasses.MISSING
+            else f.default_factory()
+        )
+        parser.add_argument(
+            "--" + f.name.replace("_", "-"),
+            type=kind,
+            default=defaults.get(f.name, default),
+            metavar=f.metadata.get("metavar"),
+            help=f.metadata["help"],
+        )
 
 
 def _add_faults_option(parser) -> None:
@@ -854,53 +876,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve = sub.add_parser(
         "serve", help="start the resident allocation service",
     )
-    p_serve.add_argument("--host", default="127.0.0.1")
-    p_serve.add_argument("--port", type=int, default=8753,
-                         help="TCP port (0 = ephemeral)")
-    p_serve.add_argument("--queue-capacity", type=int, default=16,
-                         metavar="N",
-                         help="admission queue bound; a full queue "
-                              "rejects with 'overloaded'")
-    p_serve.add_argument("--max-in-flight", type=int, default=4,
-                         metavar="N",
-                         help="requests solved concurrently")
-    p_serve.add_argument("--max-batch", type=int, default=8,
-                         metavar="N",
-                         help="most requests one solver batch carries")
-    p_serve.add_argument("--max-request-bytes", type=int, default=None,
-                         metavar="N",
-                         help="reject longer request lines with "
-                              "'too_large' (default: the protocol "
-                              "line limit)")
+    # ServiceConfig.port stays 0 (ephemeral) for in-process servers;
+    # a served process listens where submit looks by default.
+    _add_field_flags(p_serve, ServiceConfig, port=SERVE_PORT)
     p_serve.add_argument("--target", choices=sorted(TARGETS),
-                         default="x86",
+                         dest="default_target", default=argparse.SUPPRESS,
                          help="target assumed when a request names "
                               "none")
     _add_config_flags(p_serve, "backend", "time_limit", "presolve")
-    p_serve.add_argument("--metrics-port", type=int, default=None,
-                         metavar="P",
-                         help="serve Prometheus text on an HTTP "
-                              "sidecar at this port (0 = ephemeral)")
-    p_serve.add_argument("--shard-id", default="", metavar="ID",
-                         help="identity reported in status/stats/"
-                              "health (set by the gateway's --spawn)")
-    p_serve.add_argument("--fast-slo-ms", type=float, default=0.0,
-                         metavar="MS",
-                         help="enable tiered allocation: answer "
-                              "within MS milliseconds from the "
-                              "linear-scan fast tier and upgrade to "
-                              "the exact IP solve in the background "
-                              "(0 = exact-only, the default)")
-    p_serve.add_argument("--upgrade-queue-capacity", type=int,
-                         default=64, metavar="N",
-                         help="background optimal-upgrade jobs that "
-                              "may wait; past N new upgrades are "
-                              "dropped and the fast answer stands")
-    p_serve.add_argument("--cache-namespace-max-entries", type=int,
-                         default=None, metavar="N",
-                         help="per-tenant LRU bound on cache "
-                              "namespaces (default: "
-                              "--cache-max-entries)")
     _add_faults_option(p_serve)
     _add_engine_options(p_serve)
     _add_obs_options(p_serve, top_level=False)
@@ -910,55 +893,30 @@ def build_parser() -> argparse.ArgumentParser:
         "gateway",
         help="start the HTTP gateway over a fleet of serve shards",
     )
-    p_gateway.add_argument("--host", default="127.0.0.1")
-    p_gateway.add_argument("--port", type=int, default=8750,
-                           help="HTTP port (0 = ephemeral)")
-    p_gateway.add_argument("--shards", default="",
-                           metavar="HOST:PORT,...",
-                           help="comma-separated engine-server "
-                                "shards to front")
-    p_gateway.add_argument("--spawn", type=int, default=0,
-                           metavar="N",
-                           help="fork N local serve shards on "
-                                "ephemeral ports (single-machine "
-                                "scale-out)")
-    p_gateway.add_argument("--spawn-cache", default=None,
-                           metavar="DIR",
-                           help="root for per-spawned-shard cache "
-                                "directories (DIR/shard-N)")
-    # the spawned shards' solver time limit
-    _add_config_flags(p_gateway, "time_limit")
+    _add_field_flags(p_gateway, GatewayConfig)
+    spawned = p_gateway.add_argument_group(
+        "spawned shards",
+        "a local fleet of serve shards the gateway starts, fronts and "
+        "supervises; --time-limit and --fast-slo-ms are passed to "
+        "every shard",
+    )
+    spawned.add_argument("--spawn", type=int, default=0, metavar="N",
+                         help="fork N local serve shards on ephemeral "
+                              "ports (single-machine scale-out)")
+    spawned.add_argument("--spawn-cache", default=None, metavar="DIR",
+                         help="root for per-spawned-shard cache "
+                              "directories (DIR/shard-N)")
+    _add_config_flags(spawned, "time_limit")
     p_gateway.set_defaults(time_limit=8.0)
-    p_gateway.add_argument("--probe-interval", type=float,
-                           default=2.0, metavar="S",
-                           help="seconds between shard health "
-                                "probes")
-    p_gateway.add_argument("--breaker-threshold", type=int,
-                           default=3, metavar="N",
-                           help="consecutive failures before a "
-                                "shard's breaker opens")
-    p_gateway.add_argument("--state-file", default="",
-                           metavar="PATH",
-                           help="journal ring membership to PATH on "
-                                "every change and restore it at "
-                                "startup (gateway crash recovery)")
-    p_gateway.add_argument("--replicate", type=int, default=0,
-                           metavar="N",
-                           help="replicate each optimal result's "
-                                "cache record to the next N ring "
-                                "successors (0 = off)")
-    p_gateway.add_argument("--restart-budget", type=int, default=3,
-                           metavar="N",
-                           help="respawn attempts per spawned shard "
-                                "within a sliding window (cumulative "
-                                "across deaths) before it is abandoned")
-    p_gateway.add_argument("--no-supervise", action="store_true",
-                           help="do not reap/respawn spawned shards "
-                                "(legacy --spawn behaviour)")
-    p_gateway.add_argument("--fast-slo-ms", type=float, default=0.0,
-                           metavar="MS",
-                           help="pass --fast-slo-ms MS to spawned "
-                                "shards (tiered allocation)")
+    _add_field_flags(spawned, ServiceConfig, "fast_slo_ms")
+    spawned.add_argument("--restart-budget", type=int, default=3,
+                         metavar="N",
+                         help="respawn attempts per spawned shard "
+                              "within a sliding window (cumulative "
+                              "across deaths) before it is abandoned")
+    spawned.add_argument("--no-supervise", action="store_true",
+                         help="do not reap/respawn spawned shards "
+                              "(legacy --spawn behaviour)")
     _add_obs_options(p_gateway, top_level=False)
     p_gateway.set_defaults(func=cmd_gateway)
 
@@ -976,7 +934,7 @@ def build_parser() -> argparse.ArgumentParser:
                                "(http://host:port) instead of a "
                                "direct TCP connection")
     p_submit.add_argument("--host", default="127.0.0.1")
-    p_submit.add_argument("--port", type=int, default=8753)
+    p_submit.add_argument("--port", type=int, default=SERVE_PORT)
     p_submit.add_argument("--function", default=None)
     p_submit.add_argument("--target", choices=sorted(TARGETS),
                           default=None,
@@ -1031,9 +989,8 @@ def main(argv=None) -> int:
         except ValueError as exc:
             parser.error(f"--faults: {exc}")
     # REPRO_TRACE=1 behaves like passing --stats --trace.
-    env_on = os.environ.get("REPRO_TRACE", "0") not in ("", "0")
-    show_stats = args.stats or env_on
-    show_trace = args.trace or env_on
+    show_stats = args.stats or obs.TRACE_FROM_ENV
+    show_trace = args.trace or obs.TRACE_FROM_ENV
     # --report-json needs live counters for the per-function deltas.
     obs.enable(stats=show_stats or bool(args.report_json),
                trace=show_trace)

@@ -5,6 +5,7 @@ overlapping registers, encoding irregularities, predefined memory)."""
 from .allocator import IPAllocator
 from .analysis_module import NetworkIndex, ORAAnalysis, SiteVars, UseSite
 from .config import (
+    CLI_TIME_LIMIT,
     CONFIG_KNOBS,
     AllocatorConfig,
     ConfigKnob,
@@ -27,6 +28,7 @@ __all__ = [
     "ActionKind",
     "ActionRecord",
     "AllocatorConfig",
+    "CLI_TIME_LIMIT",
     "CONFIG_KNOBS",
     "CoalesceCandidate",
     "ConfigKnob",

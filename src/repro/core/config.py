@@ -62,6 +62,12 @@ class AllocatorConfig:
     trace_id: str = ""
 
 
+#: solver time limit in seconds of CLI runs and of the service's
+#: requests when none is given (:class:`AllocatorConfig` keeps the
+#: paper's 1024 s)
+CLI_TIME_LIMIT = 64.0
+
+
 @dataclass(frozen=True, slots=True)
 class ConfigKnob:
     """One per-request knob of :class:`AllocatorConfig`: how a request

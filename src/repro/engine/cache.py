@@ -46,7 +46,6 @@ import hashlib
 import json
 import os
 import re
-import tempfile
 import threading
 import time
 from dataclasses import asdict, dataclass, field
@@ -54,6 +53,7 @@ from pathlib import Path
 
 from ..allocation import Allocation, AllocationError, SpillStats
 from ..faults import SITE_CACHE_CORRUPT, SITE_CACHE_IO, should_fire
+from ..fileio import atomic_write
 from ..ir import (
     ParseError,
     VerificationError,
@@ -513,21 +513,10 @@ class ResultCache:
             try:
                 if should_fire(SITE_CACHE_IO, record.fingerprint):
                     raise OSError("injected cache I/O error")
-                path.parent.mkdir(parents=True, exist_ok=True)
-                fd, tmp = tempfile.mkstemp(
-                    dir=path.parent, prefix=".tmp-", suffix=".json"
+                atomic_write(
+                    path, json.dumps(record.to_dict()) + "\n",
+                    prefix=".tmp-", suffix=".json",
                 )
-                try:
-                    with os.fdopen(fd, "w") as handle:
-                        json.dump(record.to_dict(), handle)
-                        handle.write("\n")
-                    os.replace(tmp, path)
-                except BaseException:
-                    try:
-                        os.unlink(tmp)
-                    except OSError:
-                        pass
-                    raise
             except OSError:
                 return "error"
             if fresh and self._count is not None:

@@ -131,6 +131,10 @@ DEGRADABLE_FAILURES = (
     MemoryError,
 )
 
+#: extra wall-clock seconds past the solver ``time_limit`` before a
+#: worker is declared hung and its function falls back
+DEADLINE_GRACE = 30.0
+
 #: How a worker crash surfaces on ``future.result()`` / ``submit()``:
 #: the pool breaks (``BrokenProcessPool``) or the OS refuses resources.
 _POOL_FAILURES = (BrokenExecutor, OSError)
@@ -150,9 +154,6 @@ class EngineConfig:
     jobs: int = 1
     #: result-cache directory; None disables persistent caching
     cache_dir: str | None = None
-    #: extra wall-clock seconds past the solver ``time_limit`` before a
-    #: worker is declared hung and its function falls back
-    deadline_grace: float = 30.0
     #: degrade failed functions to the graph-coloring baseline
     fallback: bool = True
     #: in-process retries when a worker process dies mid-solve.  One
@@ -745,8 +746,7 @@ class AllocationEngine:
         if limit is None:
             return None
         waves = math.ceil(n_jobs / max(1, workers))
-        grace = self.engine_config.deadline_grace
-        return waves * (limit + grace) + grace
+        return waves * (limit + DEADLINE_GRACE) + DEADLINE_GRACE
 
     def _drain(
         self, future_of, outcomes, baseline, engine_span,

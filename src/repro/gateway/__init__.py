@@ -20,7 +20,7 @@ the blocking HTTP client used by ``repro submit --gateway`` in
 
 from .client import GatewayClient
 from .pool import ShardPool
-from .ring import DEFAULT_REPLICAS, ConsistentHashRing
+from .ring import REPLICAS, ConsistentHashRing
 from .server import (
     AllocationGateway,
     GatewayConfig,
@@ -35,12 +35,12 @@ from .supervisor import ShardSupervisor
 __all__ = [
     "AllocationGateway",
     "ConsistentHashRing",
-    "DEFAULT_REPLICAS",
     "GatewayClient",
     "GatewayConfig",
     "GatewayThread",
     "LocalShard",
     "LocalShardFleet",
+    "REPLICAS",
     "ROUTING_FIELDS",
     "Shard",
     "ShardManager",

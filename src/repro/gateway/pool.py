@@ -23,26 +23,26 @@ from contextlib import contextmanager
 
 from ..service.client import ServiceClient
 
+#: per-proxy-attempt socket timeout, seconds (an allocate can
+#: legitimately run to its deadline, so this must exceed request
+#: deadlines)
+PROXY_TIMEOUT = 300.0
+
+#: connections parked per shard between proxy exchanges
+MAX_IDLE = 4
+
 
 class ShardPool:
     """Bounded free-list of connections to one shard.
 
-    ``max_idle`` bounds only the *parked* connections; under burst the
-    pool opens as many sockets as there are concurrent borrowers and
-    simply closes the surplus on release.
+    :data:`MAX_IDLE` bounds only the *parked* connections; under burst
+    the pool opens as many sockets as there are concurrent borrowers
+    and simply closes the surplus on release.
     """
 
-    def __init__(
-        self,
-        host: str,
-        port: int,
-        timeout: float = 300.0,
-        max_idle: int = 4,
-    ) -> None:
+    def __init__(self, host: str, port: int) -> None:
         self.host = host
         self.port = port
-        self.timeout = timeout
-        self.max_idle = max(0, max_idle)
         self._idle: list[ServiceClient] = []
         self._lock = threading.Lock()
         self._closed = False
@@ -58,13 +58,13 @@ class ShardPool:
                 raise OSError("pool is closed")
             if self._idle:
                 return self._idle.pop()
-        return ServiceClient(self.host, self.port, timeout=self.timeout)
+        return ServiceClient(self.host, self.port, timeout=PROXY_TIMEOUT)
 
     def release(self, client: ServiceClient, healthy: bool) -> None:
         """Return a connection.  Unhealthy ones are always closed."""
         if healthy and not self._closed:
             with self._lock:
-                if len(self._idle) < self.max_idle and not self._closed:
+                if len(self._idle) < MAX_IDLE and not self._closed:
                     self._idle.append(client)
                     return
         try:
@@ -100,4 +100,4 @@ class ShardPool:
             return len(self._idle)
 
 
-__all__ = ["ShardPool"]
+__all__ = ["MAX_IDLE", "PROXY_TIMEOUT", "ShardPool"]

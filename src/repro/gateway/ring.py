@@ -9,7 +9,7 @@ shard joining or leaving remaps only the keys that shard owned
 (``1/n`` of the keyspace), never reshuffling everyone else's warm
 entries the way modulo hashing would.
 
-Standard construction: each node is hashed onto ``replicas`` points
+Standard construction: each node is hashed onto :data:`REPLICAS` points
 of a 64-bit circle (sha256 of ``"{node}#{i}"``), keys hash onto the
 same circle, and a key is owned by the first node point at or after
 it clockwise.  :meth:`ConsistentHashRing.preference` walks further
@@ -30,7 +30,7 @@ from threading import Lock
 #: cost of a larger sorted point array (128 keeps worst-case load
 #: within ~±30% of fair share for small fleets, plenty for a gateway
 #: whose shard count is single/double digits)
-DEFAULT_REPLICAS = 128
+REPLICAS = 128
 
 
 def _point(data: str) -> int:
@@ -48,14 +48,7 @@ class ConsistentHashRing:
     threads can remove a dead shard while request threads route.
     """
 
-    def __init__(
-        self,
-        nodes: list[str] | None = None,
-        replicas: int = DEFAULT_REPLICAS,
-    ) -> None:
-        if replicas < 1:
-            raise ValueError("replicas must be >= 1")
-        self.replicas = replicas
+    def __init__(self, nodes: list[str] | None = None) -> None:
         self._lock = Lock()
         #: sorted circle positions and the node owning each position
         self._points: list[int] = []
@@ -74,7 +67,7 @@ class ConsistentHashRing:
             if node in self._nodes:
                 return False
             self._nodes.add(node)
-            for i in range(self.replicas):
+            for i in range(REPLICAS):
                 point = _point(f"{node}#{i}")
                 idx = bisect_right(self._points, point)
                 self._points.insert(idx, point)
@@ -145,4 +138,4 @@ class ConsistentHashRing:
             return order
 
 
-__all__ = ["ConsistentHashRing", "DEFAULT_REPLICAS"]
+__all__ = ["REPLICAS", "ConsistentHashRing"]

@@ -43,10 +43,8 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-import os
 import queue
 import socket
-import tempfile
 import threading
 import time
 from collections import OrderedDict
@@ -56,6 +54,7 @@ from pathlib import Path
 from urllib.parse import parse_qs, urlparse
 
 from ..faults import SITE_REPLICA_DROP, should_fire
+from ..fileio import atomic_write
 from ..obs import Span, TraceStore, counter, define_counter, define_gauge
 from ..service.protocol import (
     E_BAD_REQUEST,
@@ -69,6 +68,7 @@ from ..service.protocol import (
 )
 from ..telemetry import define_histogram
 from ..telemetry.prom import PROM_CONTENT_TYPE, render_prometheus
+from .ring import REPLICAS
 from .shards import STATE_CODE, UP, ShardManager, parse_shard_addr
 
 STAT_REQUESTS = define_counter(
@@ -162,28 +162,50 @@ def routing_fingerprint(body: dict) -> str:
     return hashlib.sha256(canon.encode("utf-8")).hexdigest()
 
 
+def _shard_list(text: str) -> list[str]:
+    """``--shards`` text (``host:port,...``) as a shard spec list."""
+    return [spec for spec in text.split(",") if spec]
+
+
 @dataclass
 class GatewayConfig:
-    host: str = "127.0.0.1"
-    port: int = 8750
-    #: "host:port" specs registered at startup (ids shard-0, shard-1…
-    #: unless the shard's status verb reports its own shard_id)
-    shards: list[str] = field(default_factory=list)
-    replicas: int = 128
-    probe_interval: float = 2.0
+    """Deployment knobs of the gateway.
+
+    A field with ``help`` metadata is also a ``repro gateway`` flag of
+    the same name, with the field's default (``type``, when given,
+    parses the flag's text).
+    """
+
+    host: str = field(default="127.0.0.1", metadata={
+        "help": "address to listen on"})
+    port: int = field(default=8750, metadata={
+        "help": "HTTP port (0 = ephemeral)"})
+    shards: list[str] = field(default_factory=list, metadata={
+        "metavar": "HOST:PORT,...", "type": _shard_list,
+        "help": "comma-separated engine-server shards to front, "
+                "registered at startup as shard-0, shard-1, ... unless "
+                "a shard's status verb reports its own shard_id"})
+    probe_interval: float = field(default=2.0, metadata={
+        "metavar": "S", "help": "seconds between shard health probes"})
+    #: socket timeout of one health probe, seconds
     probe_timeout: float = 5.0
-    breaker_threshold: int = 3
+    breaker_threshold: int = field(default=3, metadata={
+        "metavar": "N",
+        "help": "consecutive failures before a shard's breaker opens"})
+    #: seconds an open breaker waits before its half-open probe
     breaker_reset: float = 5.0
-    #: per-proxy-attempt socket timeout (an allocate can legitimately
-    #: run to its deadline, so this must exceed request deadlines)
-    proxy_timeout: float = 300.0
-    #: ring-membership checkpoint file ("" disables): journalled on
-    #: every membership/state change, replayed at startup so a
-    #: restarted gateway re-fronts its fleet without re-registration
-    state_file: str = ""
-    #: ring successors each optimal result is replicated to (0
-    #: disables successor cache replication)
-    replicate: int = 0
+    state_file: str = field(default="", metadata={
+        "metavar": "PATH",
+        "help": "journal ring membership to PATH on every change and "
+                "restore it at startup, so a restarted gateway "
+                "re-fronts its fleet (empty = off)"})
+    replicate: int = field(default=0, metadata={
+        "metavar": "N",
+        "help": "replicate each optimal result's cache record to the "
+                "next N ring successors (0 = off)"})
+
+    def __post_init__(self) -> None:
+        self.replicate = max(0, self.replicate)
 
 
 class AllocationGateway:
@@ -195,14 +217,7 @@ class AllocationGateway:
         # mirror the service and keep them always-on.
         from .. import obs
         obs.enable(stats=True, trace=False)
-        self.manager = ShardManager(
-            replicas=config.replicas,
-            probe_interval=config.probe_interval,
-            probe_timeout=config.probe_timeout,
-            breaker_threshold=config.breaker_threshold,
-            breaker_reset=config.breaker_reset,
-            pool_timeout=config.proxy_timeout,
-        )
+        self.manager = ShardManager(config)
         #: finished end-to-end traces, served by GET /v1/trace
         self.traces = TraceStore()
         #: response id / trace_id -> routing key of the allocate that
@@ -282,21 +297,7 @@ class AllocationGateway:
         )
         with self._state_lock:
             try:
-                parent = Path(path).parent
-                parent.mkdir(parents=True, exist_ok=True)
-                fd, tmp = tempfile.mkstemp(
-                    dir=str(parent), prefix=".gateway-state-"
-                )
-                try:
-                    with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                        fh.write(payload)
-                    os.replace(tmp, path)
-                except BaseException:
-                    try:
-                        os.unlink(tmp)
-                    except OSError:
-                        pass
-                    raise
+                atomic_write(path, payload, prefix=".gateway-state-")
             except OSError:
                 return  # checkpointing is best-effort
         STAT_CHECKPOINT_WRITES.incr()
@@ -648,7 +649,7 @@ class AllocationGateway:
             "uptime_seconds": time.monotonic() - self._started,
             "ring": {
                 "nodes": self.manager.ring.nodes(),
-                "replicas": self.manager.ring.replicas,
+                "replicas": REPLICAS,
             },
             "shards_up": up,
             "shards_total": len(snaps),

@@ -31,7 +31,7 @@ from ..faults.breaker import CircuitBreaker
 from ..obs import counter
 from ..service.client import ServiceClient
 from .pool import ShardPool
-from .ring import DEFAULT_REPLICAS, ConsistentHashRing
+from .ring import ConsistentHashRing
 
 UP = "up"
 DOWN = "down"
@@ -92,24 +92,13 @@ class ShardManager:
     Request threads call :meth:`candidates` / :meth:`report_success` /
     :meth:`report_failure`; the probe thread and admin endpoints
     mutate membership.  One lock guards the shard table; the ring has
-    its own internal lock.
+    its own internal lock.  Probing and breakers follow ``config``,
+    the gateway's :class:`~repro.gateway.server.GatewayConfig`.
     """
 
-    def __init__(
-        self,
-        replicas: int = DEFAULT_REPLICAS,
-        probe_interval: float = 2.0,
-        probe_timeout: float = 5.0,
-        breaker_threshold: int = 3,
-        breaker_reset: float = 5.0,
-        pool_timeout: float = 300.0,
-    ) -> None:
-        self.probe_interval = probe_interval
-        self.probe_timeout = probe_timeout
-        self.breaker_threshold = breaker_threshold
-        self.breaker_reset = breaker_reset
-        self.pool_timeout = pool_timeout
-        self.ring = ConsistentHashRing(replicas=replicas)
+    def __init__(self, config) -> None:
+        self.config = config
+        self.ring = ConsistentHashRing()
         self._shards: dict[str, Shard] = {}
         self._lock = threading.Lock()
         self._stop = threading.Event()
@@ -132,6 +121,13 @@ class ShardManager:
 
     # -- membership ------------------------------------------------------
 
+    def _breaker(self, shard_id: str) -> CircuitBreaker:
+        return CircuitBreaker(
+            f"shard:{shard_id}",
+            failure_threshold=self.config.breaker_threshold,
+            reset_timeout=self.config.breaker_reset,
+        )
+
     def add(self, shard_id: str, host: str, port: int) -> Shard:
         """Register a shard (or re-join one that had left) as ``up``.
 
@@ -150,14 +146,8 @@ class ShardManager:
                     stale_pool = existing.pool
                     existing.host = host
                     existing.port = port
-                    existing.pool = ShardPool(
-                        host, port, timeout=self.pool_timeout
-                    )
-                    existing.breaker = CircuitBreaker(
-                        f"shard:{shard_id}",
-                        failure_threshold=self.breaker_threshold,
-                        reset_timeout=self.breaker_reset,
-                    )
+                    existing.pool = ShardPool(host, port)
+                    existing.breaker = self._breaker(shard_id)
                     existing.last_ok = 0.0
                     existing.last_health = {}
                     if existing.state != UP:
@@ -173,13 +163,8 @@ class ShardManager:
                     shard_id=shard_id,
                     host=host,
                     port=port,
-                    pool=ShardPool(host, port,
-                                   timeout=self.pool_timeout),
-                    breaker=CircuitBreaker(
-                        f"shard:{shard_id}",
-                        failure_threshold=self.breaker_threshold,
-                        reset_timeout=self.breaker_reset,
-                    ),
+                    pool=ShardPool(host, port),
+                    breaker=self._breaker(shard_id),
                 )
                 self._shards[shard_id] = shard
                 self.ring.add(shard_id)
@@ -287,7 +272,7 @@ class ShardManager:
             return False
         try:
             with ServiceClient(
-                shard.host, shard.port, timeout=self.probe_timeout
+                shard.host, shard.port, timeout=self.config.probe_timeout
             ) as client:
                 resp = client.health()
             if not resp.get("ok"):
@@ -318,13 +303,13 @@ class ShardManager:
         self._prober.start()
 
     def _probe_loop(self) -> None:
-        while not self._stop.wait(self.probe_interval):
+        while not self._stop.wait(self.config.probe_interval):
             self.probe_all()
 
     def stop(self) -> None:
         self._stop.set()
         if self._prober is not None:
-            self._prober.join(timeout=self.probe_interval + 1.0)
+            self._prober.join(timeout=self.config.probe_interval + 1.0)
             self._prober = None
         for shard in self.shards():
             shard.pool.close()

@@ -26,6 +26,9 @@ from pathlib import Path
 #: parses the port out of "... listening on host:port (..."
 BANNER_MARK = "listening on "
 
+#: seconds a spawned shard may take to print its banner
+STARTUP_TIMEOUT = 30.0
+
 
 @dataclass
 class LocalShard:
@@ -37,13 +40,16 @@ class LocalShard:
 
 @dataclass
 class LocalShardFleet:
-    """N spawned ``repro serve`` shards with per-shard caches."""
+    """N spawned ``repro serve`` shards with per-shard caches.
+
+    Every shard gets the same ``--time-limit`` and ``--fast-slo-ms``
+    (the gateway's own flags of those names).
+    """
 
     count: int
-    cache_root: str | None = None
-    time_limit: float = 8.0
-    extra_args: list[str] = field(default_factory=list)
-    startup_timeout: float = 30.0
+    cache_root: str | None
+    time_limit: float
+    fast_slo_ms: float
     shards: list[LocalShard] = field(default_factory=list)
 
     def start(self) -> "LocalShardFleet":
@@ -57,12 +63,12 @@ class LocalShardFleet:
             "--port", str(port),
             "--shard-id", shard_id,
             "--time-limit", str(self.time_limit),
+            "--fast-slo-ms", str(self.fast_slo_ms),
         ]
         cache_dir = ""
         if self.cache_root:
             cache_dir = str(Path(self.cache_root) / shard_id)
             cmd += ["--cache", cache_dir]
-        cmd += self.extra_args
         process = subprocess.Popen(
             cmd,
             stdout=subprocess.PIPE,
@@ -80,7 +86,7 @@ class LocalShardFleet:
         self, process: subprocess.Popen, shard_id: str
     ) -> int:
         """Block until the serve banner reports the bound port."""
-        deadline = time.monotonic() + self.startup_timeout
+        deadline = time.monotonic() + STARTUP_TIMEOUT
         assert process.stdout is not None
         while time.monotonic() < deadline:
             line = process.stdout.readline()
@@ -160,4 +166,4 @@ class LocalShardFleet:
         self.stop()
 
 
-__all__ = ["BANNER_MARK", "LocalShard", "LocalShardFleet"]
+__all__ = ["BANNER_MARK", "STARTUP_TIMEOUT", "LocalShard", "LocalShardFleet"]

@@ -12,7 +12,7 @@ journal its predecessor did.
 
 Respawning is budgeted *cumulatively*: a shard gets at most
 ``restart_budget`` respawn attempts within a sliding
-``budget_window`` seconds — counting both failed attempts and
+:data:`BUDGET_WINDOW` seconds — counting both failed attempts and
 successful respawns — paced by deterministic exponential backoff
 (:class:`~repro.faults.retry.RetryPolicy` salted with the shard id).
 A shard that respawns cleanly but keeps dying therefore burns its
@@ -42,6 +42,9 @@ from ..faults.retry import RetryPolicy
 from ..obs import define_counter
 from .shards import LEFT, ShardManager
 from .spawn import LocalShardFleet
+
+#: seconds of the sliding window a shard's restart budget covers
+BUDGET_WINDOW = 60.0
 
 STAT_DEATHS = define_counter(
     "gateway.shard_deaths",
@@ -74,15 +77,13 @@ class ShardSupervisor:
         self,
         fleet: LocalShardFleet,
         manager: ShardManager,
-        restart_budget: int = 3,
-        poll_interval: float = 0.5,
+        restart_budget: int,
+        poll_interval: float,
         policy: RetryPolicy | None = None,
-        budget_window: float = 60.0,
     ) -> None:
         self.fleet = fleet
         self.manager = manager
         self.restart_budget = max(1, restart_budget)
-        self.budget_window = budget_window
         self.poll_interval = poll_interval
         self.policy = policy or RetryPolicy(
             max_retries=self.restart_budget,
@@ -134,7 +135,7 @@ class ShardSupervisor:
         with self._lock:
             now = time.monotonic()
             recent = self._recent.setdefault(shard_id, deque())
-            while recent and now - recent[0] > self.budget_window:
+            while recent and now - recent[0] > BUDGET_WINDOW:
                 recent.popleft()
             if len(recent) >= self.restart_budget:
                 return None
@@ -212,11 +213,11 @@ class ShardSupervisor:
         with self._lock:
             return {
                 "restart_budget": self.restart_budget,
-                "budget_window": self.budget_window,
+                "budget_window": BUDGET_WINDOW,
                 "restarts": dict(self.restarts),
                 "attempts": dict(self._attempts),
                 "exhausted": sorted(self.exhausted),
             }
 
 
-__all__ = ["ShardSupervisor"]
+__all__ = ["BUDGET_WINDOW", "ShardSupervisor"]

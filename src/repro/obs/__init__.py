@@ -82,8 +82,10 @@ def enabled() -> bool:
 
 
 #: ``REPRO_TRACE=1 python -m repro ...`` enables tracing + stats without
-#: touching the command line (an empty value or "0" leaves them off).
-if os.environ.get("REPRO_TRACE", "0") not in ("", "0"):
+#: touching the command line (an empty value or "0" leaves them off);
+#: the CLI then prints both on exit, as for ``--stats --trace``.
+TRACE_FROM_ENV = os.environ.get("REPRO_TRACE", "0") not in ("", "0")
+if TRACE_FROM_ENV:
     enable()
 
 __all__ = [
@@ -100,6 +102,7 @@ __all__ = [
     "SpanCapture",
     "Stat",
     "StatsRegistry",
+    "TRACE_FROM_ENV",
     "TRACE_KEEP",
     "TraceStore",
     "VARIABLE_CLASS_BY_KIND",

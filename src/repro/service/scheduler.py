@@ -207,15 +207,12 @@ class BatchScheduler:
         self.tally = TenantTally()
         #: tier policy + the fast path it may pick (fast reply now,
         #: exact IP solve upgraded in the background)
-        self.policy = TierPolicy(
-            fast_slo_ms=getattr(config, "fast_slo_ms", 0.0)
-        )
+        self.policy = TierPolicy(fast_slo_ms=config.fast_slo_ms)
         self.tiers = FastTier(
             self._make_engine, self._target, self.traces, self.tally,
             policy=self.policy,
             cache_dir=config.cache_dir,
-            capacity=getattr(config, "upgrade_queue_capacity", 64),
-            keep=getattr(config, "upgrade_keep", 256),
+            capacity=config.upgrade_queue_capacity,
             on_settle=self._poke_drained,
         )
         self._loop: asyncio.AbstractEventLoop | None = None
@@ -291,9 +288,7 @@ class BatchScheduler:
         with self._ns_lock:
             cache = self._ns_caches.get(tenant)
             if cache is None:
-                bound = getattr(
-                    self.config, "cache_namespace_max_entries", None
-                )
+                bound = self.config.cache_namespace_max_entries
                 if bound is None:
                     bound = self.config.cache_max_entries
                 cache = self._ns_caches[tenant] = ResultCache(

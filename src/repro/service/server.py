@@ -37,7 +37,7 @@ import uuid
 from dataclasses import dataclass, field
 
 from .. import obs
-from ..core import AllocatorConfig
+from ..core import CLI_TIME_LIMIT, AllocatorConfig
 from ..engine import DEFAULT_CACHE_DIR  # noqa: F401  (re-export)
 from ..engine.cache import REPLICA_OUTCOMES
 from ..faults import (
@@ -108,59 +108,79 @@ def _default_targets() -> dict:
     }
 
 
+#: grace given to open connections to flush after drain, seconds
+STOP_GRACE = 2.0
+
+
 @dataclass(slots=True)
 class ServiceConfig:
-    """Deployment knobs of the allocation service."""
+    """Deployment knobs of the allocation service.
 
-    host: str = "127.0.0.1"
-    #: 0 = bind an ephemeral port (read it back from ``server.port``)
-    port: int = 0
-    #: admitted requests that may wait for a solver slot; a full queue
-    #: rejects with ``overloaded``
-    queue_capacity: int = 16
-    #: admitted requests solved concurrently
-    max_in_flight: int = 4
-    #: most requests one solver batch may carry
-    max_batch: int = 8
+    A field with ``help`` metadata is also a ``repro serve`` flag of
+    the same name (``--queue-capacity`` for ``queue_capacity``), with
+    the field's default; ``metavar`` names its value in ``--help``.
+    """
+
+    host: str = field(default="127.0.0.1", metadata={
+        "help": "address to listen on"})
+    port: int = field(default=0, metadata={
+        "help": "TCP port (0 = ephemeral; the listening banner and "
+                "server.port report the one bound)"})
+    queue_capacity: int = field(default=16, metadata={
+        "metavar": "N",
+        "help": "admission queue bound; a full queue rejects with "
+                "'overloaded'"})
+    max_in_flight: int = field(default=4, metadata={
+        "metavar": "N", "help": "requests solved concurrently"})
+    max_batch: int = field(default=8, metadata={
+        "metavar": "N",
+        "help": "most requests one solver batch carries"})
     #: worker processes of the shared engine pool (1 = in-process)
     jobs: int = 1
     #: persistent result cache shared by every request (None = off)
     cache_dir: str | None = None
     #: LRU bound for the cache (None: REPRO_CACHE_MAX_ENTRIES env)
     cache_max_entries: int | None = None
-    #: LRU bound applied to each tenant's cache namespace
-    #: (None: fall back to ``cache_max_entries``)
-    cache_namespace_max_entries: int | None = None
-    #: identity this server reports to fleets: the gateway's shard
-    #: ring, ``status``/``stats``/``health`` bodies ("" = standalone)
-    shard_id: str = ""
+    cache_namespace_max_entries: int | None = field(default=None, metadata={
+        "metavar": "N",
+        "help": "per-tenant LRU bound on cache namespaces (default: "
+                "--cache-max-entries)"})
+    shard_id: str = field(default="", metadata={
+        "metavar": "ID",
+        "help": "identity reported to fleets: the gateway's shard "
+                "ring and the status/stats/health bodies (set by the "
+                "gateway's --spawn; empty = standalone)"})
     #: target assumed when a request names none
     default_target: str = "x86"
     #: allocator config a request's ``config`` knobs override
     defaults: AllocatorConfig = field(
-        default_factory=lambda: AllocatorConfig(time_limit=64.0)
+        default_factory=lambda: AllocatorConfig(time_limit=CLI_TIME_LIMIT)
     )
-    #: grace given to open connections to flush after drain, seconds
-    stop_grace: float = 2.0
-    #: largest accepted request line in bytes (over it: ``too_large``;
-    #: must be <= MAX_LINE_BYTES, the stream's hard framing cap)
-    max_request_bytes: int = MAX_LINE_BYTES
+    max_request_bytes: int = field(default=MAX_LINE_BYTES, metadata={
+        "metavar": "N",
+        "help": "reject longer request lines with 'too_large' (at "
+                "most the protocol's line limit, the stream's hard "
+                "framing cap)"})
     #: per-tenant request-size overrides, ``{tenant: bytes}``
     tenant_limits: dict | None = None
     #: fault-plan spec installed at start (None: REPRO_FAULTS env)
     faults: str | None = None
-    #: bind an HTTP /metrics sidecar on this port (None = off;
-    #: 0 = ephemeral, read it back from ``server.metrics_port``)
-    metrics_port: int | None = None
-    #: fast-tier reply SLO in milliseconds; > 0 enables tiered
-    #: allocation (linear-scan reply now, exact IP solve upgraded in
-    #: the background), <= 0 keeps the pre-tiered exact-only behavior
-    fast_slo_ms: float = 0.0
-    #: background optimal-upgrade jobs that may wait (bound; past it
-    #: new upgrades are dropped and the fast answer stands)
-    upgrade_queue_capacity: int = 64
-    #: terminal upgrade-status records kept for ``upgrade_status``
-    upgrade_keep: int = 256
+    metrics_port: int | None = field(default=None, metadata={
+        "metavar": "P",
+        "help": "serve Prometheus text on an HTTP sidecar at this port "
+                "(0 = ephemeral; the banner and server.metrics_port "
+                "report the one bound)"})
+    fast_slo_ms: float = field(default=0.0, metadata={
+        "metavar": "MS",
+        "help": "enable tiered allocation: answer within MS "
+                "milliseconds from the linear-scan fast tier and "
+                "upgrade to the exact IP solve in the background "
+                "(0 = exact-only, the default)"})
+    upgrade_queue_capacity: int = field(default=64, metadata={
+        "metavar": "N",
+        "help": "background optimal-upgrade jobs that may wait; past "
+                "N new upgrades are dropped and the fast answer "
+                "stands"})
 
 
 class AllocationServer:
@@ -240,7 +260,7 @@ class AllocationServer:
         # stragglers (e.g. idle keep-alive clients).
         if self._connections:
             done, pending = await asyncio.wait(
-                set(self._connections), timeout=self.config.stop_grace
+                set(self._connections), timeout=STOP_GRACE
             )
             for task in pending:
                 task.cancel()

@@ -36,7 +36,6 @@ from __future__ import annotations
 
 import json
 import os
-import tempfile
 import threading
 import time
 from collections import OrderedDict
@@ -45,6 +44,7 @@ from pathlib import Path
 
 from ..core import AllocatorConfig, config_to_wire
 from ..faults import SITE_JOURNAL_TORN_WRITE, should_fire
+from ..fileio import atomic_write
 from ..ir import format_function, parse_module
 from ..obs import Span, capture, define_counter, define_gauge, trace_phase
 from ..telemetry import define_histogram
@@ -120,6 +120,9 @@ TERMINAL_STATES = ("done", "failed", "dropped")
 
 #: journal file name, under the shard's cache dir
 JOURNAL_NAME = "upgrades.journal.jsonl"
+
+#: terminal upgrade-status records kept for ``upgrade_status``
+UPGRADE_KEEP = 256
 
 
 @dataclass(slots=True)
@@ -256,25 +259,13 @@ class UpgradeJournal:
         with self._lock:
             if self._disabled:
                 return
+            text = "".join(
+                json.dumps(event, sort_keys=True, separators=(",", ":"))
+                + "\n"
+                for event in incomplete.values()
+            )
             try:
-                self.path.parent.mkdir(parents=True, exist_ok=True)
-                fd, tmp = tempfile.mkstemp(
-                    dir=self.path.parent, prefix=".journal-"
-                )
-                try:
-                    with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                        for event in incomplete.values():
-                            handle.write(json.dumps(
-                                event, sort_keys=True,
-                                separators=(",", ":"),
-                            ) + "\n")
-                    os.replace(tmp, self.path)
-                except BaseException:
-                    try:
-                        os.unlink(tmp)
-                    except OSError:
-                        pass
-                    raise
+                atomic_write(self.path, text, prefix=".journal-")
             except OSError:
                 pass
 
@@ -292,8 +283,7 @@ class UpgradeQueue:
     def __init__(
         self,
         runner,
-        capacity: int = 64,
-        keep: int = 256,
+        capacity: int,
         on_settle=None,
         journal: UpgradeJournal | None = None,
     ) -> None:
@@ -308,7 +298,6 @@ class UpgradeQueue:
         self._thread: threading.Thread | None = None
         #: bounded trace_id -> status store for the upgrade_status verb
         self._statuses: OrderedDict[str, dict] = OrderedDict()
-        self._keep = max(1, keep)
         # plain accounting for status/stats bodies
         self.enqueued = 0
         self.completed = 0
@@ -562,7 +551,7 @@ class UpgradeQueue:
             self._statuses[job.trace_id] = status
         status.update(fields)
         self._statuses.move_to_end(job.trace_id)
-        while len(self._statuses) > self._keep:
+        while len(self._statuses) > UPGRADE_KEEP:
             self._statuses.popitem(last=False)
         state = fields.get("state")
         event = None
@@ -592,8 +581,7 @@ class FastTier:
 
     def __init__(
         self, engine, target, traces, tally, *, policy,
-        cache_dir: str | None = None, capacity: int = 64,
-        keep: int = 256, on_settle=None,
+        cache_dir: str | None, capacity: int, on_settle=None,
     ) -> None:
         self._engine = engine
         self._target = target
@@ -606,7 +594,6 @@ class FastTier:
         self.queue = UpgradeQueue(
             runner=self.run_upgrade,
             capacity=capacity,
-            keep=keep,
             on_settle=on_settle,
             journal=self.journal,
         )

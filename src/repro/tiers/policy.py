@@ -70,7 +70,7 @@ class TierPolicy:
     request goes straight to the IP solver (the pre-tiered behavior).
     """
 
-    fast_slo_ms: float = 0.0
+    fast_slo_ms: float
 
     @property
     def fast_enabled(self) -> bool:

@@ -161,6 +161,7 @@ def _fast_tier(tmp_path) -> FastTier:
         TraceStore(), TenantTally(),
         policy=TierPolicy(fast_slo_ms=50.0),
         cache_dir=str(tmp_path / "c"),
+        capacity=64,
     )
 
 
@@ -464,7 +465,7 @@ def test_supervisor_respawns_sigkilled_shard(tmp_path):
     respawns it with its original id, port, and cache dir, and it
     rejoins the ring through the normal probe path."""
     fleet = LocalShardFleet(
-        count=2, cache_root=str(tmp_path), time_limit=8.0)
+        count=2, cache_root=str(tmp_path), time_limit=8.0, fast_slo_ms=0.0)
     fleet.start()
     gwt = GatewayThread(GatewayConfig(
         port=0, probe_interval=0.2, probe_timeout=5.0,
@@ -517,7 +518,8 @@ def test_supervisor_budget_exhaustion_keeps_gateway_up(tmp_path):
     """A shard that cannot respawn is abandoned — off the ring, with
     the gateway and the rest of the fleet unharmed."""
     fleet = LocalShardFleet(
-        count=1, cache_root=str(tmp_path / "fleet"), time_limit=8.0)
+        count=1, cache_root=str(tmp_path / "fleet"), time_limit=8.0,
+        fast_slo_ms=0.0)
     fleet.start()
     survivor = ServerThread(ServiceConfig(
         port=0, queue_capacity=16, max_in_flight=2,
@@ -651,7 +653,7 @@ def test_manager_add_adopts_new_address():
     """Re-registering a known shard id under a new port swaps in a
     fresh pool and breaker — a checkpoint restore must not pin a
     respawned fleet to its predecessor's dead ephemeral ports."""
-    manager = ShardManager()
+    manager = ShardManager(GatewayConfig())
     shard = manager.add("shard-0", "127.0.0.1", 1111)
     old_pool = shard.pool
     shard.breaker.record_failure()

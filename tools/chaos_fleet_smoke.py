@@ -25,10 +25,16 @@ properties of the self-healing layer:
   answers ``tier: "ip"`` with ``optimality_gap == 0``.
 
 Writes the gateway's + every shard's Prometheus snapshot to
-``fleet-metrics.txt`` (or ``argv[1]``) for upload as a CI artifact.
+``fleet-metrics.txt`` (or the METRICS argument) for upload as a CI
+artifact.  ``--seed N`` seeds the fault plan (default 11), so runs
+over several seeds sweep different fault draws::
+
+    python tools/chaos_fleet_smoke.py [METRICS] [--seed N]
+
 Exits non-zero on any violated assertion.
 """
 
+import argparse
 import os
 import re
 import signal
@@ -49,7 +55,7 @@ from repro.service import ServiceClient  # noqa: E402
 #: and the respawn-fail site forces the supervisor through two failed
 #: attempts (and their backoff) before the third succeeds.
 FAULT_PLAN = (
-    "seed=11;worker_crash=0.2:2;replica_drop=0.3:2;"
+    "seed={seed};worker_crash=0.2:2;replica_drop=0.3:2;"
     "supervisor_respawn_fail=1.0:2"
 )
 
@@ -97,15 +103,19 @@ def shard_metrics(port: int) -> str:
 
 
 def main() -> int:
-    metrics_path = sys.argv[1] if len(sys.argv) > 1 \
-        else "fleet-metrics.txt"
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("metrics", nargs="?", default="fleet-metrics.txt")
+    parser.add_argument("--seed", type=int, default=11,
+                        help="fault-plan seed (default: 11)")
+    cli = parser.parse_args()
+    metrics_path = cli.metrics
     tmp = tempfile.mkdtemp(prefix="chaos-fleet-smoke-")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [os.path.abspath(os.path.join(
             os.path.dirname(__file__), os.pardir, "src")),
          env.get("PYTHONPATH", "")])
-    env["REPRO_FAULTS"] = FAULT_PLAN
+    env["REPRO_FAULTS"] = FAULT_PLAN.format(seed=cli.seed)
     gateway = subprocess.Popen(
         [sys.executable, "-m", "repro", "gateway",
          "--port", "0", "--spawn", "3",
