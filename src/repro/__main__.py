@@ -130,13 +130,7 @@ from .service import (
     ServiceError,
 )
 from .sim import AllocatedFunction, Interpreter
-from .target import risc_target, x86_target
-
-TARGETS = {
-    "x86": lambda: x86_target(),
-    "x86+ebp": lambda: x86_target(allow_ebp=True),
-    "risc": lambda: risc_target(),
-}
+from .target import TARGETS, x86_target
 
 #: the port ``serve`` listens on and ``submit`` connects to unless
 #: told otherwise
@@ -390,7 +384,7 @@ def _service_config(args) -> ServiceConfig:
 
 def cmd_serve(args) -> int:
     config = _service_config(args)
-    server = AllocationServer(config, targets=dict(TARGETS))
+    server = AllocationServer(config)
 
     async def _run() -> None:
         await server.start()
@@ -950,7 +944,7 @@ def build_parser() -> argparse.ArgumentParser:
                                "degrades to the baseline")
     p_submit.add_argument("--tenant", default=None,
                           help="tenant tag for fair queueing and "
-                               "per-tenant size limits")
+                               "per-tenant accounting")
     p_submit.add_argument("--request", default=None, metavar="REF",
                           help="trace_id or id to cancel or fetch "
                                "(with --verb cancel/trace/"
@@ -991,9 +985,8 @@ def main(argv=None) -> int:
     # REPRO_TRACE=1 behaves like passing --stats --trace.
     show_stats = args.stats or obs.TRACE_FROM_ENV
     show_trace = args.trace or obs.TRACE_FROM_ENV
-    # --report-json needs live counters for the per-function deltas.
-    obs.enable(stats=show_stats or bool(args.report_json),
-               trace=show_trace)
+    if show_trace:
+        obs.set_trace_enabled(True)
     try:
         code = args.func(args)
     finally:

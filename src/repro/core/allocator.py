@@ -25,19 +25,19 @@ from ..analysis import ExecutionFrequencies, static_frequencies
 from ..ir import Function, clone_function
 from ..lowering import lower_for_target
 from ..obs import (
+    REGISTRY,
     CostSplit,
     FunctionRunReport,
     ModelStats,
     SolverStats,
     capture,
     define_counter,
-    snapshot,
+    define_histogram,
     trace_phase,
 )
 from ..postpass import merge_noop_copies
 from ..solver import InfeasibleModel, SolveStatus
 from ..target import TargetMachine
-from ..telemetry import define_histogram
 from .analysis_module import ORAAnalysis
 from .config import AllocatorConfig
 from .costmodel import CostModel
@@ -111,7 +111,7 @@ class IPAllocator:
                 alloc, *_ = self._allocate(fn, freq, solve_override)
             return alloc
 
-        counters_before = snapshot()
+        counts_before = REGISTRY.delta()
         with capture() as cap:
             with trace_phase("ip-allocate", function=fn.name):
                 alloc, model, table, result, split = self._allocate(
@@ -119,7 +119,7 @@ class IPAllocator:
                 )
         alloc.report = self._build_report(
             fn, alloc, model, table, result, split, cap.spans,
-            counters_before,
+            counts_before,
         )
         return alloc
 
@@ -208,14 +208,8 @@ class IPAllocator:
 
     def _build_report(
         self, fn, alloc, model, table, result, split, spans,
-        counters_before,
+        counts_before,
     ) -> FunctionRunReport:
-        counters_after = snapshot()
-        delta = {
-            name: counters_after[name] - counters_before.get(name, 0.0)
-            for name in counters_after
-            if counters_after[name] != counters_before.get(name, 0.0)
-        }
         return FunctionRunReport(
             function=fn.name,
             trace_id=self.config.trace_id,
@@ -228,7 +222,7 @@ class IPAllocator:
             if result is not None else None,
             cost=split,
             phases=spans,
-            counters=delta,
+            counters=REGISTRY.delta(counts_before)["counters"],
         )
 
     def _failed(self, fn: Function, status: str) -> Allocation:

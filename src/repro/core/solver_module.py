@@ -3,9 +3,8 @@ record the solution in the decision-variable table."""
 
 from __future__ import annotations
 
-from ..obs import annotate, define_counter, trace_phase
+from ..obs import annotate, define_counter, define_histogram, trace_phase
 from ..solver import IPModel, SolveResult, SolveStatus, solve
-from ..telemetry import define_histogram
 from .config import AllocatorConfig
 from .table import DecisionVariableTable
 

@@ -32,9 +32,10 @@ exploits that:
   keep GCC's allocation.
 
 Observability: ``engine.cache_hits`` / ``engine.cache_misses`` /
-``engine.timeouts`` / ``engine.fallbacks`` counters, worker counter
-deltas merged back into the parent's stats registry, and per-worker
-phase spans (tagged with the worker pid) surfaced in run reports.
+``engine.timeouts`` / ``engine.fallbacks`` counters, each worker's
+counter and histogram delta merged back into the parent's registry,
+and per-worker phase spans (tagged with the worker pid) surfaced in
+run reports.
 """
 
 from __future__ import annotations
@@ -72,18 +73,11 @@ from ..obs import (
     capture_active,
     counter,
     define_counter,
-    set_stats_enabled,
-    snapshot,
     trace_enabled,
     trace_phase,
 )
 from ..solver.model import InfeasibleModel
 from ..target import TargetMachine
-from ..telemetry import (
-    histogram_delta,
-    histogram_snapshot,
-    merge_histograms,
-)
 from .cache import CacheRecord, ResultCache
 from .fingerprint import allocation_fingerprint
 from .pool import SolverPool
@@ -135,6 +129,12 @@ DEGRADABLE_FAILURES = (
 #: worker is declared hung and its function falls back
 DEADLINE_GRACE = 30.0
 
+#: pool resubmissions a job gets when a worker process dies mid-solve.
+#: One crash breaks the whole pool, so every in-flight job becomes a
+#: casualty of it; three attempts keep innocent-bystander jobs from
+#: degrading under modest fault rates.
+RETRIES = 3
+
 #: How a worker crash surfaces on ``future.result()`` / ``submit()``:
 #: the pool breaks (``BrokenProcessPool``) or the OS refuses resources.
 _POOL_FAILURES = (BrokenExecutor, OSError)
@@ -156,11 +156,6 @@ class EngineConfig:
     cache_dir: str | None = None
     #: degrade failed functions to the graph-coloring baseline
     fallback: bool = True
-    #: in-process retries when a worker process dies mid-solve.  One
-    #: crash breaks the whole pool, so every in-flight job becomes a
-    #: casualty of it; three attempts keep innocent-bystander jobs
-    #: from degrading under modest fault rates.
-    retries: int = 3
     #: LRU bound on the persistent result cache (None: the
     #: ``REPRO_CACHE_MAX_ENTRIES`` environment default, else unbounded)
     cache_max_entries: int | None = None
@@ -262,13 +257,12 @@ class _WorkerReturn:
     function: str
     alloc: Allocation | None
     record: CacheRecord | None
-    counters: dict[str, float]
+    #: the worker's :meth:`~repro.obs.StatsRegistry.delta` over the solve
+    counts: dict
     spans: list[Span]
     pid: int
     timed_out: bool
     error: str = ""
-    #: histogram snapshot deltas, merged back like ``counters``
-    histograms: dict[str, dict] = field(default_factory=dict)
 
 
 def _run_pipeline(
@@ -296,11 +290,7 @@ def _run_pipeline(
 
 def _worker_solve(payload: _WorkerPayload) -> _WorkerReturn:
     """Process-pool entry point: full allocation pipeline for one fn."""
-    # Workers measure their own counter deltas regardless of the
-    # parent's flag; the parent merges them (gated on its own flag).
-    set_stats_enabled(True)
-    before = snapshot()
-    hist_before = histogram_snapshot(skip_empty=False)
+    before = REGISTRY.delta()
     inj = get_injector()
     if inj.spec != payload.faults:
         # Install the parent's plan (budgets stay per worker process).
@@ -334,15 +324,6 @@ def _worker_solve(payload: _WorkerPayload) -> _WorkerReturn:
         if strict_enabled():
             raise
         error = f"{type(exc).__name__}: {exc}"
-    after = snapshot()
-    counters = {
-        name: after[name] - before.get(name, 0.0)
-        for name in after
-        if after[name] != before.get(name, 0.0)
-    }
-    histograms = histogram_delta(
-        hist_before, histogram_snapshot(skip_empty=False)
-    )
     record = (
         CacheRecord.from_allocation(payload.fingerprint, alloc, result)
         if alloc is not None else None
@@ -351,12 +332,11 @@ def _worker_solve(payload: _WorkerPayload) -> _WorkerReturn:
         function=payload.fn.name,
         alloc=alloc,
         record=record,
-        counters=counters,
+        counts=REGISTRY.delta(before),
         spans=spans,
         pid=os.getpid(),
         timed_out=bool(result is not None and result.timed_out),
         error=error,
-        histograms=histograms,
     )
 
 
@@ -627,7 +607,7 @@ class AllocationEngine:
         submit everything, drain, collect the crash casualties, back
         off, respawn the pool, resubmit the casualties with a bumped
         ``attempt`` (part of the fault-decision key).  After
-        ``retries`` resubmissions a casualty gets one in-process
+        :data:`RETRIES` resubmissions a casualty gets one in-process
         attempt (:meth:`_final_attempt`); only a solve that still
         fails there degrades to the baseline, counted — never an
         unhandled exception.
@@ -641,7 +621,7 @@ class AllocationEngine:
             trace_enabled() or capture_active()
         ) and not collect
         faults_spec = current_spec()
-        retry = RetryPolicy(max_retries=ec.retries)
+        retry = RetryPolicy(max_retries=RETRIES)
         # Merge-back is idempotent per (job, attempt): a result that
         # somehow surfaces twice across crash-retry waves must not
         # double-count its counter/histogram deltas.
@@ -691,7 +671,7 @@ class AllocationEngine:
                 wave = []
                 for job, attempt, exc in crashed:
                     counter("resilience.worker_crashes").incr()
-                    if attempt < ec.retries:
+                    if attempt < RETRIES:
                         STAT_RETRIES.incr()
                         wave.append((job, attempt + 1))
                         continue
@@ -818,8 +798,7 @@ class AllocationEngine:
         token = f"{job.fingerprint}#{attempt_no}"
         if token not in merged_tokens:
             merged_tokens.add(token)
-            self._merge_counters(ret.counters)
-            merge_histograms(ret.histograms)
+            REGISTRY.merge(ret.counts)
         if ret.error:
             # In-worker pipeline failure: the worker already counted
             # the degradation (merged just above); degrade to the
@@ -908,13 +887,6 @@ class AllocationEngine:
         )
 
     # -- observability plumbing -----------------------------------------
-
-    def _merge_counters(self, counters: dict[str, float]) -> None:
-        """Add a worker's counter deltas to this process's registry."""
-        for name, delta in counters.items():
-            stat = REGISTRY.define(name)
-            if stat.kind == "counter":
-                stat.add(delta)
 
     def _surface_spans(
         self, ret: _WorkerReturn, attempt: Allocation, engine_span

@@ -55,7 +55,14 @@ from urllib.parse import parse_qs, urlparse
 
 from ..faults import SITE_REPLICA_DROP, should_fire
 from ..fileio import atomic_write
-from ..obs import Span, TraceStore, counter, define_counter, define_gauge
+from ..obs import (
+    Span,
+    TraceStore,
+    counter,
+    define_counter,
+    define_gauge,
+    define_histogram,
+)
 from ..service.protocol import (
     E_BAD_REQUEST,
     E_INTERNAL,
@@ -66,7 +73,6 @@ from ..service.protocol import (
     MAX_LINE_BYTES,
     error_response,
 )
-from ..telemetry import define_histogram
 from ..telemetry.prom import PROM_CONTENT_TYPE, render_prometheus
 from .ring import REPLICAS
 from .shards import STATE_CODE, UP, ShardManager, parse_shard_addr
@@ -213,10 +219,6 @@ class AllocationGateway:
 
     def __init__(self, config: GatewayConfig) -> None:
         self.config = config
-        # Routing metrics are the gateway's whole observable surface;
-        # mirror the service and keep them always-on.
-        from .. import obs
-        obs.enable(stats=True, trace=False)
         self.manager = ShardManager(config)
         #: finished end-to-end traces, served by GET /v1/trace
         self.traces = TraceStore()

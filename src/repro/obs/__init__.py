@@ -1,18 +1,18 @@
-"""Allocator observability: stats registry, phase tracer, run reports.
+"""Allocator observability: metrics registry, phase tracer, run reports.
 
-Three layers, all zero-cost when disabled:
+Three layers:
 
-* :mod:`repro.obs.stats` — process-wide counters/gauges declared
-  ``DEFINE_STAT``-style at module import;
+* :mod:`repro.obs.stats` — the one process-wide registry of counters,
+  gauges and histograms, declared ``DEFINE_STAT``-style at module
+  import and always counting;
 * :mod:`repro.obs.trace` — ``with trace_phase("liveness"): ...`` span
   trees with wall-clock timings, and the same spans built stage by
-  stage as a service request's trace;
+  stage as a service request's trace; off (one flag check per phase)
+  until :func:`set_trace_enabled` or ``REPRO_TRACE``, since spans
+  allocate;
 * :mod:`repro.obs.report` — structured per-function run reports
   (model size by §5 feature class, solver statistics, §4 cost split)
   that serialise to JSON.
-
-Enable globally with :func:`enable` (what ``--stats``/``--trace`` do)
-or by setting the ``REPRO_TRACE`` environment variable before import.
 """
 
 from __future__ import annotations
@@ -32,18 +32,19 @@ from .report import (
     variable_class,
 )
 from .stats import (
+    BOUNDS,
     REGISTRY,
+    Histogram,
     Stat,
     StatsRegistry,
     counter,
     define_counter,
     define_gauge,
+    define_histogram,
     gauge,
     render_stats,
     reset_stats,
-    set_stats_enabled,
     snapshot,
-    stats_enabled,
 )
 from .trace import (
     NOOP_SPAN,
@@ -63,38 +64,23 @@ from .trace import (
 )
 
 
-def enable(stats: bool = True, trace: bool = True) -> None:
-    """Turn instrumentation on (both layers by default)."""
-    if stats:
-        set_stats_enabled(True)
-    if trace:
-        set_trace_enabled(True)
-
-
-def disable() -> None:
-    """Turn all instrumentation off (the default state)."""
-    set_stats_enabled(False)
-    set_trace_enabled(False)
-
-
-def enabled() -> bool:
-    return stats_enabled() or trace_enabled()
-
-
-#: ``REPRO_TRACE=1 python -m repro ...`` enables tracing + stats without
-#: touching the command line (an empty value or "0" leaves them off);
-#: the CLI then prints both on exit, as for ``--stats --trace``.
+#: ``REPRO_TRACE=1 python -m repro ...`` enables tracing without
+#: touching the command line (an empty value or "0" leaves it off);
+#: the CLI then prints the trace and the stats table on exit, as for
+#: ``--stats --trace``.
 TRACE_FROM_ENV = os.environ.get("REPRO_TRACE", "0") not in ("", "0")
 if TRACE_FROM_ENV:
-    enable()
+    set_trace_enabled(True)
 
 __all__ = [
+    "BOUNDS",
     "CONSTRAINT_CLASS_BY_PREFIX",
     "FEATURE_CLASSES",
     "NOOP_SPAN",
     "REGISTRY",
     "CostSplit",
     "FunctionRunReport",
+    "Histogram",
     "ModelStats",
     "RunReport",
     "SolverStats",
@@ -114,17 +100,13 @@ __all__ = [
     "current_span",
     "define_counter",
     "define_gauge",
-    "disable",
-    "enable",
-    "enabled",
+    "define_histogram",
     "gauge",
     "render_stats",
     "render_trace",
     "reset_stats",
-    "set_stats_enabled",
     "set_trace_enabled",
     "snapshot",
-    "stats_enabled",
     "take_trace",
     "trace_enabled",
     "trace_phase",

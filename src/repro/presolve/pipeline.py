@@ -12,9 +12,8 @@ from __future__ import annotations
 
 import time
 
-from ..obs import define_counter, trace_phase
+from ..obs import define_counter, define_histogram, trace_phase
 from ..solver.model import IPModel
-from ..telemetry import define_histogram
 from .array_passes import ArrayReducer
 from .config import PresolveConfig
 from .reduction import PresolveReduction, PresolveSummary

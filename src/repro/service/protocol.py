@@ -60,9 +60,9 @@ full — resubmit later), ``draining`` (server is shutting down),
 ``bad_request`` (malformed fields, unknown target/backend/function,
 failed compile), ``parse_error`` (request line is not valid JSON),
 ``unknown_verb``, ``internal``, ``too_large`` (request exceeds the
-global or per-tenant size limit), and ``cancelled`` (a queued request
-removed by the ``cancel`` verb — the waiting allocate gets this as its
-terminal response).
+size limit), and ``cancelled`` (a queued request removed by the
+``cancel`` verb — the waiting allocate gets this as its terminal
+response).
 
 Every `allocate` admission gets a terminal response: a result (solver,
 cache replay, or baseline fallback), or an explicit error — the
@@ -266,7 +266,7 @@ class AllocateRequest:
     #: wall-clock budget in seconds from admission (None: unbounded)
     deadline: float | None = None
     #: client-declared tenant — the fair-queueing key (falls back to
-    #: the connection when empty) and the per-tenant size-limit key
+    #: the connection when empty) and the per-tenant tally row
     tenant: str = ""
     #: the client asked for a request-lifecycle trace (a client
     #: supplied ``trace_id`` or ``"trace": true``); server-generated
@@ -288,8 +288,9 @@ def parse_allocate(
 ) -> AllocateRequest:
     """Validate and compile an ``allocate`` request.
 
-    ``targets`` maps target names to factories (the CLI's TARGETS
-    table).  Raises :class:`ProtocolError` on any defect.
+    ``targets`` maps target names to factories (as
+    :data:`repro.target.TARGETS` does).  Raises :class:`ProtocolError`
+    on any defect.
     """
     from ..ir import parse_module
     from ..lang import compile_program

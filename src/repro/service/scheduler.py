@@ -61,9 +61,9 @@ from ..obs import (
     capture,
     define_counter,
     define_gauge,
+    define_histogram,
     trace_phase,
 )
-from ..telemetry import define_histogram
 from ..tiers import TIER_IP, TierPolicy
 from .protocol import (
     E_CANCELLED,
@@ -196,14 +196,10 @@ class BatchScheduler:
         self._batch_tasks: set[asyncio.Task] = set()
         self._in_flight = 0
         self.draining = False
-        # plain request accounting for the status verb
-        self.admitted = 0
-        self.completed = 0
-        self.rejected = 0
-        self.cancelled = 0
         #: finished request traces, served by the ``trace`` verb
         self.traces = TraceStore()
-        #: per-tenant accounting for the stats verb and /metrics
+        #: per-tenant accounting for the stats verb and /metrics; its
+        #: totals are the status verb's request counts
         self.tally = TenantTally()
         #: tier policy + the fast path it may pick (fast reply now,
         #: exact IP solve upgraded in the background)
@@ -346,7 +342,6 @@ class BatchScheduler:
         tenant = request.tenant or ANON
         if self.draining:
             STAT_REJECTED_DRAIN.incr()
-            self.rejected += 1
             self.tally.note(tenant, "rejected")
             self._seal(trace, "rejected", E_DRAINING, code=E_DRAINING)
             raise ProtocolError(
@@ -356,7 +351,6 @@ class BatchScheduler:
             raise ProtocolError(E_INTERNAL, "scheduler not started")
         if len(self._queue) >= self.config.queue_capacity:
             STAT_REJECTED.incr()
-            self.rejected += 1
             self.tally.note(tenant, "rejected")
             self._seal(
                 trace, "rejected", E_OVERLOADED, code=E_OVERLOADED
@@ -380,7 +374,6 @@ class BatchScheduler:
             trace=trace,
         )
         self._queue.push(key, pending)
-        self.admitted += 1
         STAT_ADMITTED.incr()
         self.tally.note(tenant, "admitted", waiting=1)
         GAUGE_QUEUE_DEPTH.set(len(self._queue))
@@ -404,7 +397,6 @@ class BatchScheduler:
         )
         if pending is None:
             return False
-        self.cancelled += 1
         STAT_CANCELLED.incr()
         self.tally.note(pending.tenant, "cancelled", waiting=-1)
         GAUGE_QUEUE_DEPTH.set(len(self._queue))
@@ -472,7 +464,6 @@ class BatchScheduler:
             )
             if not pending.future.done():
                 pending.future.set_result(payload)
-            self.completed += 1
             STAT_COMPLETED.incr()
             self.tally.note(pending.tenant, "completed")
             HIST_REQUEST.observe(

@@ -54,6 +54,7 @@ from ..telemetry import (
     MetricsHTTPServer,
     render_prometheus,
 )
+from ..target import TARGETS
 from .protocol import (
     E_BAD_REQUEST,
     E_INTERNAL,
@@ -96,16 +97,6 @@ def _salvage_trace_id(line: bytes) -> str:
     if match is None:
         return ""
     return match.group(1).decode("utf-8", "replace")
-
-
-def _default_targets() -> dict:
-    from ..target import risc_target, x86_target
-
-    return {
-        "x86": lambda: x86_target(),
-        "x86+ebp": lambda: x86_target(allow_ebp=True),
-        "risc": lambda: risc_target(),
-    }
 
 
 #: grace given to open connections to flush after drain, seconds
@@ -161,8 +152,6 @@ class ServiceConfig:
         "help": "reject longer request lines with 'too_large' (at "
                 "most the protocol's line limit, the stream's hard "
                 "framing cap)"})
-    #: per-tenant request-size overrides, ``{tenant: bytes}``
-    tenant_limits: dict | None = None
     #: fault-plan spec installed at start (None: REPRO_FAULTS env)
     faults: str | None = None
     metrics_port: int | None = field(default=None, metadata={
@@ -193,7 +182,7 @@ class AllocationServer:
         batch_hook=None,
     ) -> None:
         self.config = config or ServiceConfig()
-        self.targets = targets or _default_targets()
+        self.targets = targets or TARGETS
         self.scheduler = BatchScheduler(
             self.config, self.targets, batch_hook=batch_hook
         )
@@ -214,9 +203,6 @@ class AllocationServer:
         return self._server.sockets[0].getsockname()[1]
 
     async def start(self) -> None:
-        # The stats verb serves the registry snapshot, so counting is
-        # always on for a serving process.
-        obs.enable(stats=True, trace=False)
         if self.config.faults is not None:
             set_injector(self.config.faults)
         self._started = time.monotonic()
@@ -342,15 +328,6 @@ class AllocationServer:
                 exc.code, exc.message,
             )
         verb = message.get("verb", VERB_ALLOCATE)
-        tenant = str(message.get("tenant") or "")
-        limit = (self.config.tenant_limits or {}).get(tenant)
-        if limit is not None and len(line) > limit:
-            STAT_TOO_LARGE.incr()
-            return error_response(
-                message, verb, E_TOO_LARGE,
-                f"request of {len(line)} bytes exceeds tenant "
-                f"{tenant!r}'s {limit}-byte limit",
-            )
         try:
             return await self._dispatch(verb, message, client)
         except ProtocolError as exc:
@@ -422,12 +399,10 @@ class AllocationServer:
             )
         if verb == VERB_DRAIN:
             await self.drain()
+            completed = self.scheduler.tally.totals()["completed"]
             return ok_response(
                 message, verb,
-                {
-                    "state": "drained",
-                    "completed": self.scheduler.completed,
-                },
+                {"state": "drained", "completed": completed},
             )
         raise ProtocolError(
             E_UNKNOWN_VERB,
@@ -573,12 +548,7 @@ class AllocationServer:
             "max_in_flight": self.config.max_in_flight,
             "max_batch": self.config.max_batch,
             "jobs": sched.jobs,
-            "requests": {
-                "admitted": sched.admitted,
-                "completed": sched.completed,
-                "rejected": sched.rejected,
-                "cancelled": sched.cancelled,
-            },
+            "requests": sched.tally.totals(),
             "tiers": {
                 "fast_slo_ms": self.config.fast_slo_ms,
                 "fast_enabled": sched.policy.fast_enabled,

@@ -65,6 +65,10 @@ class FairQueue:
         return {key: len(q) for key, q in dict(self._queues).items()}
 
 
+#: the request events a tally row counts
+EVENTS = ("admitted", "completed", "rejected", "cancelled")
+
+
 class TenantTally:
     """Per-tenant request counts, cache traffic and queue depth for the
     ``stats`` verb and ``/metrics``; thread-safe.  Callers key anonymous
@@ -80,8 +84,7 @@ class TenantTally:
         row = self._rows.get(key)
         if row is None:
             row = self._rows[key] = dict.fromkeys(
-                ("admitted", "completed", "rejected", "cancelled",
-                 "cache_hits", "functions", "queue_depth"), 0,
+                EVENTS + ("cache_hits", "functions", "queue_depth"), 0
             )
             self._fingerprints[key] = set()
         return row
@@ -108,6 +111,15 @@ class TenantTally:
             self._fingerprints[key].update(
                 o.fingerprint for o in outcomes if o.fingerprint
             )
+
+    def totals(self) -> dict[str, int]:
+        """Each request event summed over every tenant: the server's
+        own request counts."""
+        with self._lock:
+            return {
+                event: sum(row[event] for row in self._rows.values())
+                for event in EVENTS
+            }
 
     def rows(self) -> dict[str, dict]:
         """Each tenant's counts, queue depth and cache occupancy."""

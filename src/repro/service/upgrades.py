@@ -46,8 +46,14 @@ from ..core import AllocatorConfig, config_to_wire
 from ..faults import SITE_JOURNAL_TORN_WRITE, should_fire
 from ..fileio import atomic_write
 from ..ir import format_function, parse_module
-from ..obs import Span, capture, define_counter, define_gauge, trace_phase
-from ..telemetry import define_histogram
+from ..obs import (
+    Span,
+    capture,
+    define_counter,
+    define_gauge,
+    define_histogram,
+    trace_phase,
+)
 from ..tiers import (
     TIER_BASELINE,
     TIER_IP,

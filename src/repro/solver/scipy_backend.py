@@ -112,11 +112,20 @@ def solve_with_scipy(
                     root_bound=root_bound,
                 )
 
-    if time_limit is not None:
-        options["time_limit"] = max(
-            0.0, time_limit - (time.perf_counter() - start)
-        )
-    res = milp(**problem, integrality=np.ones(n), options=options)
+    def solve_mip():
+        if time_limit is not None:
+            options["time_limit"] = max(
+                0.0, time_limit - (time.perf_counter() - start)
+            )
+        return milp(**problem, integrality=np.ones(n), options=options)
+
+    res = solve_mip()
+    if res.status == 4 and res.x is None and presolve:
+        # HiGHS presolve can end a small infeasible model in "Solve
+        # error" (status 4); without presolve the same model reports
+        # infeasible, so ask once more with it off.
+        options["presolve"] = False
+        res = solve_mip()
     elapsed = time.perf_counter() - start
 
     # scipy.optimize.milp status 1 = iteration or time limit reached.

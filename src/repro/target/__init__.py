@@ -27,6 +27,7 @@ from .encoding import (
     X86_ENCODING,
 )
 from .machine import (
+    TARGETS,
     InstrRules,
     OperandRule,
     TargetMachine,
@@ -58,6 +59,7 @@ __all__ = [
     "SPILL_REMAT",
     "SPILL_STORE",
     "TABLE1",
+    "TARGETS",
     "TargetMachine",
     "UNIFORM_ENCODING",
     "X86_ENCODING",

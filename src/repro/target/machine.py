@@ -202,3 +202,11 @@ def risc_target(n_registers: int = 24) -> TargetMachine:
         width_aware=False,
         result_family="r0",
     )
+
+
+#: the targets the CLI and the service accept by name
+TARGETS = {
+    "x86": lambda: x86_target(),
+    "x86+ebp": lambda: x86_target(allow_ebp=True),
+    "risc": lambda: risc_target(),
+}

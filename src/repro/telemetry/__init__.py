@@ -1,57 +1,47 @@
-"""Telemetry: latency histograms and metrics exposition.
+"""Telemetry: metrics exposition and sample percentiles.
 
-Built on top of :mod:`repro.obs` (which owns counters, gauges, spans —
-pipeline phases and request traces alike — and run reports), this
-package adds the distribution- and serving-oriented layers the
-scale-out era steers by:
+The metrics themselves — counters, gauges and histograms — live in the
+one registry of :mod:`repro.obs.stats`.  This package serves them:
 
-* :mod:`repro.telemetry.histogram` — fixed-bucket log-spaced latency
-  histograms with exact-within-a-bucket percentile interpolation,
-  mergeable across worker processes like counters;
 * :mod:`repro.telemetry.prom` — Prometheus text-format exposition of
-  counters, gauges and histograms (cumulative buckets);
+  the registry (cumulative histogram buckets) plus caller-supplied
+  labelled gauges;
 * :mod:`repro.telemetry.exporter` — the stdlib ``http.server``
-  ``/metrics`` sidecar.
-
-Everything here shares the :mod:`repro.obs.stats` enabled flag: with
-telemetry off, a histogram ``observe`` is one attribute check, and no
-request allocates a span unless it asked to be traced.
+  ``/metrics`` sidecar;
+* :func:`percentile_of` — the exact percentile of raw samples, for
+  bench summaries and as the oracle for the bucketed estimate of
+  :meth:`repro.obs.Histogram.percentile`.
 """
 
 from __future__ import annotations
 
 from .exporter import MetricsHTTPServer
-from .histogram import (
-    DEFAULT_BOUNDS,
-    HISTOGRAMS,
-    Histogram,
-    HistogramRegistry,
-    define_histogram,
-    histogram,
-    histogram_delta,
-    histogram_snapshot,
-    log_bounds,
-    merge_histograms,
-    percentile_of,
-    reset_histograms,
-)
 from .prom import PROM_CONTENT_TYPE, prom_name, render_prometheus
 
+
+def percentile_of(values, q: float) -> float:
+    """Exact percentile of raw samples (sorted-list interpolation).
+
+    The standard linear estimator: rank ``q/100 * (n-1)`` interpolated
+    between the two nearest order statistics.
+    """
+    xs = sorted(values)
+    if not xs:
+        return 0.0
+    if len(xs) == 1:
+        return float(xs[0])
+    rank = (max(0.0, min(100.0, q)) / 100.0) * (len(xs) - 1)
+    lo = int(rank)
+    frac = rank - lo
+    if lo + 1 >= len(xs):
+        return float(xs[-1])
+    return float(xs[lo] + (xs[lo + 1] - xs[lo]) * frac)
+
+
 __all__ = [
-    "DEFAULT_BOUNDS",
-    "HISTOGRAMS",
-    "Histogram",
-    "HistogramRegistry",
     "MetricsHTTPServer",
     "PROM_CONTENT_TYPE",
-    "define_histogram",
-    "histogram",
-    "histogram_delta",
-    "histogram_snapshot",
-    "log_bounds",
-    "merge_histograms",
     "percentile_of",
     "prom_name",
     "render_prometheus",
-    "reset_histograms",
 ]

@@ -1,8 +1,8 @@
 """Prometheus text-format exposition of the telemetry state.
 
-Renders the stats registry (counters/gauges) and the histogram
-registry into the Prometheus text format, version 0.0.4 — the format
-every scraper and ``promtool`` understands.  Conventions:
+Renders the metrics registry (counters, gauges, histograms) into the
+Prometheus text format, version 0.0.4 — the format every scraper and
+``promtool`` understands.  Conventions:
 
 * metric names are the registry names with ``.`` mapped to ``_`` and
   a ``repro_`` namespace prefix;
@@ -19,8 +19,7 @@ from __future__ import annotations
 
 import re
 
-from ..obs.stats import REGISTRY
-from .histogram import HISTOGRAMS
+from ..obs.stats import BOUNDS, REGISTRY
 
 PROM_CONTENT_TYPE = "text/plain; version=0.0.4; charset=utf-8"
 
@@ -30,12 +29,12 @@ _LABEL_ESC = str.maketrans({
 })
 
 
-def prom_name(name: str, prefix: str = "repro_") -> str:
+def prom_name(name: str) -> str:
     """A registry name as a legal Prometheus metric name."""
     out = _NAME_OK.sub("_", name.replace(".", "_"))
     if out and out[0].isdigit():
         out = "_" + out
-    return prefix + out
+    return "repro_" + out
 
 
 def _fmt(value: float) -> str:
@@ -53,63 +52,37 @@ def _labels(pairs) -> str:
     return "{" + body + "}"
 
 
-def render_prometheus(
-    counters: dict[str, float] | None = None,
-    histograms: dict[str, dict] | None = None,
-    labelled: dict[str, dict] | None = None,
-    prefix: str = "repro_",
-) -> str:
-    """The whole telemetry state as Prometheus exposition text.
-
-    ``counters`` defaults to the live stats registry snapshot and
-    ``histograms`` to the live histogram registry; pass explicit
-    snapshots to render an offline JSONL record instead.
-    """
+def render_prometheus(labelled: dict[str, dict] | None = None) -> str:
+    """The whole metrics registry as Prometheus exposition text, plus
+    the caller's ``labelled`` gauges."""
     lines: list[str] = []
 
-    if counters is None:
-        counters = {
-            name: stat.value
-            for name, stat in sorted(REGISTRY.stats.items())
-        }
-    for name, value in sorted(counters.items()):
-        stat = REGISTRY.stats.get(name)
-        kind = stat.kind if stat is not None else "counter"
-        metric = prom_name(name, prefix)
-        if kind == "counter":
+    for name, stat in sorted(REGISTRY.stats.items()):
+        metric = prom_name(name)
+        if stat.kind == "counter":
             metric += "_total"
-        if stat is not None and stat.description:
+        if stat.description:
             lines.append(f"# HELP {metric} {stat.description}")
-        lines.append(
-            f"# TYPE {metric} "
-            f"{'gauge' if kind == 'gauge' else 'counter'}"
-        )
-        lines.append(f"{metric} {_fmt(value)}")
+        lines.append(f"# TYPE {metric} {stat.kind}")
+        lines.append(f"{metric} {_fmt(stat.value)}")
 
     for name, rows in sorted((labelled or {}).items()):
-        metric = prom_name(name, prefix)
+        metric = prom_name(name)
         lines.append(f"# TYPE {metric} gauge")
         for pairs, value in sorted(rows.items()):
             lines.append(f"{metric}{_labels(pairs)} {_fmt(value)}")
 
-    if histograms is None:
-        histograms = HISTOGRAMS.snapshot(skip_empty=False)
-    for name, snap in sorted(histograms.items()):
-        hist = HISTOGRAMS.histograms.get(name)
-        metric = prom_name(name, prefix) + "_seconds"
-        if hist is not None and hist.description:
+    for name, hist in sorted(REGISTRY.histograms.items()):
+        metric = prom_name(name) + "_seconds"
+        if hist.description:
             lines.append(f"# HELP {metric} {hist.description}")
         lines.append(f"# TYPE {metric} histogram")
-        running = 0
-        for bound, count in zip(snap["bounds"], snap["counts"]):
-            running += int(count)
+        for bound, running in zip(BOUNDS, hist.cumulative()):
             lines.append(
-                f'{metric}_bucket{{le="{_fmt(float(bound))}"}} '
-                f"{running}"
+                f'{metric}_bucket{{le="{_fmt(bound)}"}} {running}'
             )
-        total = running + int(snap["counts"][-1])
-        lines.append(f'{metric}_bucket{{le="+Inf"}} {total}')
-        lines.append(f"{metric}_sum {_fmt(float(snap['sum']))}")
-        lines.append(f"{metric}_count {int(snap['count'])}")
+        lines.append(f'{metric}_bucket{{le="+Inf"}} {hist.count}')
+        lines.append(f"{metric}_sum {_fmt(hist.sum)}")
+        lines.append(f"{metric}_count {hist.count}")
 
     return "\n".join(lines) + "\n"

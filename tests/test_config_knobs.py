@@ -232,7 +232,6 @@ def test_serve_without_flags_builds_the_pinned_config(clean_env):
         "default_target": "x86",
         "defaults": AllocatorConfig(time_limit=64.0, presolve=True),
         "max_request_bytes": MAX_LINE_BYTES,
-        "tenant_limits": None,
         "faults": None,
         "metrics_port": None,
         "fast_slo_ms": 0.0,

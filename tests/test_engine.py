@@ -30,7 +30,7 @@ from repro.ir import (
 )
 from repro.lang import compile_program
 from repro.lowering import lower_for_target
-from repro.obs import reset_stats, set_stats_enabled, snapshot
+from repro.obs import reset_stats, snapshot
 from repro.solver import (
     IPModel,
     Sense,
@@ -43,10 +43,8 @@ from tests.conftest import build_loop_sum
 
 @pytest.fixture(autouse=True)
 def stats():
-    set_stats_enabled(True)
     reset_stats()
     yield
-    set_stats_enabled(False)
     reset_stats()
 
 

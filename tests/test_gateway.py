@@ -33,7 +33,7 @@ from repro.gateway import (
     GatewayThread,
     routing_fingerprint,
 )
-from repro.obs import reset_stats, set_stats_enabled, snapshot
+from repro.obs import reset_stats, snapshot
 from repro.service import ServerThread, ServiceClient, ServiceConfig
 
 SOURCE = """
@@ -57,10 +57,8 @@ VARIANTS = [
 
 @pytest.fixture(autouse=True)
 def stats():
-    set_stats_enabled(True)
     reset_stats()
     yield
-    set_stats_enabled(False)
     reset_stats()
 
 

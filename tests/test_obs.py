@@ -1,7 +1,7 @@
 """Tests for the observability layer (repro.obs).
 
-Covers the stats registry, phase-tracer span nesting, the
-zero-cost-when-disabled contract, and the structured run report's JSON
+Covers the stats registry, phase-tracer span nesting, the no-op span
+of a disabled tracer, and the structured run report's JSON
 round-trip — including an end-to-end report from a real allocation.
 """
 
@@ -24,12 +24,11 @@ from repro.obs import (
     counter,
     define_counter,
     define_gauge,
-    disable,
-    enable,
     gauge,
     render_stats,
     render_trace,
     reset_stats,
+    set_trace_enabled,
     snapshot,
     take_trace,
     trace_phase,
@@ -47,12 +46,12 @@ int f(int a, int b) {
 
 @pytest.fixture(autouse=True)
 def clean_obs():
-    """Every test starts and ends disabled with fresh values."""
-    disable()
+    """Every test starts and ends untraced with fresh values."""
+    set_trace_enabled(False)
     reset_stats()
     take_trace()
     yield
-    disable()
+    set_trace_enabled(False)
     reset_stats()
     take_trace()
 
@@ -64,7 +63,6 @@ def fn():
 
 class TestStatsRegistry:
     def test_counter_incr_and_snapshot(self):
-        enable(trace=False)
         c = define_counter("t.hits", "test hits")
         c.incr()
         c.add(4)
@@ -77,30 +75,19 @@ class TestStatsRegistry:
         assert a.description == "first"
 
     def test_gauge_set(self):
-        enable(trace=False)
         g = define_gauge("t.depth")
         g.set(7)
         g.set(3)
         assert gauge("t.depth").value == 3
 
     def test_reset_zeroes_all(self):
-        enable(trace=False)
         counter("t.a").add(2)
         gauge("t.b").set(9)
         reset_stats()
         assert snapshot()["t.a"] == 0
         assert snapshot()["t.b"] == 0
 
-    def test_disabled_counters_are_noops(self):
-        c = define_counter("t.frozen")
-        c.incr()
-        c.add(100)
-        define_gauge("t.frozen_gauge").set(5)
-        assert snapshot()["t.frozen"] == 0
-        assert snapshot()["t.frozen_gauge"] == 0
-
     def test_render_stats(self):
-        enable(trace=False)
         counter("t.render").add(3)
         text = render_stats()
         assert "t.render" in text and "3" in text
@@ -116,7 +103,7 @@ class TestPhaseTracer:
         assert take_trace() == []
 
     def test_span_nesting(self):
-        enable()
+        set_trace_enabled(True)
         with trace_phase("outer"):
             with trace_phase("inner-1"):
                 pass
@@ -132,14 +119,14 @@ class TestPhaseTracer:
         )
 
     def test_take_trace_drains(self):
-        enable()
+        set_trace_enabled(True)
         with trace_phase("once"):
             pass
         assert len(take_trace()) == 1
         assert take_trace() == []
 
     def test_capture_isolates_and_reattaches(self):
-        enable()
+        set_trace_enabled(True)
         with capture() as cap:
             with trace_phase("captured"):
                 pass
@@ -158,7 +145,7 @@ class TestPhaseTracer:
         assert take_trace() == []
 
     def test_annotate_and_render(self):
-        enable()
+        set_trace_enabled(True)
         with trace_phase("p", tag="x") as span:
             span.annotate("n", 3)
         spans = take_trace()
@@ -305,12 +292,11 @@ class TestRunReport:
         assert anon.report.trace_id == ""
 
     def test_disabled_mode_still_reports_solver_stats(self, fn):
-        """collect_report works without enable(): solver stats and the
+        """collect_report works with tracing off: solver stats and the
         cost split come from the result, not the global registry."""
         config = AllocatorConfig(collect_report=True)
         alloc = IPAllocator(x86_target(), config).allocate(fn)
         assert alloc.report.solver.solve_seconds > 0
-        assert alloc.report.counters == {}  # registry was off
 
     def test_totals_aggregation(self):
         report = RunReport(functions=[

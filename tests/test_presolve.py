@@ -302,9 +302,8 @@ class TestConfigPlumbing:
 
 class TestSolverWiring:
     def test_summary_attached_and_counters_bump(self):
-        from repro.obs import enable, snapshot
+        from repro.obs import snapshot
 
-        enable(stats=True)
         before = snapshot()
         m, _ = model_of(
             [

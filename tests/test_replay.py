@@ -37,7 +37,7 @@ from repro.engine import (
 from repro.equivalence import check_equivalence
 from repro.ir import Address, clone_function, format_function, parse_function
 from repro.lowering import lower_for_target
-from repro.obs import reset_stats, set_stats_enabled, snapshot
+from repro.obs import reset_stats, snapshot
 from repro.sim import AllocatedFunction, Interpreter
 from tests.test_core_model import GOLDEN_MODEL_DIGESTS
 from tests.test_equivalence import ALLOCATED, SOURCE, allocation
@@ -48,10 +48,8 @@ CONFIG = AllocatorConfig(time_limit=60.0)
 
 @pytest.fixture(autouse=True)
 def stats():
-    set_stats_enabled(True)
     reset_stats()
     yield
-    set_stats_enabled(False)
     reset_stats()
 
 

@@ -37,7 +37,7 @@ from repro.gateway import (
     ShardSupervisor,
 )
 from repro.lang import compile_program
-from repro.obs import TraceStore, reset_stats, set_stats_enabled, snapshot
+from repro.obs import TraceStore, reset_stats, snapshot
 from repro.service import (
     ServerThread,
     ServiceClient,
@@ -66,11 +66,9 @@ VARIANTS = [
 
 @pytest.fixture(autouse=True)
 def stats():
-    set_stats_enabled(True)
     reset_stats()
     yield
     set_injector(None)
-    set_stats_enabled(False)
     reset_stats()
 
 

@@ -24,7 +24,7 @@ from repro.core import AllocatorConfig
 from repro.engine import AllocationEngine, EngineConfig
 from repro.ir import format_function
 from repro.lang import compile_program
-from repro.obs import reset_stats, set_stats_enabled
+from repro.obs import reset_stats
 from repro.service import (
     BatchScheduler,
     E_BAD_REQUEST,
@@ -66,10 +66,8 @@ int main(int n) {
 
 @pytest.fixture(autouse=True)
 def stats():
-    set_stats_enabled(True)
     reset_stats()
     yield
-    set_stats_enabled(False)
     reset_stats()
 
 
@@ -469,6 +467,63 @@ class TestTenantTally:
         assert tenants["anon"]["queue_depth"] == 2
         assert len(per_client) == 2
         assert all(key.startswith("conn-") for key in per_client)
+
+
+    def test_status_requests_are_the_tally_sums(self, make_server):
+        """The status verb's request counts are the tenant rows
+        summed: admitted, queue-full rejected and cancelled alike."""
+        release = threading.Event()
+        handle = make_server(
+            batch_hook=lambda batch: release.wait(timeout=30),
+            queue_capacity=2, max_in_flight=1, max_batch=1,
+        )
+        results = {}
+
+        def submit(tag, tenant):
+            with client_for(handle) as client:
+                results[tag] = client.allocate(
+                    source=OTHER_SOURCE, trace_id=tag, tenant=tenant
+                )
+
+        threads = [
+            threading.Thread(target=submit, args=(f"T-{i}", tenant))
+            for i, tenant in enumerate(("acme", "acme", "beta"))
+        ]
+        with client_for(handle) as client:
+
+            def wait_for(in_flight, depth):
+                deadline = time.monotonic() + 30
+                while time.monotonic() < deadline:
+                    status = client.status()["result"]
+                    if (status["in_flight"],
+                            status["queue_depth"]) == (in_flight, depth):
+                        return
+                    time.sleep(0.01)
+                pytest.fail(f"never reached {in_flight}/{depth}")
+
+            threads[0].start()
+            wait_for(1, 0)
+            threads[1].start()
+            threads[2].start()
+            wait_for(1, 2)
+            full = client.allocate(source=OTHER_SOURCE, tenant="beta")
+            assert full["error"]["code"] == E_OVERLOADED
+            assert client.cancel("T-1")["result"]["cancelled"]
+            release.set()
+            for t in threads:
+                t.join(60)
+            requests = client.status()["result"]["requests"]
+            tenants = client.stats()["result"]["tenants"]
+        assert requests == {
+            "admitted": 3, "completed": 2, "rejected": 1, "cancelled": 1,
+        }
+        assert requests == {
+            event: sum(row[event] for row in tenants.values())
+            for event in requests
+        }
+        assert tenants["acme"]["cancelled"] == 1
+        assert tenants["beta"]["rejected"] == 1
+        assert results["T-0"]["ok"] and results["T-2"]["ok"]
 
 
 class TestAdmissionControl:

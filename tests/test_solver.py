@@ -8,7 +8,7 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.solver import (
@@ -499,9 +499,20 @@ def random_models(draw):
     return m
 
 
+def solve_error_model() -> IPModel:
+    """Infeasible, and HiGHS with presolve on ends it in "Solve error"
+    (status 4) instead of saying so."""
+    m = IPModel("solve-error")
+    xs = [m.add_var(f"x{i}", 0) for i in range(4)]
+    m.add_constraint([(3, xs[0]), (3, xs[1]), (-2, xs[2])], Sense.EQ, 2,
+                     "c0")
+    return m
+
+
 class TestBackendsAgainstBruteForce:
     @settings(deadline=None, max_examples=40)
     @given(random_models())
+    @example(solve_error_model())
     def test_all_backends_agree(self, model):
         brute = solve_brute_force(model)
         highs = solve_with_scipy(model)

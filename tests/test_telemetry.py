@@ -2,7 +2,7 @@
 
 Covers the streaming histograms (bucketed percentiles against the
 exact sorted-list oracle, associative cross-process merge, the
-zero-overhead disabled path), Prometheus text rendering with correct
+registry's one delta/merge path), Prometheus text rendering with correct
 cumulative buckets, the request-lifecycle trace plumbing through the
 service, per-tenant stats, trace_id on every reply path, and the
 loss-proof counter/histogram merge-back under a real SIGKILL.
@@ -22,11 +22,15 @@ from repro.core import AllocatorConfig
 from repro.engine import AllocationEngine, EngineConfig
 from repro.lang import compile_program
 from repro.obs import (
+    BOUNDS,
+    REGISTRY,
     TRACE_KEEP,
+    Histogram,
     Span,
     TraceStore,
+    counter,
+    define_histogram,
     reset_stats,
-    set_stats_enabled,
     snapshot,
 )
 from repro.service import ServerThread, ServiceClient, ServiceConfig
@@ -34,18 +38,7 @@ from repro.service.protocol import E_PARSE, E_TOO_LARGE
 from repro.service.scheduler import BatchScheduler
 from repro.service.upgrades import UpgradeJob
 from repro.target import x86_target
-from repro.telemetry import (
-    DEFAULT_BOUNDS,
-    Histogram,
-    define_histogram,
-    histogram_delta,
-    histogram_snapshot,
-    log_bounds,
-    merge_histograms,
-    percentile_of,
-    render_prometheus,
-    reset_histograms,
-)
+from repro.telemetry import percentile_of, render_prometheus
 
 SOURCE = """
 int helper(int a) { return a * 3; }
@@ -59,13 +52,9 @@ int main(int n) {
 
 @pytest.fixture(autouse=True)
 def clean_telemetry():
-    set_stats_enabled(True)
     reset_stats()
-    reset_histograms()
     yield
-    set_stats_enabled(False)
     reset_stats()
-    reset_histograms()
 
 
 def client_for(handle: ServerThread, **kwargs) -> ServiceClient:
@@ -84,15 +73,10 @@ def _spans(tree: dict):
 
 class TestHistogram:
     def test_log_bounds_span_queue_waits_and_solve_budgets(self):
-        assert DEFAULT_BOUNDS[0] == pytest.approx(1e-4)
-        assert DEFAULT_BOUNDS[-1] == pytest.approx(1024.0, rel=0.5)
-        assert list(DEFAULT_BOUNDS) == sorted(DEFAULT_BOUNDS)
-
-    def test_log_bounds_rejects_bad_shape(self):
-        with pytest.raises(ValueError):
-            log_bounds(lo=0.0)
-        with pytest.raises(ValueError):
-            log_bounds(lo=1.0, hi=0.5)
+        assert len(BOUNDS) == 22
+        assert BOUNDS[0] == pytest.approx(1e-4)
+        assert BOUNDS[-1] == pytest.approx(1024.0, rel=0.5)
+        assert list(BOUNDS) == sorted(BOUNDS)
 
     def test_observe_counts_and_sum(self):
         h = Histogram("t")
@@ -121,11 +105,11 @@ class TestHistogram:
 
         def bucket_of(value):
             lo = 0
-            for i, b in enumerate(h.bounds):
+            for i, b in enumerate(BOUNDS):
                 if value <= b:
                     return i
                 lo = i
-            return len(h.bounds)
+            return len(BOUNDS)
 
         for q in (10, 50, 90, 95, 99):
             exact = percentile_of(samples, q)
@@ -175,53 +159,37 @@ class TestHistogram:
 
     def test_merge_rejects_mismatched_bounds(self):
         a = Histogram("t")
-        b = Histogram("t", bounds=log_bounds(per_decade=2))
+        snap = Histogram("t").snapshot()
+        snap["counts"] = snap["counts"][:-1]  # another bucket layout
         with pytest.raises(ValueError):
-            a.merge(b.snapshot())
+            a.merge(snap)
 
     def test_delta_roundtrip_reproduces_observations(self):
         h = define_histogram("delta.test")
         h.observe(0.01)
-        before = histogram_snapshot(skip_empty=False)
+        counter("delta.hits").add(2)
+        before = REGISTRY.delta()
         h.observe(0.5)
         h.observe(3.0)
-        delta = histogram_delta(before, histogram_snapshot(
-            skip_empty=False
-        ))
-        assert delta["delta.test"]["count"] == 2
-        assert delta["delta.test"]["sum"] == pytest.approx(3.5)
-        # merging the delta elsewhere reproduces exactly those two
-        other = Histogram("delta.test")
-        other.merge(delta["delta.test"])
-        assert other.count == 2
-        assert sum(other.counts) == 2
+        counter("delta.hits").add(5)
+        delta = REGISTRY.delta(before)
+        assert delta["histograms"]["delta.test"]["count"] == 2
+        assert delta["histograms"]["delta.test"]["sum"] == \
+            pytest.approx(3.5)
+        assert delta["counters"] == {"delta.hits": 5}
+        # merging the delta elsewhere reproduces exactly those counts
+        reset_stats()
+        REGISTRY.merge(delta)
+        assert h.count == 2
+        assert sum(h.counts) == 2
+        assert snapshot()["delta.hits"] == 5
 
     def test_delta_skips_unchanged_histograms(self):
         h = define_histogram("idle.test")
         h.observe(1.0)
-        before = histogram_snapshot(skip_empty=False)
-        delta = histogram_delta(before, histogram_snapshot(
-            skip_empty=False
-        ))
-        assert "idle.test" not in delta
-
-    def test_disabled_observe_is_a_noop(self):
-        set_stats_enabled(False)
-        h = define_histogram("off.test")
-        for _ in range(100):
-            h.observe(0.5)
-        assert h.count == 0
-        assert h.sum == 0.0
-        assert sum(h.counts) == 0
-
-    def test_disabled_merge_is_a_noop(self):
-        h = define_histogram("offmerge.test")
-        h._observe(1.0)
-        delta = histogram_snapshot(skip_empty=False)
-        reset_histograms()
-        set_stats_enabled(False)
-        merge_histograms(delta)
-        assert define_histogram("offmerge.test").count == 0
+        before = REGISTRY.delta()
+        delta = REGISTRY.delta(before)
+        assert "idle.test" not in delta["histograms"]
 
 
 # -- Prometheus rendering -------------------------------------------------
@@ -232,9 +200,7 @@ class TestPrometheus:
         h = define_histogram("probe.latency", "test probe")
         for v in (0.0005, 0.01, 0.01, 0.5, 2000.0):
             h.observe(v)
-        text = render_prometheus(
-            counters={}, histograms=histogram_snapshot(skip_empty=False)
-        )
+        text = render_prometheus()
         lines = [
             line for line in text.splitlines()
             if line.startswith("repro_probe_latency_seconds_bucket")
@@ -250,9 +216,8 @@ class TestPrometheus:
         assert "# TYPE repro_probe_latency_seconds histogram" in text
 
     def test_counter_and_labelled_gauge_rows(self):
+        counter("ip.solved").add(3)
         text = render_prometheus(
-            counters={"ip.solved": 3.0},
-            histograms={},
             labelled={"tenant.queue_depth": {
                 (("tenant", "acme"),): 2.0,
             }},
@@ -381,8 +346,7 @@ class TestEngineMergeBack:
         outcomes = list(engine.allocate_module(list(module)))
         n = len(list(module))
         assert len(outcomes) == n
-        hists = histogram_snapshot()
-        assert hists["ip.solve_time"]["count"] == n
+        assert REGISTRY.histograms["ip.solve_time"].count == n
         assert snapshot().get("ip.solved") == n
         # the backend ran once per function, in the workers
         assert snapshot().get("solver.highs.solves") == n
@@ -463,10 +427,9 @@ class TestServiceTelemetry:
         handle = make_server()
         with client_for(handle) as client:
             ServiceClient.check(client.allocate(source=SOURCE))
-        hists = histogram_snapshot()
         for name in ("service.queue_wait", "service.batch_assembly",
                      "service.batch_solve", "service.request_latency"):
-            assert hists[name]["count"] >= 1, name
+            assert REGISTRY.histograms[name].count >= 1, name
 
     def test_metrics_verb_renders_prometheus_text(self, make_server):
         handle = make_server()
@@ -526,16 +489,15 @@ class TestServiceTelemetry:
                     source=SOURCE + f"// {i}\n"
                 ))
             got = ServiceClient.check(client.stats())
-        hists = histogram_snapshot()
-        wait, solve = hists["service.queue_wait"], \
-            hists["service.batch_solve"]
-        assert wait["count"] == 3
+        wait = REGISTRY.histograms["service.queue_wait"]
+        solve = REGISTRY.histograms["service.batch_solve"]
+        assert wait.count == 3
         queue = got["result"]["queue"]
         assert queue["avg_queue_seconds"] == pytest.approx(
-            wait["sum"] / wait["count"]
+            wait.sum / wait.count
         )
         assert queue["avg_solve_seconds"] == pytest.approx(
-            solve["sum"] / solve["count"]
+            solve.sum / solve.count
         )
         counters = got["result"]["counters"]
         assert "service.queue_wait_seconds" not in counters
@@ -589,11 +551,12 @@ import os, signal, sys, threading, time
 from repro.core import AllocatorConfig
 from repro.engine import AllocationEngine, EngineConfig
 from repro.lang import compile_program
-from repro.obs import set_stats_enabled, snapshot
+import repro.engine.engine as engine_module
+from repro.obs import REGISTRY, snapshot
 from repro.target import x86_target
-from repro.telemetry import histogram_snapshot
 
-set_stats_enabled(True)
+# more pool resubmissions than kills, so no job runs out of them
+engine_module.RETRIES = 8
 
 SOURCE = """ + '"""' + """
 int f0(int a) { return a * 3 + 1; }
@@ -608,7 +571,7 @@ module = compile_program(SOURCE, name="exact")
 engine = AllocationEngine(
     x86_target(),
     AllocatorConfig(time_limit=30.0),
-    EngineConfig(jobs=2, retries=8),
+    EngineConfig(jobs=2),
 )
 
 
@@ -661,11 +624,11 @@ fallbacks = counters.get("engine.fallbacks", 0)
 # a retried job must not double-merge its worker's counters, and a
 # killed worker's lost job must re-merge on the retry (no loss).
 assert solved + fallbacks == n, (solved, fallbacks, counters)
-hist = histogram_snapshot().get("ip.solve_time", {"count": 0})
-assert hist["count"] == solved, (hist["count"], solved)
+hist = REGISTRY.define_histogram("ip.solve_time")
+assert hist.count == solved, (hist.count, solved)
 crashes = counters.get("resilience.worker_crashes", 0)
 print(f"SIGKILL-EXACT solved={solved:g} fallbacks={fallbacks:g} "
-      f"hist={hist['count']} crashes={crashes:g}")
+      f"hist={hist.count} crashes={crashes:g}")
 """
 
 

@@ -26,7 +26,7 @@ from repro.core import AllocatorConfig
 from repro.engine import AllocationEngine, EngineConfig
 from repro.engine.cache import CacheRecord, ResultCache
 from repro.ir import I8, I32, IRBuilder, Module, SlotKind
-from repro.obs import reset_stats, set_stats_enabled, snapshot
+from repro.obs import reset_stats, snapshot
 from repro.service import ServerThread, ServiceClient, ServiceConfig
 from repro.service.upgrades import UpgradeJob, UpgradeQueue
 from repro.sim import AllocatedFunction, Interpreter
@@ -56,10 +56,8 @@ int main(int n) {
 
 @pytest.fixture(autouse=True)
 def stats():
-    set_stats_enabled(True)
     reset_stats()
     yield
-    set_stats_enabled(False)
     reset_stats()
 
 
