@@ -175,13 +175,9 @@ def _wire_config(args) -> dict:
 
 
 def _allocator_config(args) -> AllocatorConfig:
-    """The config flags over the CLI's defaults, stamped with the run's
-    report settings (a service request replaces both stamps)."""
+    """The config flags over the CLI's defaults."""
     return config_from_wire(
-        _wire_config(args),
-        AllocatorConfig(time_limit=CLI_TIME_LIMIT),
-        collect_report=bool(getattr(args, "report_json", None)),
-        trace_id=_resolve_trace_id(args),
+        _wire_config(args), AllocatorConfig(time_limit=CLI_TIME_LIMIT)
     )
 
 
@@ -227,6 +223,7 @@ def _report_collect(report: RunReport | None, alloc) -> None:
     if report is None:
         return
     if alloc.report is not None:
+        alloc.report.trace_id = report.trace_id
         report.functions.append(alloc.report)
     else:
         # Baseline allocations carry no IP model; record the outcome.
@@ -354,6 +351,7 @@ def cmd_experiments(args) -> int:
         target, config, benchmarks,
         report_path=getattr(args, "report_json", None),
         engine=_engine_config(args),
+        trace_id=_resolve_trace_id(args),
     )
     print(render_table1())
     print()

@@ -61,8 +61,9 @@ class Allocation:
     n_constraints: int = 0
     solve_seconds: float = 0.0
     objective: float = 0.0
-    #: :class:`repro.obs.FunctionRunReport` when the allocator ran with
-    #: ``collect_report`` (phase timings, §5 breakdown, solver stats)
+    #: :class:`repro.obs.FunctionRunReport` of a fresh IP allocation
+    #: (phase timings, §5 breakdown, solver stats); None for baseline
+    #: allocations and cache replays
     report: object | None = None
 
     @property

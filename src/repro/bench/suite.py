@@ -20,7 +20,7 @@ default configuration solves serially with no cache, exactly as before.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from ..allocation import Allocation, AllocationError, validate_allocation
 from ..analysis import profiled_frequencies
@@ -69,7 +69,7 @@ class FunctionReport:
     n_constraints: int = 0
     solve_seconds: float = 0.0
     objective: float = 0.0
-    #: model-size breakdown by §5 feature class, when collected
+    #: model-size breakdown by §5 feature class (fresh solves only)
     model: ModelStats | None = None
     #: solver statistics (nodes, LP relaxations, incumbents)
     solver: SolverStats | None = None
@@ -204,7 +204,7 @@ def run_benchmark(
         report.solved = a.succeeded
         report.optimal = a.status == "optimal"
         if a.report is not None:
-            # collect_report run: source the row from the structs.
+            # A fresh solve: source the row from its run report.
             a.report.benchmark = bench.name
             report.model = a.report.model
             report.solver = a.report.solver
@@ -251,17 +251,15 @@ def run_suite(
     benchmarks: list[tuple[Benchmark, Module]] | None = None,
     report_path: str | None = None,
     engine: EngineConfig | None = None,
+    trace_id: str = "",
 ) -> SuiteResult:
     """Run the whole suite (all six programs by default).
 
-    With ``report_path``, per-function run reports are collected and a
-    suite-level :class:`repro.obs.RunReport` is written there as JSON.
-    ``engine`` (worker count, cache directory) applies to every
-    benchmark; the on-disk cache is shared across them.
+    With ``report_path``, a suite-level :class:`repro.obs.RunReport`
+    stamped with ``trace_id`` is written there as JSON.  ``engine``
+    (worker count, cache directory) applies to every benchmark; the
+    on-disk cache is shared across them.
     """
-    if report_path is not None:
-        config = config or AllocatorConfig()
-        config.collect_report = True
     suite = SuiteResult()
     with trace_phase("suite"):
         for bench, module in (benchmarks or load_all()):
@@ -272,7 +270,7 @@ def run_suite(
                     )
                 )
     if report_path is not None:
-        suite_report(suite, target, config).write(report_path)
+        suite_report(suite, target, config, trace_id).write(report_path)
     return suite
 
 
@@ -280,12 +278,15 @@ def suite_report(
     suite: SuiteResult,
     target: TargetMachine | None = None,
     config: AllocatorConfig | None = None,
+    trace_id: str = "",
 ) -> RunReport:
-    """Aggregate the suite's observability data into one RunReport.
+    """Aggregate the suite's observability data into one RunReport
+    stamped with ``trace_id``.
 
-    Functions allocated with ``collect_report`` contribute their full
-    per-function reports; the rest contribute rows rebuilt from their
-    flat measurements, so the report is always complete.
+    Freshly solved functions contribute their full per-function
+    reports; the rest (cache replays, failed solves) contribute rows
+    rebuilt from their flat measurements, so the report is always
+    complete.
     """
     # Lazy import: tables.py imports from this module.
     from .tables import table_summaries
@@ -294,7 +295,7 @@ def suite_report(
         target=getattr(target, "name", "") if target else "",
         backend=config.backend if config else "",
         command="run_suite",
-        trace_id=getattr(config, "trace_id", "") if config else "",
+        trace_id=trace_id,
         counters=snapshot(),
         tables=table_summaries(suite),
     )
@@ -302,7 +303,9 @@ def suite_report(
         for f in bench_result.functions:
             ip_alloc = bench_result.ip_allocations.get(f.function)
             if ip_alloc is not None and ip_alloc.report is not None:
-                report.functions.append(ip_alloc.report)
+                report.functions.append(
+                    replace(ip_alloc.report, trace_id=trace_id)
+                )
                 continue
             fr = FunctionRunReport(
                 function=f.function,

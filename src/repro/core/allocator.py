@@ -8,11 +8,12 @@ use.  The result is an :class:`repro.allocation.Allocation` directly
 comparable with the graph-coloring baseline's.
 
 Every stage is wrapped in an observability phase span
-(:func:`repro.obs.trace_phase`), and with ``config.collect_report`` the
-allocation comes back with a :class:`repro.obs.FunctionRunReport`
-attached: per-phase wall times, IP model size by §5 feature class,
-solver statistics, and the solved objective split into the §4
-``A*cycle + B*size + C*data`` terms, priced from the emitted code.
+(:func:`repro.obs.trace_phase`), and every allocation comes back with
+its :class:`repro.obs.FunctionRunReport` attached: per-phase wall
+times, IP model size by §5 feature class, solver statistics, and the
+solved objective split into the §4 ``A*cycle + B*size + C*data``
+terms, priced from the emitted code.  Building it is cheap next to
+the solve (about 1% of the suite's IP time), so it is always built.
 """
 
 from __future__ import annotations
@@ -94,29 +95,13 @@ class IPAllocator:
         self,
         fn: Function,
         freq: ExecutionFrequencies | None = None,
-        solve_override=None,
     ) -> Allocation:
-        """Allocate ``fn``.
-
-        ``solve_override``, when given, replaces the solver-module call:
-        it is invoked as ``solve_override(model, table)`` and must
-        return a :class:`~repro.solver.SolveResult` with the solution
-        recorded in the table.  The allocation engine uses this to
-        capture the solver's result (time, nodes, backend) for the
-        cache record it writes on a miss.
-        """
+        """Allocate ``fn``; the result carries its run report."""
         STAT_FUNCTIONS.incr()
-        if not self.config.collect_report:
-            with trace_phase("ip-allocate", function=fn.name):
-                alloc, *_ = self._allocate(fn, freq, solve_override)
-            return alloc
-
         counts_before = REGISTRY.delta()
         with capture() as cap:
             with trace_phase("ip-allocate", function=fn.name):
-                alloc, model, table, result, split = self._allocate(
-                    fn, freq, solve_override
-                )
+                alloc, model, table, result, split = self._allocate(fn, freq)
         alloc.report = self._build_report(
             fn, alloc, model, table, result, split, cap.spans,
             counts_before,
@@ -124,24 +109,18 @@ class IPAllocator:
         return alloc
 
     def _allocate(
-        self,
-        fn: Function,
-        freq: ExecutionFrequencies | None,
-        solve_override=None,
+        self, fn: Function, freq: ExecutionFrequencies | None
     ):
         """The pipeline proper; returns (allocation, model, table,
         solve result, cost split), the latter four ``None`` where
-        unreached.  The split is priced only for run reports."""
+        unreached."""
         try:
             work, cost, model, table, index = self._build(fn, freq)
         except InfeasibleModel:
             STAT_FAILED.incr()
             return self._failed(fn, "failed"), None, None, None, None
 
-        if solve_override is not None:
-            result = solve_override(model, table)
-        else:
-            result = solve_allocation(model, table, self.config)
+        result = solve_allocation(model, table, self.config)
         if not result.status.has_solution:
             STAT_FAILED.incr()
             alloc = self._failed(fn, "failed")
@@ -152,10 +131,7 @@ class IPAllocator:
 
         # The rewrite edits ``work`` in place: price the lowered code
         # first.
-        lowered = (
-            cost.price(work, self.target)
-            if self.config.collect_report else None
-        )
+        lowered = cost.price(work, self.target)
         t_rewrite = time.perf_counter()
         with trace_phase("rewrite"):
             rewrite = ORARewrite(
@@ -197,13 +173,10 @@ class IPAllocator:
         if self.config.validate:
             with trace_phase("validate"):
                 validate_allocation(alloc, self.target)
-        split = None
-        if lowered is not None:
-            final = cost.price(function, self.target, assignment)
-            split = CostSplit(
-                result.objective,
-                *(f - b for f, b in zip(final, lowered)),
-            )
+        final = cost.price(function, self.target, assignment)
+        split = CostSplit(
+            result.objective, *(f - b for f, b in zip(final, lowered))
+        )
         return alloc, model, table, result, split
 
     def _build_report(
@@ -212,7 +185,6 @@ class IPAllocator:
     ) -> FunctionRunReport:
         return FunctionRunReport(
             function=fn.name,
-            trace_id=self.config.trace_id,
             allocator="ip",
             status=alloc.status,
             n_instructions=fn.n_instructions,

@@ -51,16 +51,6 @@ class AllocatorConfig:
     #: validate the model solution against the rewritten function
     validate: bool = True
 
-    #: attach a :class:`repro.obs.FunctionRunReport` to each allocation
-    #: (per-phase timings, §5 model breakdown, solver stats, §4 cost
-    #: split) — off by default so benchmarks pay nothing for it
-    collect_report: bool = False
-
-    #: caller identity stamped onto run reports (service request trace
-    #: ID or ``--trace-id``); non-semantic: never affects the
-    #: allocation or the cache fingerprint
-    trace_id: str = ""
-
 
 #: solver time limit in seconds of CLI runs and of the service's
 #: requests when none is given (:class:`AllocatorConfig` keeps the

@@ -183,13 +183,14 @@ class CacheRecord:
 
     @classmethod
     def from_allocation(
-        cls, fingerprint: str, alloc: Allocation, result=None
+        cls, fingerprint: str, alloc: Allocation
     ) -> "CacheRecord | None":
         """The record of a finished allocation (None unless it
-        succeeded).  ``result``, the :class:`~repro.solver.SolveResult`
-        it came from, supplies the solver facts."""
+        succeeded).  The solver facts come from its run report's
+        :class:`~repro.obs.SolverStats` (zero when it has none)."""
         if not alloc.succeeded:
             return None
+        solver = alloc.report.solver if alloc.report else None
         return cls(
             fingerprint=fingerprint,
             function=alloc.fn_name,
@@ -201,10 +202,10 @@ class CacheRecord:
             n_variables=alloc.n_variables,
             n_constraints=alloc.n_constraints,
             solve_seconds=alloc.solve_seconds,
-            nodes=getattr(result, "nodes", 0),
-            lp_relaxations=getattr(result, "lp_relaxations", 0),
-            backend=getattr(result, "backend", ""),
-            timed_out=bool(getattr(result, "timed_out", False)),
+            nodes=getattr(solver, "nodes", 0),
+            lp_relaxations=getattr(solver, "lp_relaxations", 0),
+            backend=getattr(solver, "backend", ""),
+            timed_out=getattr(solver, "timed_out", False),
         )
 
     def to_allocation(self, target: TargetMachine) -> Allocation:

@@ -50,7 +50,6 @@ from ..allocation import Allocation, AllocationError, validate_allocation
 from ..analysis import ExecutionFrequencies, static_frequencies
 from ..core import AllocatorConfig, IPAllocator
 from ..core.rewrite_module import RewriteError
-from ..core.solver_module import solve_allocation
 from ..equivalence import check_equivalence
 from ..faults import (
     SITE_WORKER_CRASH,
@@ -69,11 +68,8 @@ from ..lowering import lower_for_target
 from ..obs import (
     REGISTRY,
     Span,
-    capture,
-    capture_active,
     counter,
     define_counter,
-    trace_enabled,
     trace_phase,
 )
 from ..solver.model import InfeasibleModel
@@ -243,7 +239,6 @@ class _WorkerPayload:
     target: TargetMachine
     config: AllocatorConfig
     fingerprint: str
-    capture_spans: bool
     #: fault-plan spec the worker installs (workers don't share the
     #: parent's injector object, only its configuration)
     faults: str = ""
@@ -259,33 +254,14 @@ class _WorkerReturn:
     record: CacheRecord | None
     #: the worker's :meth:`~repro.obs.StatsRegistry.delta` over the solve
     counts: dict
-    spans: list[Span]
     pid: int
-    timed_out: bool
     error: str = ""
 
 
-def _run_pipeline(
-    target: TargetMachine,
-    config: AllocatorConfig,
-    fn: Function,
-    freq: ExecutionFrequencies,
-):
-    """Allocate ``fn`` while capturing the solver result.
-
-    Returns ``(allocation, result)`` — the result is ``None`` when the
-    pipeline failed before the solve.
-    """
-    captured: dict = {}
-
-    def recording_solve(model, table):
-        captured["result"] = solve_allocation(model, table, config)
-        return captured["result"]
-
-    alloc = IPAllocator(target, config).allocate(
-        fn, freq, solve_override=recording_solve
-    )
-    return alloc, captured.get("result")
+def _timed_out(alloc: Allocation | None) -> bool:
+    """Did the solve behind ``alloc`` stop on its time budget?"""
+    report = alloc.report if alloc is not None else None
+    return bool(report and report.solver and report.solver.timed_out)
 
 
 def _worker_solve(payload: _WorkerPayload) -> _WorkerReturn:
@@ -301,21 +277,12 @@ def _worker_solve(payload: _WorkerPayload) -> _WorkerReturn:
     if inj.should_fire(SITE_WORKER_HANG, payload.fingerprint,
                        payload.attempt):
         time.sleep(inj.plan.hang_seconds)
-    alloc = result = None
-    spans: list[Span] = []
+    alloc = None
     error = ""
     try:
-        if payload.capture_spans:
-            with capture() as cap:
-                alloc, result = _run_pipeline(
-                    payload.target, payload.config, payload.fn,
-                    payload.freq,
-                )
-            spans = cap.spans
-        else:
-            alloc, result = _run_pipeline(
-                payload.target, payload.config, payload.fn, payload.freq
-            )
+        alloc = IPAllocator(payload.target, payload.config).allocate(
+            payload.fn, payload.freq
+        )
     except DEGRADABLE_FAILURES as exc:  # expected: degrade, count it
         _note_degradation(exc)
         error = f"{type(exc).__name__}: {exc}"
@@ -325,7 +292,7 @@ def _worker_solve(payload: _WorkerPayload) -> _WorkerReturn:
             raise
         error = f"{type(exc).__name__}: {exc}"
     record = (
-        CacheRecord.from_allocation(payload.fingerprint, alloc, result)
+        CacheRecord.from_allocation(payload.fingerprint, alloc)
         if alloc is not None else None
     )
     return _WorkerReturn(
@@ -333,9 +300,7 @@ def _worker_solve(payload: _WorkerPayload) -> _WorkerReturn:
         alloc=alloc,
         record=record,
         counts=REGISTRY.delta(before),
-        spans=spans,
         pid=os.getpid(),
-        timed_out=bool(result is not None and result.timed_out),
         error=error,
     )
 
@@ -568,10 +533,10 @@ class AllocationEngine:
     def _solve_local(self, job: _Job, baseline) -> EngineOutcome:
         """Solve one function in this process (the serial path)."""
         STAT_SERIAL.incr()
-        attempt = result = None
+        attempt = None
         try:
-            attempt, result = _run_pipeline(
-                self.target, self.config, job.fn, job.freq
+            attempt = IPAllocator(self.target, self.config).allocate(
+                job.fn, job.freq
             )
         except DEGRADABLE_FAILURES as exc:  # expected: degrade, count it
             _note_degradation(exc)
@@ -581,15 +546,13 @@ class AllocationEngine:
             if strict_enabled():
                 raise
             attempt = None
-        timed_out = bool(result is not None and result.timed_out)
+        timed_out = _timed_out(attempt)
         if timed_out:
             STAT_TIMEOUTS.incr()
         if attempt is None:
             attempt = self._failed_allocation(job)
         if self.cache is not None:
-            record = CacheRecord.from_allocation(
-                job.fingerprint, attempt, result
-            )
+            record = CacheRecord.from_allocation(job.fingerprint, attempt)
             if record is not None:
                 self.cache.put(record)
         return self._finish(job, attempt, timed_out, 0, baseline)
@@ -614,12 +577,6 @@ class AllocationEngine:
         """
         ec = self.engine_config
         workers = min(ec.jobs, len(jobs))
-        collect = self.config.collect_report
-        # A per-request capture (lifecycle-traced service request) wants
-        # worker spans even when global tracing is off.
-        capture_spans = (
-            trace_enabled() or capture_active()
-        ) and not collect
         faults_spec = current_spec()
         retry = RetryPolicy(max_retries=RETRIES)
         # Merge-back is idempotent per (job, attempt): a result that
@@ -650,7 +607,6 @@ class AllocationEngine:
                             target=self.target,
                             config=self.config,
                             fingerprint=job.fingerprint,
-                            capture_spans=capture_spans or collect,
                             faults=faults_spec,
                             attempt=attempt,
                         )
@@ -808,7 +764,8 @@ class AllocationEngine:
                 job, self._failed_allocation(job), False, ret.pid,
                 baseline,
             )
-        if ret.timed_out:
+        timed_out = _timed_out(ret.alloc)
+        if timed_out:
             STAT_TIMEOUTS.incr()
         attempt = ret.alloc
         if attempt is None:
@@ -817,9 +774,7 @@ class AllocationEngine:
                 and ret.record is not None:
             self.cache.put(ret.record)
         self._surface_spans(ret, attempt, engine_span)
-        return self._finish(
-            job, attempt, ret.timed_out, ret.pid, baseline
-        )
+        return self._finish(job, attempt, timed_out, ret.pid, baseline)
 
     # -- fallback --------------------------------------------------------
 
@@ -891,18 +846,18 @@ class AllocationEngine:
     def _surface_spans(
         self, ret: _WorkerReturn, attempt: Allocation, engine_span
     ) -> None:
-        """Expose worker phase spans, tagged with the worker pid."""
-
-        def wrap(spans: list[Span]) -> Span:
-            return Span(
-                name="worker",
-                seconds=sum(s.seconds for s in spans),
-                meta={"pid": ret.pid, "function": ret.function},
-                children=spans,
-            )
-
-        report = getattr(attempt, "report", None)
-        if report is not None and report.phases:
-            report.phases = [wrap(report.phases)]
-        if ret.spans and hasattr(engine_span, "children"):
-            engine_span.children.append(wrap(ret.spans))
+        """Wrap the worker's phase spans in one ``worker`` span tagged
+        with its pid, in the run report and, when traced, under the
+        engine span."""
+        report = attempt.report
+        if report is None or not report.phases:
+            return
+        worker = Span(
+            name="worker",
+            seconds=sum(s.seconds for s in report.phases),
+            meta={"pid": ret.pid, "function": ret.function},
+            children=report.phases,
+        )
+        report.phases = [worker]
+        if hasattr(engine_span, "children"):
+            engine_span.children.append(worker)

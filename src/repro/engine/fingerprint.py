@@ -11,8 +11,8 @@ those inputs, so
 * any change to the code, the target, a feature toggle, a cost weight,
   or the execution profile changes the key and invalidates the entry.
 
-Config fields that cannot affect the produced allocation (validation
-and report collection) are excluded from the digest.  The ``presolve``
+The one config field that cannot affect the produced allocation
+(``validate``) is excluded from the digest.  The ``presolve``
 toggle *is* semantic and therefore included: it changes what the
 backend does (HiGHS's own presolve for ``scipy``, our reduction pipeline
 for the other backends), which can change which of several equal-cost
@@ -45,9 +45,7 @@ from ..target import TargetMachine
 ALLOCATOR_VERSION = 3
 
 #: AllocatorConfig fields with no influence on the allocation itself.
-NON_SEMANTIC_CONFIG_FIELDS = frozenset(
-    {"validate", "collect_report", "trace_id"}
-)
+NON_SEMANTIC_CONFIG_FIELDS = frozenset({"validate"})
 
 
 def config_signature(config: AllocatorConfig) -> dict:

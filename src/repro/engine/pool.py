@@ -12,7 +12,7 @@ import signal
 import threading
 from concurrent.futures import ProcessPoolExecutor
 
-from ..obs import counter
+from ..obs import counter, set_trace_enabled
 
 
 #: the signals the allocation service handles on its event loop
@@ -29,10 +29,16 @@ def _init_worker() -> None:
     no-op handler and lived on.  The worker is forked with both signals
     blocked (:meth:`SolverPool._spawn`), so one sent before this runs
     waits, and then kills it.
+
+    It also turns off the global tracing a traced parent passes on: a
+    worker's phases go back in each allocation's run report, and a
+    global trace here would keep a copy of every solve's spans that
+    nothing ever reads.
     """
     signal.set_wakeup_fd(-1)
     signal.signal(signal.SIGTERM, signal.SIG_DFL)
     signal.pthread_sigmask(signal.SIG_UNBLOCK, _SERVICE_SIGNALS)
+    set_trace_enabled(False)
 
 
 class SolverPool:

@@ -12,20 +12,22 @@ breakers, which is the behavior we want: a backend broken only in one
 worker (say, a corrupted scipy install is impossible, but an injected
 fault plan is not) should not poison the parent.
 
-Knobs: ``REPRO_BREAKER_THRESHOLD`` (default 5 consecutive failures) and
-``REPRO_BREAKER_RESET`` (default 30 seconds).
+A backend breaker trips after :data:`FAILURE_THRESHOLD` (5)
+consecutive failures and probes again after :data:`RESET_TIMEOUT`
+(30 s); the gateway's shard breakers take theirs from its config.
 """
 
 from __future__ import annotations
 
-import os
 import threading
 import time
 
 from ..obs import counter
 
-ENV_THRESHOLD = "REPRO_BREAKER_THRESHOLD"
-ENV_RESET = "REPRO_BREAKER_RESET"
+#: consecutive failures that open a backend breaker
+FAILURE_THRESHOLD = 5
+#: seconds an open backend breaker waits before its half-open probe
+RESET_TIMEOUT = 30.0
 
 CLOSED = "closed"
 OPEN = "open"
@@ -40,34 +42,16 @@ class CircuitOpenError(RuntimeError):
         super().__init__(f"circuit breaker for {name!r} is open")
 
 
-def _default_threshold() -> int:
-    try:
-        return max(1, int(os.environ.get(ENV_THRESHOLD, "5")))
-    except ValueError:
-        return 5
-
-
-def _default_reset() -> float:
-    try:
-        return max(0.0, float(os.environ.get(ENV_RESET, "30")))
-    except ValueError:
-        return 30.0
-
-
 class CircuitBreaker:
     """closed -> open -> half-open -> closed, thread-safe."""
 
-    def __init__(self, name: str, failure_threshold: int | None = None,
-                 reset_timeout: float | None = None,
+    def __init__(self, name: str,
+                 failure_threshold: int = FAILURE_THRESHOLD,
+                 reset_timeout: float = RESET_TIMEOUT,
                  clock=time.monotonic) -> None:
         self.name = name
-        self.failure_threshold = (
-            failure_threshold if failure_threshold is not None
-            else _default_threshold()
-        )
-        self.reset_timeout = (
-            reset_timeout if reset_timeout is not None else _default_reset()
-        )
+        self.failure_threshold = failure_threshold
+        self.reset_timeout = reset_timeout
         self._clock = clock
         self._lock = threading.Lock()
         self._state = CLOSED

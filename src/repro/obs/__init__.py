@@ -54,7 +54,6 @@ from .trace import (
     TraceStore,
     annotate,
     capture,
-    capture_active,
     current_span,
     render_trace,
     set_trace_enabled,
@@ -94,7 +93,6 @@ __all__ = [
     "VARIABLE_CLASS_BY_KIND",
     "annotate",
     "capture",
-    "capture_active",
     "constraint_class",
     "counter",
     "current_span",

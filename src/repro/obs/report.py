@@ -14,12 +14,22 @@ read from a single struct:
 * the final cost split into the §4 ``A*cycle + B*size + C*data`` terms;
 * the phase-tracer span tree and a stats-registry counter delta.
 
-Everything serialises to/from plain JSON (``to_json``/``from_json``).
+Every fresh :class:`~repro.core.IPAllocator` allocation carries its
+:class:`FunctionRunReport` as ``Allocation.report``, so the question
+"why this spill or copy" is answered from the allocation itself, with
+no re-run; cache replays and baseline allocations carry none.  The
+caller that knows the run's identity (the CLI's ``--trace-id``, a
+service request's trace ID) stamps ``trace_id`` when it hands a report
+out.
+
+Everything serialises to plain JSON (``to_dict``/``to_json``); readers
+use :func:`json.load` on the written file.
 """
 
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass, field
 
 from .trace import Span
@@ -101,15 +111,19 @@ class ModelStats:
             n_variables=model.n_vars,
             n_constraints=model.n_constraints,
         )
-        for name in model.row_names:
-            stats.constraints_by_class[constraint_class(name)] += 1
+        # Count by prefix and kind first, classify each once: every
+        # allocation's report runs this over thousands of rows.
+        prefixes = Counter(
+            name.partition("/")[0] for name in model.row_names
+        )
+        for prefix, n in prefixes.items():
+            stats.constraints_by_class[constraint_class(prefix)] += n
         if table is not None:
-            for record in table.records:
-                if record.var.fixed is not None:
-                    continue
-                stats.variables_by_class[
-                    variable_class(record.kind.value)
-                ] += 1
+            kinds = Counter(
+                r.kind for r in table.records if r.var.fixed is None
+            )
+            for kind, n in kinds.items():
+                stats.variables_by_class[variable_class(kind.value)] += n
         return stats
 
     def to_dict(self) -> dict:
@@ -119,15 +133,6 @@ class ModelStats:
             "variables_by_class": dict(self.variables_by_class),
             "constraints_by_class": dict(self.constraints_by_class),
         }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ModelStats":
-        return cls(
-            n_variables=d.get("n_variables", 0),
-            n_constraints=d.get("n_constraints", 0),
-            variables_by_class=dict(d.get("variables_by_class", {})),
-            constraints_by_class=dict(d.get("constraints_by_class", {})),
-        )
 
 
 @dataclass(slots=True)
@@ -205,24 +210,6 @@ class SolverStats:
             "root_gap": self.root_gap,
         }
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "SolverStats":
-        return cls(
-            backend=d.get("backend", ""),
-            status=d.get("status", ""),
-            solve_seconds=d.get("solve_seconds", 0.0),
-            build_seconds=d.get("build_seconds", 0.0),
-            nodes=d.get("nodes", 0),
-            lp_relaxations=d.get("lp_relaxations", 0),
-            incumbents=[tuple(i) for i in d.get("incumbents", [])],
-            objective=d.get("objective", 0.0),
-            timed_out=bool(d.get("timed_out", False)),
-            presolve=(
-                dict(d["presolve"]) if d.get("presolve") else None
-            ),
-            root_bound=d.get("root_bound"),
-        )
-
 
 @dataclass(slots=True)
 class CostSplit:
@@ -242,13 +229,6 @@ class CostSplit:
             "size_term": self.size_term,
             "data_term": self.data_term,
         }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "CostSplit":
-        return cls(**{
-            k: d.get(k, 0.0)
-            for k in ("total", "cycle_term", "size_term", "data_term")
-        })
 
 
 @dataclass(slots=True)
@@ -299,25 +279,6 @@ class FunctionRunReport:
             "phases": [s.to_dict() for s in self.phases],
             "counters": dict(self.counters),
         }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "FunctionRunReport":
-        return cls(
-            function=d["function"],
-            benchmark=d.get("benchmark", ""),
-            trace_id=d.get("trace_id", ""),
-            allocator=d.get("allocator", "ip"),
-            status=d.get("status", ""),
-            n_instructions=d.get("n_instructions", 0),
-            model=ModelStats.from_dict(d["model"])
-            if d.get("model") else None,
-            solver=SolverStats.from_dict(d["solver"])
-            if d.get("solver") else None,
-            cost=CostSplit.from_dict(d["cost"])
-            if d.get("cost") else None,
-            phases=[Span.from_dict(s) for s in d.get("phases", [])],
-            counters=dict(d.get("counters", {})),
-        )
 
 
 @dataclass(slots=True)
@@ -394,27 +355,8 @@ class RunReport:
             "totals": self.totals(),
         }
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "RunReport":
-        return cls(
-            target=d.get("target", ""),
-            backend=d.get("backend", ""),
-            command=d.get("command", ""),
-            trace_id=d.get("trace_id", ""),
-            functions=[
-                FunctionRunReport.from_dict(f)
-                for f in d.get("functions", [])
-            ],
-            counters=dict(d.get("counters", {})),
-            tables=dict(d.get("tables", {})),
-        )
-
     def to_json(self, indent: int | None = 2) -> str:
         return json.dumps(self.to_dict(), indent=indent)
-
-    @classmethod
-    def from_json(cls, text: str) -> "RunReport":
-        return cls.from_dict(json.loads(text))
 
     def write(self, path: str) -> None:
         with open(path, "w") as handle:

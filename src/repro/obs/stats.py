@@ -93,31 +93,6 @@ class Histogram:
             out.append(running)
         return out
 
-    def percentile(self, q: float) -> float:
-        """Estimate the q-th percentile from the buckets.
-
-        Linear interpolation inside the bucket holding the requested
-        rank (the classic ``histogram_quantile`` estimator); the first
-        bucket interpolates down to 0 and the overflow bucket reports
-        its lower bound (there is no upper edge).  The estimate is
-        exact up to the width of that one bucket.
-        """
-        if self.count == 0:
-            return 0.0
-        target = (max(0.0, min(100.0, q)) / 100.0) * self.count
-        running = 0
-        for i, c in enumerate(self.counts):
-            if c == 0:
-                continue
-            if running + c >= target:
-                if i == len(BOUNDS):  # overflow bucket
-                    return BOUNDS[-1]
-                lo = BOUNDS[i - 1] if i > 0 else 0.0
-                frac = (target - running) / c
-                return lo + (BOUNDS[i] - lo) * max(0.0, min(1.0, frac))
-            running += c
-        return BOUNDS[-1]
-
     def snapshot(self) -> dict:
         return {
             "counts": list(self.counts),

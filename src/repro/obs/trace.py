@@ -168,17 +168,6 @@ def _active() -> bool:
     return _ENABLED or len(_tls().sinks) > 1
 
 
-def capture_active() -> bool:
-    """Is a :func:`capture` open on this thread?
-
-    Lets code that spawns workers (the engine) decide to collect
-    worker-side spans for a per-request capture — e.g. a service
-    request being lifecycle-traced — even though global tracing is
-    off.
-    """
-    return len(_tls().sinks) > 1
-
-
 def trace_phase(name: str, **meta):
     """Start a phase span, or a shared no-op when tracing is off."""
     if not _active():

@@ -178,11 +178,7 @@ def request_config(
     :data:`~repro.core.CONFIG_KNOBS`) applied.  A non-object, an
     unknown key or an ill-typed value is a ``bad_request``."""
     try:
-        return config_from_wire(
-            message.get("config"), defaults,
-            trace_id=str(message.get("trace_id", "") or ""),
-            collect_report=bool(message.get("report", False)),
-        )
+        return config_from_wire(message.get("config"), defaults)
     except ValueError as exc:
         raise ProtocolError(E_BAD_REQUEST, str(exc)) from None
 
@@ -212,9 +208,10 @@ def allocation_entry(
     return entry
 
 
-def outcome_entry(outcome, target, report: bool = False) -> dict:
-    """An engine outcome as one reply entry; ``report`` attaches the
-    per-function run report when the attempt carries one."""
+def outcome_entry(outcome, target, request: AllocateRequest) -> dict:
+    """An engine outcome as one reply entry.  When ``request`` asked
+    for reports and the attempt carries one, the entry includes it,
+    stamped with the request's trace ID."""
     entry = allocation_entry(
         outcome.function, outcome.final, target,
         source=outcome.source,
@@ -228,9 +225,10 @@ def outcome_entry(outcome, target, report: bool = False) -> dict:
         entry["fingerprint"] = outcome.fingerprint
     if outcome.attempt.succeeded:
         entry["objective"] = outcome.attempt.objective
-    run_report = getattr(outcome.attempt, "report", None)
-    if run_report is not None and report:
-        entry["report"] = run_report.to_dict()
+    if request.wants_report and outcome.attempt.report is not None:
+        entry["report"] = dict(
+            outcome.attempt.report.to_dict(), trace_id=request.trace_id
+        )
     return entry
 
 
@@ -276,7 +274,7 @@ class AllocateRequest:
 
     @property
     def wants_report(self) -> bool:
-        return self.config.collect_report
+        return bool(self.message.get("report"))
 
 
 def parse_allocate(
@@ -311,7 +309,6 @@ def parse_allocate(
             f"(known: {', '.join(sorted(targets))})",
         )
     config = request_config(message, defaults)
-    config.trace_id = trace_id
     deadline = message.get("deadline")
     if deadline is not None:
         try:

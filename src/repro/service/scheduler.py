@@ -533,17 +533,21 @@ class BatchScheduler:
                 elif decision.tier != TIER_IP:
                     responses[id(pending)] = self.tiers.respond(pending)
                 elif (
-                    req.wants_report
-                    or (remaining is not None
-                        and remaining < req.config.time_limit)
+                    remaining is not None
+                    and remaining < req.config.time_limit
                 ):
-                    # Needs its own engine: a per-request report
-                    # identity or a deadline-capped time limit.
+                    # A deadline-capped time limit needs its own
+                    # engine.
                     groups.append([pending])
                 else:
                     key = self._engine_key(req)
                     shared.setdefault(key, []).append(pending)
-            groups.extend(shared.values())
+            # Report requests first: of a group's twins only the first
+            # is solved, and a cache replay carries no run report.
+            groups.extend(
+                sorted(group, key=lambda p: not p.request.wants_report)
+                for group in shared.values()
+            )
             assembly = time.monotonic() - t0
             HIST_ASSEMBLY.observe(assembly)
             for group in groups:
@@ -594,8 +598,8 @@ class BatchScheduler:
     def _engine_for(self, pending: _Pending) -> AllocationEngine:
         req = pending.request
         config = pending.solve_config()
-        if req.wants_report or config is not req.config:
-            # Per-request identity or budget: don't cache the engine.
+        if config is not req.config:
+            # A deadline-capped budget: don't cache the engine.
             return self._make_engine(req.target_name, config, req.tenant)
         key = self._engine_key(req)
         with self._engine_lock:
@@ -703,6 +707,6 @@ class BatchScheduler:
         return allocate_reply(
             req,
             pending.started - pending.admitted,
-            [outcome_entry(o, target, req.wants_report) for o in outcomes],
+            [outcome_entry(o, target, req) for o in outcomes],
             **extra,
         )

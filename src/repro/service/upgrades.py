@@ -638,9 +638,7 @@ class FastTier:
         if cached is not None:
             STAT_CACHED_OPTIMAL.incr()
             self._tally.note_cache(pending.tenant, list(cached))
-            entries = [
-                outcome_entry(o, target, req.wants_report) for o in cached
-            ]
+            entries = [outcome_entry(o, target, req) for o in cached]
             self._note(pending, time.monotonic() - t1, TIER_IP)
             # Served straight from the upgraded cache: the reply *is*
             # the optimal allocation, so its gap to optimal is zero.
@@ -818,8 +816,7 @@ class FastTier:
                 return None
             self._target(target_name)
             config = request_config(
-                {"config": entry.get("config"), "trace_id": trace_id},
-                AllocatorConfig(),
+                {"config": entry.get("config")}, AllocatorConfig()
             )
             functions = list(
                 parse_module(str(entry.get("ir") or ""), name="journal")

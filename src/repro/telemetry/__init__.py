@@ -9,8 +9,8 @@ one registry of :mod:`repro.obs.stats`.  This package serves them:
 * :mod:`repro.telemetry.exporter` — the stdlib ``http.server``
   ``/metrics`` sidecar;
 * :func:`percentile_of` — the exact percentile of raw samples, for
-  bench summaries and as the oracle for the bucketed estimate of
-  :meth:`repro.obs.Histogram.percentile`.
+  bench summaries (scrapers estimate quantiles from the exposed
+  buckets themselves).
 """
 
 from __future__ import annotations

@@ -2,6 +2,7 @@
 figures.  Uses a two-benchmark subset so the whole file stays fast."""
 
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -91,6 +92,27 @@ class TestSuite:
         for report in small_suite.function_reports:
             assert report.solved, report.function
             assert report.solve_seconds < 60.0
+
+    def test_report_path_leaves_the_config_alone(self, tmp_path):
+        """Writing a run report stamps the run's trace ID on it and on
+        every function report, and changes nothing in the caller's
+        config."""
+        config = AllocatorConfig(time_limit=60.0)
+        before = replace(config)
+        path = tmp_path / "suite.json"
+        run_suite(
+            x86_target(), config, [load_benchmark("compress")],
+            report_path=str(path), trace_id="suite-run-1",
+        )
+        assert config == before
+        report = json.loads(path.read_text())
+        assert report["trace_id"] == "suite-run-1"
+        assert report["functions"]
+        for function in report["functions"]:
+            assert function["trace_id"] == "suite-run-1"
+            assert function["benchmark"] == "compress"
+            assert function["model"]["n_constraints"] > 0
+            assert function["solver"]["backend"]
 
 
 class TestTables:

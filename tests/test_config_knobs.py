@@ -169,7 +169,11 @@ def test_request_stamps_and_integral_numbers():
         AllocatorConfig(),
     )
     assert config.time_limit == 8.0 and isinstance(config.time_limit, float)
-    assert (config.trace_id, config.collect_report) == ("t-1", True)
+    # The request's identity and report flag stay on the request: they
+    # never reach the allocator's config.
+    assert config == request_config(
+        {"config": {"time_limit": 8}}, AllocatorConfig()
+    )
 
 
 #: one off-default value per generated flag: field -> (argv text, value)

@@ -72,13 +72,7 @@ class TestFingerprint:
 
     def test_config_signature_excludes_non_semantic(self, x86):
         base = config_signature(AllocatorConfig())
-        assert config_signature(
-            AllocatorConfig(validate=False, collect_report=True)
-        ) == base
-        # Caller identity never splits the cache key.
-        assert config_signature(
-            AllocatorConfig(trace_id="req-000042-ff")
-        ) == base
+        assert config_signature(AllocatorConfig(validate=False)) == base
         assert config_signature(
             AllocatorConfig(code_size_weight=1.0)
         ) != base
@@ -212,6 +206,36 @@ class TestResultCache:
             assert w.cache_hit
             assert w.source == "cache"
             assert c.attempt.assignment == w.attempt.assignment
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_record_solver_facts_are_the_reports(
+        self, x86, module, tmp_path, jobs
+    ):
+        """A miss's cache record takes its solver facts from the
+        attempt's run report, in this process and from a pool worker;
+        a worker's phases come back under one ``worker`` span."""
+        cache = ResultCache(str(tmp_path / "cache"))
+        outcomes = list(AllocationEngine(
+            x86, fast_config(), EngineConfig(jobs=jobs), cache=cache
+        ).allocate_module(module))
+        assert len(outcomes) > 1
+        for outcome in outcomes:
+            solver = outcome.attempt.report.solver
+            record = cache.get(outcome.fingerprint)
+            assert solver.backend
+            assert (
+                record.nodes, record.lp_relaxations, record.backend,
+                record.timed_out,
+            ) == (
+                solver.nodes, solver.lp_relaxations, solver.backend,
+                solver.timed_out,
+            )
+            phases = outcome.attempt.report.phases
+            if jobs > 1:
+                assert [span.name for span in phases] == ["worker"]
+                assert phases[0].meta["pid"] == outcome.worker_pid != 0
+            else:
+                assert [span.name for span in phases] == ["ip-allocate"]
 
     def test_config_change_invalidates(self, x86, module, tmp_path):
         cache = str(tmp_path / "cache")

@@ -202,10 +202,8 @@ class TestCircuitBreaker:
         breaker.record_failure()
         assert breaker.state == "closed"  # never two consecutive
 
-    def test_solver_dispatch_trips_and_short_circuits(
-        self, monkeypatch
-    ):
-        monkeypatch.setenv("REPRO_BREAKER_THRESHOLD", "2")
+    def test_solver_dispatch_trips_and_short_circuits(self):
+        breaker_for("scipy").failure_threshold = 2
         set_injector("solver_error=1.0")
         for _ in range(2):
             with pytest.raises(InjectedFault):
@@ -346,7 +344,7 @@ class TestEngineChaos:
             raise Boom("not a degradable failure")
 
         monkeypatch.setattr(
-            "repro.engine.engine._run_pipeline", explode
+            "repro.core.allocator.IPAllocator.allocate", explode
         )
         with pytest.raises(Boom):
             list(engine.allocate_module(list(build_loop_sum())))

@@ -191,7 +191,7 @@ def test_serialize_job_round_trip_keeps_every_config_field(tmp_path):
     rebuilt = _fast_tier(tmp_path)._job_from_journal(entry)
     assert rebuilt is not None and rebuilt.recovered
     assert config_signature(rebuilt.config) == config_signature(job.config)
-    assert rebuilt.config.trace_id == job.trace_id
+    assert rebuilt.trace_id == job.trace_id
     assert [fn.name for fn in rebuilt.functions] == ["main"]
 
 

@@ -96,6 +96,43 @@ def client_for(handle: ServerThread, **kwargs) -> ServiceClient:
     return ServiceClient("127.0.0.1", handle.port, **kwargs)
 
 
+@pytest.fixture()
+def engine_calls(monkeypatch):
+    """The function names of each ``AllocationEngine.allocate_module``
+    call, in call order."""
+    calls = []
+    allocate_module = AllocationEngine.allocate_module
+
+    def counting(engine, functions, *args, **kwargs):
+        functions = list(functions)
+        calls.append([fn.name for fn in functions])
+        return allocate_module(engine, functions, *args, **kwargs)
+
+    monkeypatch.setattr(AllocationEngine, "allocate_module", counting)
+    return calls
+
+
+def solve_one_batch(tmp_path, messages: list[dict]) -> list[dict]:
+    """Solve ``messages`` as one batch of a scheduler with a result
+    cache; returns each request's reply, in order."""
+    targets = {"x86": x86_target}
+    sched = BatchScheduler(
+        ServiceConfig(cache_dir=str(tmp_path / "cache")), targets
+    )
+    batch = [
+        _Pending(
+            request=parse_allocate(
+                message, "x86", AllocatorConfig(time_limit=64.0),
+                message.get("trace_id", f"t{i}"), targets,
+            ),
+            future=None,
+        )
+        for i, message in enumerate(messages)
+    ]
+    responses = sched._solve_batch(batch)
+    return [responses[id(p)] for p in batch]
+
+
 def serial_reference(source: str, time_limit: float = 64.0):
     """{function: canonical rendering} from a serial local engine —
     what the `alloc` CLI prints (minus its timing header)."""
@@ -359,49 +396,53 @@ class TestCacheSharing:
 
 
     def test_same_name_programs_share_one_engine_call(
-        self, tmp_path, monkeypatch
+        self, tmp_path, engine_calls
     ):
         """Two different programs that both define ``main`` and a twin
         of the first, solved as one batch, go through one engine call;
         each request gets its own allocation, the twin a replay."""
-        calls = []
-        allocate_module = AllocationEngine.allocate_module
-
-        def counting(engine, functions, *args, **kwargs):
-            functions = list(functions)
-            calls.append([fn.name for fn in functions])
-            return allocate_module(engine, functions, *args, **kwargs)
-
-        monkeypatch.setattr(AllocationEngine, "allocate_module", counting)
-        targets = {"x86": x86_target}
-        sched = BatchScheduler(
-            ServiceConfig(cache_dir=str(tmp_path / "cache")), targets
+        replies = solve_one_batch(
+            tmp_path,
+            [{"source": source} for source in (MAIN_A, MAIN_B, MAIN_A)],
         )
-        batch = [
-            _Pending(
-                request=parse_allocate(
-                    {"source": source}, "x86",
-                    AllocatorConfig(time_limit=64.0), f"t{i}", targets,
-                ),
-                future=None,
-            )
-            for i, source in enumerate((MAIN_A, MAIN_B, MAIN_A))
-        ]
-        responses = sched._solve_batch(batch)
-        assert calls == [["main", "main", "main"]]
+        assert engine_calls == [["main", "main", "main"]]
         entries = [
-            ServiceClient.check(responses[id(p)])["result"]["functions"]
-            for p in batch
+            ServiceClient.check(reply)["result"]["functions"]
+            for reply in replies
         ]
         assert [len(e) for e in entries] == [1, 1, 1]
         assert [e[0]["cache_hit"] for e in entries] == [False, False, True]
-        calls.clear()
         expected = [
             serial_reference(source)["main"]
             for source in (MAIN_A, MAIN_B, MAIN_A)
         ]
         assert [e[0]["rendered"] for e in entries] == expected
         assert expected[0] != expected[1]
+
+    def test_report_request_shares_the_batch_engine_call(
+        self, tmp_path, engine_calls
+    ):
+        """A ``"report": true`` allocate with its own trace ID and plain
+        allocates of the same config, in one batch, go through one
+        engine call.  Only the report request's reply carries a report,
+        naming its own requester; it is solved fresh even though a
+        plain twin of its program came first."""
+        replies = solve_one_batch(tmp_path, [
+            {"source": MAIN_A},
+            {"source": MAIN_A, "report": True, "trace_id": "mine"},
+            {"source": MAIN_B},
+        ])
+        assert engine_calls == [["main", "main", "main"]]
+        twin, mine, other = (
+            ServiceClient.check(reply)["result"]["functions"][0]
+            for reply in replies
+        )
+        assert mine["report"]["trace_id"] == "mine"
+        assert mine["report"]["function"] == "main"
+        assert mine["report"]["solver"]["status"] == mine["status"]
+        assert not mine["cache_hit"] and twin["cache_hit"]
+        assert "report" not in twin and "report" not in other
+        assert other["status"] == "optimal"
 
 
 class TestTenantTally:

@@ -8,7 +8,12 @@ import os
 import subprocess
 import sys
 
+from repro.core import AllocatorConfig
+from repro.engine import AllocationEngine, EngineConfig, SolverPool
+from repro.lang import compile_program
+from repro.obs import set_trace_enabled, take_trace
 from repro.service import ServiceClient
+from repro.target import x86_target
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -117,3 +122,35 @@ def test_serve_jobs2_survives_worker_crashes_until_drain():
             proc.wait(timeout=30)
         proc.stdout.close()
         proc.stderr.close()
+
+
+def _global_trace_length(_) -> int:
+    """Pool-worker probe: top-level spans in the worker's own trace."""
+    from repro.obs.trace import _tls
+
+    return len(_tls().sinks[0])
+
+
+def test_workers_of_a_traced_parent_keep_no_trace():
+    """A worker forked from a traced parent hands its phases back in
+    each run report and keeps no copy: a long traced service must not
+    grow a span tree per solve in every worker."""
+    set_trace_enabled(True)
+    pool = SolverPool(2)
+    try:
+        engine = AllocationEngine(
+            x86_target(), AllocatorConfig(time_limit=8.0),
+            EngineConfig(jobs=2), pool=pool,
+        )
+        outcomes = engine.allocate_module(compile_program(SOURCE, "t"))
+        assert all(o.worker_pid for o in outcomes)
+        assert all(o.attempt.report.phases for o in outcomes)
+        lengths = {
+            pool.executor.submit(_global_trace_length, i).result()
+            for i in range(4)
+        }
+        assert lengths == {0}
+    finally:
+        pool.shutdown()
+        set_trace_enabled(False)
+        take_trace()

@@ -94,31 +94,6 @@ class TestHistogram:
         assert cum[-1] == h.count == 4
         assert cum == sorted(cum)
 
-    def test_percentile_against_sorted_list_oracle(self):
-        """The bucketed estimate must land in the same bucket as the
-        exact sorted-list percentile, for randomized samples."""
-        rng = random.Random(1998)
-        h = Histogram("t")
-        samples = [10 ** rng.uniform(-3.5, 2.5) for _ in range(500)]
-        for v in samples:
-            h.observe(v)
-
-        def bucket_of(value):
-            lo = 0
-            for i, b in enumerate(BOUNDS):
-                if value <= b:
-                    return i
-                lo = i
-            return len(BOUNDS)
-
-        for q in (10, 50, 90, 95, 99):
-            exact = percentile_of(samples, q)
-            est = h.percentile(q)
-            # same bucket, or the shared edge of an adjacent one
-            assert abs(bucket_of(est) - bucket_of(exact)) <= 1, (
-                q, exact, est
-            )
-
     def test_percentile_of_oracle_basics(self):
         assert percentile_of([], 50) == 0.0
         assert percentile_of([7.0], 99) == 7.0
