@@ -232,6 +232,7 @@ def _report_collect(report: RunReport | None, alloc) -> None:
             allocator=alloc.allocator,
             status=alloc.status,
             n_instructions=alloc.function.n_instructions,
+            trace_id=report.trace_id,
         ))
 
 

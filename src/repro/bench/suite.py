@@ -316,6 +316,7 @@ def suite_report(
                 n_instructions=f.n_instructions,
                 model=f.model,
                 solver=f.solver,
+                trace_id=trace_id,
             )
             if fr.model is None and f.n_constraints:
                 fr.model = ModelStats(

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 
-from ..presolve import presolve_enabled_default
+from ..presolve.config import presolve_enabled_default
 from ..solver import BACKENDS
 
 

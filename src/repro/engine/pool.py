@@ -13,6 +13,7 @@ import threading
 from concurrent.futures import ProcessPoolExecutor
 
 from ..obs import counter, set_trace_enabled
+from ..solver import load_solver_stack
 
 
 #: the signals the allocation service handles on its event loop
@@ -54,6 +55,9 @@ class SolverPool:
         self.executor = self._spawn()
 
     def _spawn(self) -> ProcessPoolExecutor | None:
+        # Workers share the parent's pages copy-on-write: load scipy
+        # once here rather than in each worker on its first task.
+        load_solver_stack()
         # The first submit forks every worker (fork start method): do
         # it now, with the service's signals blocked until each
         # worker's initializer has reset their handling.

@@ -11,12 +11,15 @@ in the stats registry and the returned summary.
 from __future__ import annotations
 
 import time
+from typing import TYPE_CHECKING
 
 from ..obs import define_counter, define_histogram, trace_phase
 from ..solver.model import IPModel
-from .array_passes import ArrayReducer
 from .config import PresolveConfig
 from .reduction import PresolveReduction, PresolveSummary
+
+if TYPE_CHECKING:  # loads numpy: imported where presolve runs
+    from .array_passes import ArrayReducer
 
 STAT_RUNS = define_counter(
     "presolve.runs", "models run through the presolve pipeline"
@@ -54,6 +57,7 @@ def presolve_model(
     INFEASIBLE solve result.
     """
     from ..solver.model import InfeasibleModel
+    from .array_passes import ArrayReducer
 
     config = config or PresolveConfig()
     start = time.perf_counter()

@@ -9,7 +9,17 @@
 Every backend reads the model's cached CSR form
 (:class:`~repro.solver.matrix.MatrixModel`) and starts each solve cold:
 the answer depends only on the model and the time limit.
+
+The modules that need scipy (``scipy_backend``, ``branch_bound`` and
+``matrix``) load on first use: a backend's first call,
+``IPModel.matrix()``, or an attribute of this package that names them.
+A process that never solves (the gateway, the client verbs, a shard
+serving cache hits) never imports scipy; :func:`load_solver_stack`
+imports it up front where that pays, as in a pool parent before it
+forks.
 """
+
+import importlib
 
 from ..faults import (
     SITE_SOLVER_ERROR,
@@ -19,17 +29,49 @@ from ..faults import (
     should_fire,
 )
 from ..obs import counter
-from .branch_bound import solve_with_branch_bound
 from .brute_force import MAX_BRUTE_VARS, solve_brute_force
-from .matrix import MatrixModel
 from .model import Constraint, InfeasibleModel, IPModel, Sense, Variable
 from .result import SolveResult, SolveStatus, complete_values
-from .scipy_backend import solve_with_scipy
+
+#: the names this package resolves on first access, and their modules
+_LAZY = {
+    "MatrixModel": "matrix",
+    "solve_with_branch_bound": "branch_bound",
+    "solve_with_scipy": "scipy_backend",
+}
+
+
+def __getattr__(name: str):
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(
+            f"module {__name__!r} has no attribute {name!r}"
+        )
+    return getattr(importlib.import_module(f".{module}", __name__), name)
+
+
+def load_solver_stack() -> None:
+    """Import every module that needs scipy, and so scipy, now."""
+    for module in _LAZY.values():
+        importlib.import_module(f".{module}", __name__)
+
+
+def _solve_with_scipy(model: IPModel, **kwargs) -> SolveResult:
+    from .scipy_backend import solve_with_scipy
+
+    return solve_with_scipy(model, **kwargs)
+
+
+def _solve_with_branch_bound(model: IPModel, **kwargs) -> SolveResult:
+    from .branch_bound import solve_with_branch_bound
+
+    return solve_with_branch_bound(model, **kwargs)
+
 
 #: Named backend registry used by the allocator configuration.
 BACKENDS = {
-    "scipy": solve_with_scipy,
-    "branch-bound": solve_with_branch_bound,
+    "scipy": _solve_with_scipy,
+    "branch-bound": _solve_with_branch_bound,
     "brute-force": solve_brute_force,
 }
 
@@ -116,6 +158,7 @@ __all__ = [
     "SolveStatus",
     "Variable",
     "complete_values",
+    "load_solver_stack",
     "solve",
     "solve_brute_force",
     "solve_with_branch_bound",

@@ -28,8 +28,6 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable
 
-import numpy as np
-
 
 class Sense(Enum):
     LE = "<="
@@ -249,6 +247,10 @@ class IPModel:
         constraint families can be emitted as arrays without changing
         the model that results.
         """
+        # numpy loads with the first model built, not with this module,
+        # so a process that only serves cache hits never imports it
+        import numpy as np
+
         indptr = np.asarray(indptr, dtype=np.intp)
         cols = np.asarray(cols, dtype=np.intp)
         coefs = np.asarray(coefs, dtype=np.float64)
@@ -415,6 +417,8 @@ class IPModel:
         row before the first one with an omitted free variable gives
         ``False``, otherwise that omission raises :class:`KeyError`.
         """
+        import numpy as np
+
         n_rows = len(self._row_rhs)
         if not n_rows:
             return True

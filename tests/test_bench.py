@@ -28,7 +28,9 @@ from repro.bench import (
 )
 from repro.bench.suite import SuiteResult
 from repro.core import AllocatorConfig
+from repro.engine import EngineConfig
 from repro.ir import verify_function
+from repro.obs import snapshot
 from repro.sim import Interpreter
 from repro.target import x86_target
 
@@ -113,6 +115,25 @@ class TestSuite:
             assert function["benchmark"] == "compress"
             assert function["model"]["n_constraints"] > 0
             assert function["solver"]["backend"]
+
+    def test_report_stamps_cache_replays(self, tmp_path):
+        """Rows rebuilt for cache replays carry the run's trace ID too."""
+        config = AllocatorConfig(time_limit=60.0)
+        engine = EngineConfig(cache_dir=str(tmp_path / "cache"))
+        benchmarks = [load_benchmark("compress")]
+        run_suite(x86_target(), config, benchmarks, engine=engine)
+        hits = snapshot()["engine.cache_hits"]
+        path = tmp_path / "warm.json"
+        run_suite(
+            x86_target(), config, benchmarks, engine=engine,
+            report_path=str(path), trace_id="T1",
+        )
+        report = json.loads(path.read_text())
+        assert report["functions"]
+        assert snapshot()["engine.cache_hits"] - hits == \
+            len(report["functions"])
+        assert [f["trace_id"] for f in report["functions"]] == \
+            ["T1"] * len(report["functions"])
 
 
 class TestTables:
