@@ -90,30 +90,31 @@ def color_function(
             )
 
     # --- simplify ------------------------------------------------------
+    # Blocking degree over the neighbours not yet removed, kept up to
+    # date as nodes leave the graph.
     degree = {
         v: sum(_blocking(v, n) for n in graph.neighbors(v))
         for v in graph.nodes
     }
-    removed: set[VirtualRegister] = set()
     stack: list[tuple[VirtualRegister, bool]] = []  # (node, optimistic)
     work = set(graph.nodes)
+    by_name = sorted(work, key=lambda r: r.name)
 
-    def current_degree(v: VirtualRegister) -> int:
-        return sum(
-            _blocking(v, n) for n in graph.neighbors(v)
-            if n not in removed
-        )
+    def remove(v: VirtualRegister, optimistic: bool) -> None:
+        stack.append((v, optimistic))
+        work.remove(v)
+        for n in graph.neighbors(v):
+            if n in work:
+                degree[n] -= _blocking(n, v)
 
     while work:
-        trivially = None
-        for v in sorted(work, key=lambda r: r.name):
-            if current_degree(v) < len(admissible[v]):
-                trivially = v
-                break
+        trivially = next(
+            (v for v in by_name
+             if v in work and degree[v] < len(admissible[v])),
+            None,
+        )
         if trivially is not None:
-            stack.append((trivially, False))
-            removed.add(trivially)
-            work.remove(trivially)
+            remove(trivially, False)
             continue
         # Optimistic spill candidate: cheapest cost/degree ratio among
         # spillable nodes; if everything is unspillable, push the
@@ -123,13 +124,11 @@ def color_function(
         victim = min(
             pool,
             key=lambda v: (
-                graph.spill_cost.get(v, 0.0) / max(1, current_degree(v)),
+                graph.spill_cost.get(v, 0.0) / max(1, degree[v]),
                 v.name,
             ),
         )
-        stack.append((victim, victim.name not in unspillable))
-        removed.add(victim)
-        work.remove(victim)
+        remove(victim, victim.name not in unspillable)
 
     # --- select -----------------------------------------------------------
     move_partner: dict[VirtualRegister, list[VirtualRegister]] = {}
@@ -139,15 +138,14 @@ def color_function(
 
     assignment: dict[str, RealRegister] = {}
     spilled: set[VirtualRegister] = set()
+    overlap = target.register_file.overlap_names
 
     for v, optimistic in reversed(stack):
         blocked: set[str] = set()
         for n in graph.neighbors(v):
             color = assignment.get(n.name)
             if color is not None:
-                blocked.update(
-                    r.name for r in target.register_file.overlapping(color)
-                )
+                blocked |= overlap[color.name]
         available = [r for r in admissible[v] if r.name not in blocked]
         if not available:
             if optimistic:

@@ -13,7 +13,11 @@ runs vectorized activity/bound propagation over the combined ≤-form
 matrix before paying for an LP: variables whose unfavourable value
 would push some constraint past its bound even at minimum activity are
 fixed in the node's bounds, infeasible nodes are pruned outright, and
-fully-fixed nodes are evaluated directly with no LP at all.
+fully-fixed nodes are evaluated directly with no LP at all.  When every
+cost is integral, a node's LP bound is rounded up to the next multiple
+of the costs' gcd before it is compared with the incumbent: under
+profiled frequencies (scaled x1000) every suite cost is a multiple of
+1000.
 
 It proves optimality on the small-to-medium models typical of the
 per-function allocation problems in the paper's Figure 9 range, and is
@@ -57,6 +61,22 @@ STAT_PROPAGATION_PRUNES = define_counter(
     "solver.bb.propagation_prunes",
     "nodes pruned by activity propagation before any LP",
 )
+STAT_GCD_PRUNES = define_counter(
+    "solver.bb.gcd_prunes",
+    "nodes pruned only once their LP bound is rounded up to the cost grain",
+)
+
+
+def cost_grain(cost: np.ndarray) -> int:
+    """The gcd of the costs when all are integral, else 0.
+
+    Every 0-1 point then costs a multiple of the grain (plus the
+    model's constant), so an LP bound may be rounded up to the next
+    multiple before it is compared with the incumbent.
+    """
+    if np.any(cost != np.round(cost)):
+        return 0
+    return int(np.gcd.reduce(np.abs(cost).astype(np.int64)))
 
 
 @dataclass(slots=True)
@@ -67,6 +87,8 @@ class _Problem:
     a_eq: sparse.csr_matrix | None
     b_eq: np.ndarray | None
     n: int
+    #: gcd of the integral costs, 0 when some cost is fractional
+    grain: int = 0
     #: combined ≤-form system (ub rows, eq rows, negated eq rows) split
     #: into positive/negative parts for vectorized activity bounds
     p_pos: sparse.csr_matrix | None = None
@@ -133,7 +155,8 @@ def _build_problem(model: IPModel) -> tuple["_Problem", float]:
     inequality rows keep their original interleaved order."""
     m = model.matrix()
     a_ub, b_ub, a_eq, b_eq = m.ub_eq_split()
-    problem = _Problem(m.cost, a_ub, b_ub, a_eq, b_eq, m.n_free)
+    problem = _Problem(m.cost, a_ub, b_ub, a_eq, b_eq, m.n_free,
+                       grain=cost_grain(m.cost))
     blocks = []
     rhss = []
     if a_ub is not None:
@@ -236,6 +259,12 @@ def solve_with_branch_bound(
         relax_obj = res.fun + model.objective_constant
         if relax_obj >= best_obj - 1e-9:
             continue  # bound: cannot beat the incumbent
+        if problem.grain and (
+            np.ceil(res.fun / problem.grain - _INT_TOL) * problem.grain
+            + model.objective_constant >= best_obj - 1e-9
+        ):
+            STAT_GCD_PRUNES.incr()
+            continue  # no point costs less than the rounded-up bound
 
         x = np.clip(res.x, 0.0, 1.0)
         frac = np.abs(x - np.round(x))

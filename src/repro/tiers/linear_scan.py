@@ -152,7 +152,7 @@ def _scan(
     _add_clobber_forbids(fn, target, liveness, classes)
     intervals = _build_intervals(fn, liveness)
 
-    overlapping = target.register_file.overlapping
+    overlap = target.register_file.overlap_names
     admissible: dict[str, tuple[RealRegister, ...]] = {}
     for iv in intervals:
         pool = _admissible(target, classes, iv.vreg)
@@ -173,15 +173,13 @@ def _scan(
     for iv in intervals:
         if not classes.required.get(iv.vreg.name):
             continue
-        names: set[str] = set()
-        for r in admissible[iv.vreg.name]:
-            names.update(o.name for o in overlapping(r))
-        reservations.append(
-            (iv.start, iv.end, frozenset(names), iv.vreg.name)
+        names = frozenset().union(
+            *(overlap[r.name] for r in admissible[iv.vreg.name])
         )
+        reservations.append((iv.start, iv.end, names, iv.vreg.name))
 
     def reservation_penalty(reg: RealRegister, iv: _Interval) -> int:
-        names = {o.name for o in overlapping(reg)}
+        names = overlap[reg.name]
         return sum(
             1
             for start, end, reserved, owner in reservations
@@ -197,7 +195,7 @@ def _scan(
     def blocked_names() -> set[str]:
         names: set[str] = set()
         for _, reg in active:
-            names.update(r.name for r in overlapping(reg))
+            names |= overlap[reg.name]
         return names
 
     for iv in intervals:
@@ -233,7 +231,7 @@ def _scan(
                 (a, r) for a, r in active
                 if a.vreg.name not in unspillable
                 and a.vreg not in result.spilled
-                and pool_names & {o.name for o in overlapping(r)}
+                and not pool_names.isdisjoint(overlap[r.name])
             ]
             if not victims:
                 if spillable:

@@ -11,29 +11,33 @@ from repro.target import risc_target, x86_target
 
 @pytest.fixture()
 def highs(monkeypatch):
-    """Record each HiGHS call of the scipy backend in ``highs.calls``
-    as ``(is_mip, options)``; a root LP call sleeps ``highs.lp_delay``
-    seconds first.  In-process solves only: pool workers do not see
-    the recorder."""
+    """Record each run of the scipy backend's HiGHS instances in
+    ``highs.calls`` as ``(is_mip, time_limit, presolve)``; a root LP
+    run sleeps ``highs.lp_delay`` seconds first.  In-process solves
+    only: pool workers do not see the recorder."""
     from repro.solver import scipy_backend
 
     highs = SimpleNamespace(calls=[], lp_delay=0.0)
-    real = scipy_backend.milp
+    core = scipy_backend.highspy
 
-    def recording(*args, options, integrality=None, **kwargs):
-        highs.calls.append((integrality is not None, dict(options)))
-        if integrality is None:
-            time.sleep(highs.lp_delay)
-        return real(*args, options=options, integrality=integrality,
-                    **kwargs)
+    class Recording(core._Highs):
+        def run(self):
+            _, kind = self.getColIntegrality(0)
+            is_mip = kind == core.HighsVarType.kInteger
+            _, time_limit = self.getOptionValue("time_limit")
+            _, presolve = self.getOptionValue("presolve")
+            highs.calls.append((is_mip, time_limit, presolve == "on"))
+            if not is_mip:
+                time.sleep(highs.lp_delay)
+            return super().run()
 
-    monkeypatch.setattr(scipy_backend, "milp", recording)
+    monkeypatch.setattr(core, "_Highs", Recording)
     return highs
 
 
 def highs_presolve(highs) -> set:
-    """The ``presolve`` options HiGHS received so far."""
-    return {options["presolve"] for _, options in highs.calls}
+    """The ``presolve`` settings HiGHS ran with so far."""
+    return {presolve for _, _, presolve in highs.calls}
 
 
 @pytest.fixture(scope="session")

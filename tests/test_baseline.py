@@ -1,14 +1,18 @@
 """Tests for the graph-coloring baseline allocator."""
 
+import hashlib
+import json
+
 import pytest
 
 from repro.allocation import validate_allocation
-from repro.analysis import static_frequencies
+from repro.analysis import profiled_frequencies, static_frequencies
 from repro.baseline import (
     GraphColoringAllocator,
     fixup_operands,
     insert_spill_code,
 )
+from repro.bench import load_benchmark
 from repro.ir import (
     Cond,
     I32,
@@ -17,6 +21,7 @@ from repro.ir import (
     Opcode,
     SlotKind,
     clone_function,
+    format_function,
     verify_function,
 )
 from repro.sim import AllocatedFunction, Interpreter
@@ -192,3 +197,28 @@ class TestEndToEnd:
             module, target=x86, allocations=allocs
         ).run("main", [4]).return_value
         assert got == ref
+
+
+#: sha256 of the printed code and assignment of the coloring allocation
+#: of every function of the six suite programs, under their profiled
+#: frequencies
+SUITE_COLORING_DIGEST = (
+    "81d48a8aa8f0078bf2187918af0df6c02aa185e54bf3b4a2c0b26b5a07043355"
+)
+
+
+def test_suite_coloring_output_is_pinned(x86):
+    digest = hashlib.sha256()
+    coloring = GraphColoringAllocator(x86)
+    for program in ("compress", "eqntott", "xlisp", "sc", "espresso",
+                    "cc1"):
+        bench, module = load_benchmark(program)
+        reference = Interpreter(module).run(bench.entry, list(bench.args))
+        for fn in module:
+            alloc = coloring.allocate(
+                fn, profiled_frequencies(fn, reference.blocks_of(fn.name))
+            )
+            assignment = {v: r.name for v, r in alloc.assignment.items()}
+            digest.update(format_function(alloc.function).encode())
+            digest.update(json.dumps(assignment, sort_keys=True).encode())
+    assert digest.hexdigest() == SUITE_COLORING_DIGEST

@@ -541,7 +541,10 @@ engine = AllocationEngine(
 
 def assassin():
     # Kill live pool workers until the allocation finishes: whatever
-    # is mid-solve dies with a real SIGKILL, repeatedly.
+    # is mid-solve dies with a real SIGKILL, repeatedly.  The test sets
+    # REPRO_FAULTS so that each worker process stalls in its first task:
+    # the first sweep after the pool starts always finds a task to
+    # kill, however fast the solves are.
     deadline = time.monotonic() + 20.0
     while not done.is_set() and time.monotonic() < deadline:
         for child in list(children()):
@@ -589,7 +592,8 @@ class TestRealWorkerDeath:
     def test_sigkilled_workers_do_not_kill_the_module(self, tmp_path):
         """SIGKILL pool workers from outside while a module allocates:
         the run must complete every function (solved or degraded,
-        never dropped) and count the crashes."""
+        never dropped) and count the crashes.  A worker stalls in its
+        first task, so a kill always lands mid-task."""
         script = tmp_path / "sigkill_chaos.py"
         script.write_text(SIGKILL_SCRIPT)
         env = dict(os.environ)
@@ -597,7 +601,7 @@ class TestRealWorkerDeath:
             os.path.join(os.path.dirname(__file__), "..", "src")
             + os.pathsep + env.get("PYTHONPATH", "")
         )
-        env.pop("REPRO_FAULTS", None)
+        env["REPRO_FAULTS"] = "worker_hang=1.0:1;hang_seconds=30"
         proc = subprocess.run(
             [sys.executable, str(script)],
             capture_output=True, text=True, timeout=240, env=env,

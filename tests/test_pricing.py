@@ -64,7 +64,9 @@ def test_exact_paths_and_weightings_price_their_code(program, config,
     allocator = IPAllocator(x86, config)
     for fn in module:
         if config.backend == "branch-bound" and fn.name == "window_hash":
-            continue  # a ~50 s solve; HiGHS paths cover it
+            # static frequencies give costs a grain of 1, so the gcd
+            # prune leaves this at 1791 nodes, ~65 s; HiGHS paths cover it
+            continue
         alloc = allocator.allocate(fn)
         assert alloc.status == "optimal", fn.name
         assert_priced_exactly(fn, alloc, x86, config)

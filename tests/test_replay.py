@@ -211,7 +211,7 @@ def test_golden_print_of_a_lowered_suite_function(x86):
 #: sha256 of the printed code and assignment of every IP allocation of
 #: compress and cc1, by the ALLOCATOR_VERSION that produces it
 ALLOCATOR_OUTPUT_DIGESTS = {
-    3: "9a19ef02012959b64b1be4d80dba006b8ca096cd89b1ce757c632b0e192b7fe7",
+    4: "5fede5dd976ca747c669c34ec1af92386f8ca23af1507658c44fb2089666b501",
 }
 
 

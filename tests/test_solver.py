@@ -5,12 +5,14 @@ branch-and-bound against exhaustive enumeration on random small models.
 """
 
 import random
+import time
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from repro.obs import snapshot
 from repro.solver import (
     InfeasibleModel,
     IPModel,
@@ -21,6 +23,7 @@ from repro.solver import (
     solve_with_branch_bound,
     solve_with_scipy,
 )
+from repro.solver.branch_bound import cost_grain
 
 
 def knapsack_model():
@@ -378,6 +381,44 @@ class TestBackends:
             assert res.timed_out
 
 
+def pick_one_model(costs):
+    """``2 * sum(x) <= 3``: the root LP takes one and a half items, the
+    optimum one."""
+    m = IPModel("pick-one")
+    xs = [m.add_var(f"x{i}", c) for i, c in enumerate(costs)]
+    m.add_constraint([(2, x) for x in xs], Sense.LE, 3, "cap")
+    return m
+
+
+def gcd_prunes() -> float:
+    return snapshot().get("solver.bb.gcd_prunes", 0)
+
+
+class TestCostGrain:
+    def test_grain_is_the_gcd_of_integral_costs(self):
+        assert cost_grain(np.array([3000.0, -2000.0, 0.0])) == 1000
+        assert cost_grain(np.array([3000.0, 2000.5])) == 0
+        assert cost_grain(np.zeros(3)) == 0
+
+    def test_a_grain_of_1000_prunes_the_rounded_bound(self):
+        # after the incumbent -1000, the x=0 branch has LP bound -1500:
+        # below the incumbent, but no 0-1 point costs between the two
+        before = gcd_prunes()
+        res = solve_with_branch_bound(pick_one_model([-1000.0] * 3))
+        assert (res.status, res.objective) == (SolveStatus.OPTIMAL, -1000)
+        assert gcd_prunes() - before == 1
+        assert res.nodes == 3
+
+    def test_a_fractional_cost_turns_the_prune_off(self):
+        before = gcd_prunes()
+        res = solve_with_branch_bound(
+            pick_one_model([-1000.0, -1000.0, -1000.5])
+        )
+        assert (res.status, res.objective) == (SolveStatus.OPTIMAL, -1000.5)
+        assert gcd_prunes() == before
+        assert res.nodes == 5
+
+
 def one_row_model(cost, coef, sense, rhs):
     m = IPModel("one")
     x = m.add_var("x", cost)
@@ -397,7 +438,7 @@ def triangle_model():
 
 
 def mip_calls(highs) -> list[bool]:
-    return [is_mip for is_mip, _ in highs.calls]
+    return [is_mip for is_mip, _, _ in highs.calls]
 
 
 class TestRootLP:
@@ -457,10 +498,32 @@ class TestRootLP:
         m, _ = triangle_model()
         res = solve(m, "scipy", time_limit=5.0)
         assert res.status is SolveStatus.OPTIMAL
-        (lp, lp_options), (mip, mip_options) = highs.calls
+        (lp, lp_limit, _), (mip, mip_limit, _) = highs.calls
         assert (lp, mip) == (False, True)
-        assert lp_options["time_limit"] == 5.0
-        assert 0.0 <= mip_options["time_limit"] <= 5.0 - 0.2
+        assert 5.0 - 0.1 <= lp_limit <= 5.0
+        # the MIP's start completion and its search each get the limit
+        assert 0.0 <= mip_limit <= (5.0 - 0.2) / 2
+
+    def test_time_limit_bounds_the_wall_clock(self):
+        # a random knapsack family HiGHS cannot close in the limit; its
+        # root LP is fractional, so the MIP runs to the limit
+        rng = np.random.default_rng(0)
+        m = IPModel("knapsacks")
+        xs = [m.add_var(f"x{i}", -float(rng.integers(1, 100)))
+              for i in range(300)]
+        for r in range(150):
+            cols = rng.choice(300, size=30, replace=False)
+            weights = rng.integers(1, 50, size=30)
+            m.add_constraint(
+                [(float(w), xs[j]) for w, j in zip(weights, cols)],
+                Sense.LE, float(weights.sum()) / 3, f"r{r}",
+            )
+        start = time.perf_counter()
+        res = solve(m, "scipy", time_limit=0.5)
+        elapsed = time.perf_counter() - start
+        assert res.timed_out and res.status is SolveStatus.FEASIBLE
+        assert m.check(res.values)
+        assert elapsed < 0.5 * 1.5
 
     def test_repeat_solves_return_identical_values(self):
         m, _ = triangle_model()
