@@ -55,8 +55,9 @@ class SolverPool:
         self.executor = self._spawn()
 
     def _spawn(self) -> ProcessPoolExecutor | None:
-        # Workers share the parent's pages copy-on-write: load scipy
-        # once here rather than in each worker on its first task.
+        # Workers share the parent's pages copy-on-write: load numpy
+        # and HiGHS once here rather than in each worker on its first
+        # task.
         load_solver_stack()
         # The first submit forks every worker (fork start method): do
         # it now, with the service's signals blocked until each

@@ -5,7 +5,10 @@
 its own shard id and its own cache directory (cache affinity only
 means anything when shards do not share one cache tree), parse the
 listening banner for the bound port, and register each with the
-gateway's shard manager.
+gateway's shard manager.  After the banner a thread reads each shard's
+standard output to its end: HiGHS writes some messages to it from C,
+and a pipe nobody reads blocks the shard's next write once 64 KiB of
+them pile up.
 
 Shutdown is drain-shaped: SIGTERM first (the server's signal handler
 starts a graceful drain and exits once accepted work finishes), then
@@ -18,6 +21,7 @@ import os
 import signal
 import subprocess
 import sys
+import threading
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -57,7 +61,8 @@ class LocalShardFleet:
             self.shards.append(self._spawn(f"shard-{i}"))
         return self
 
-    def _spawn(self, shard_id: str, port: int = 0) -> LocalShard:
+    def command(self, shard_id: str, port: int, cache_dir: str) -> list[str]:
+        """The ``repro serve`` command line of one shard."""
         cmd = [
             sys.executable, "-m", "repro", "serve",
             "--port", str(port),
@@ -65,18 +70,26 @@ class LocalShardFleet:
             "--time-limit", str(self.time_limit),
             "--fast-slo-ms", str(self.fast_slo_ms),
         ]
+        if cache_dir:
+            cmd += ["--cache", cache_dir]
+        return cmd
+
+    def _spawn(self, shard_id: str, port: int = 0) -> LocalShard:
         cache_dir = ""
         if self.cache_root:
             cache_dir = str(Path(self.cache_root) / shard_id)
-            cmd += ["--cache", cache_dir]
         process = subprocess.Popen(
-            cmd,
+            self.command(shard_id, port, cache_dir),
             stdout=subprocess.PIPE,
             stderr=subprocess.DEVNULL,
             text=True,
             env=dict(os.environ),
         )
         port = self._await_banner(process, shard_id)
+        threading.Thread(
+            target=_drain, args=(process.stdout,),
+            name=f"{shard_id}-stdout", daemon=True,
+        ).start()
         return LocalShard(
             shard_id=shard_id, port=port,
             process=process, cache_dir=cache_dir,
@@ -122,8 +135,6 @@ class LocalShardFleet:
                 continue
             if shard.process.poll() is None:
                 raise RuntimeError(f"{shard_id} is still running")
-            if shard.process.stdout is not None:
-                shard.process.stdout.close()
             fresh = self._spawn(shard_id, port=shard.port)
             self.shards[i] = fresh
             return fresh
@@ -164,6 +175,13 @@ class LocalShardFleet:
 
     def __exit__(self, *exc) -> None:
         self.stop()
+
+
+def _drain(stream) -> None:
+    """Read a shard's standard output to its end, then close it."""
+    with stream:
+        for _ in stream:
+            pass
 
 
 __all__ = ["BANNER_MARK", "STARTUP_TIMEOUT", "LocalShard", "LocalShardFleet"]

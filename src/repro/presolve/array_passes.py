@@ -72,7 +72,7 @@ class ArrayReducer:
         m = model.matrix()
         self.m = m
         self.build_seconds = m.build_seconds
-        a = m.a
+        a = m.csr()
         self.csc = a.tocsc()
         n_rows, n_free = a.shape
         #: entry k -> its row (CSR order), for whole-matrix sweeps
@@ -134,12 +134,12 @@ class ArrayReducer:
 
     def _row_cols(self, rid: int) -> np.ndarray:
         """Live columns of a row (CSR order = ascending column)."""
-        a = self.m.a
+        a = self.m
         cols = a.indices[a.indptr[rid]:a.indptr[rid + 1]]
         return cols[self.col_alive[cols]]
 
     def _row_terms(self, rid: int) -> tuple[np.ndarray, np.ndarray]:
-        a = self.m.a
+        a = self.m
         lo, hi = a.indptr[rid], a.indptr[rid + 1]
         cols = a.indices[lo:hi]
         coefs = a.data[lo:hi]
@@ -232,7 +232,7 @@ class ArrayReducer:
     def _forced_entries(self) -> tuple[np.ndarray, np.ndarray]:
         """Columns forced to 0 / to 1 by the current activity bounds,
         evaluated over every live entry at once."""
-        a = self.m.a
+        a = self.m
         r = self.entry_row
         j = a.indices
         c = a.data
@@ -326,7 +326,7 @@ class ArrayReducer:
         dropped when any of its impliers is still alive, which is what
         orders mutual duplicates (the smaller row id survives).
         """
-        a = self.m.a
+        a = self.m
         n_rows, n_cols = a.shape
         alive0 = self.row_alive.copy()
         keep = self.col_alive[a.indices] & alive0[self.entry_row]

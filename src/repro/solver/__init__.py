@@ -10,13 +10,18 @@ Every backend reads the model's cached CSR form
 (:class:`~repro.solver.matrix.MatrixModel`) and starts each solve cold:
 the answer depends only on the model and the time limit.
 
-The modules that need scipy (``scipy_backend``, ``branch_bound`` and
-``matrix``) load on first use: a backend's first call,
+The modules that need numpy or scipy (``matrix``, ``scipy_backend``
+and ``branch_bound``) load on first use: a backend's first call,
 ``IPModel.matrix()``, or an attribute of this package that names them.
 A process that never solves (the gateway, the client verbs, a shard
-serving cache hits) never imports scipy; :func:`load_solver_stack`
-imports it up front where that pays, as in a pool parent before it
-forks.
+serving cache hits) imports neither.  The HiGHS path needs only numpy
+and HiGHS's binding: ``matrix`` builds its CSR arrays in numpy and
+``scipy_backend`` loads the binding's extension module by itself, so
+a process that solves only with HiGHS never imports ``scipy.sparse``
+or ``scipy.optimize``.  Branch and bound (``linprog``) and the
+presolve passes import those on their first call.
+:func:`load_solver_stack` imports the HiGHS path up front where that
+pays, as in a pool parent before it forks.
 """
 
 import importlib
@@ -51,8 +56,8 @@ def __getattr__(name: str):
 
 
 def load_solver_stack() -> None:
-    """Import every module that needs scipy, and so scipy, now."""
-    for module in _LAZY.values():
+    """Import the HiGHS solve path (numpy and HiGHS's binding) now."""
+    for module in ("matrix", "scipy_backend"):
         importlib.import_module(f".{module}", __name__)
 
 

@@ -35,7 +35,7 @@ from scipy import sparse
 from scipy.optimize import linprog
 
 from ..obs import define_counter
-from .model import IPModel
+from .model import SENSE_EQ, SENSE_GE, IPModel
 from .result import SolveResult, SolveStatus, complete_values
 
 _INT_TOL = 1e-6
@@ -150,11 +150,34 @@ class _Problem:
         return True
 
 
+def _ub_eq_split(m):
+    """``(a_ub, b_ub, a_eq, b_eq)`` of a :class:`MatrixModel` in ≤/=
+    form for ``linprog``.
+
+    Inequality rows keep their original interleaved order (GE rows
+    negated in place), so LP pivoting — and therefore which optimal
+    vertex a degenerate model lands on — does not depend on how the
+    rows were grouped.
+    """
+    a = m.csr()
+    ub_mask = m.sense != SENSE_EQ
+    eq_mask = ~ub_mask
+    a_ub = b_ub = a_eq = b_eq = None
+    if ub_mask.any():
+        signs = np.where(m.sense[ub_mask] == SENSE_GE, -1.0, 1.0)
+        a_ub = sparse.csr_matrix(a[ub_mask].multiply(signs[:, None]))
+        b_ub = m.rhs[ub_mask] * signs
+    if eq_mask.any():
+        a_eq = a[eq_mask]
+        b_eq = m.rhs[eq_mask]
+    return a_ub, b_ub, a_eq, b_eq
+
+
 def _build_problem(model: IPModel) -> tuple["_Problem", float]:
     """LP matrices straight from the model's cached CSR form;
     inequality rows keep their original interleaved order."""
     m = model.matrix()
-    a_ub, b_ub, a_eq, b_eq = m.ub_eq_split()
+    a_ub, b_ub, a_eq, b_eq = _ub_eq_split(m)
     problem = _Problem(m.cost, a_ub, b_ub, a_eq, b_eq, m.n_free,
                        grain=cost_grain(m.cost))
     blocks = []

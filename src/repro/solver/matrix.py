@@ -1,4 +1,4 @@
-"""Array-native form of the 0-1 model: one CSR matrix + flat vectors.
+"""Array-native form of the 0-1 model: CSR arrays + flat vectors.
 
 :class:`~repro.solver.model.IPModel` is the build-side form: one
 Python object per variable, and its rows appended to flat buffers
@@ -6,8 +6,12 @@ Python object per variable, and its rows appended to flat buffers
 the right shape for the analysis module to build and for humans to
 read, but the hot paths (presolve, backend conversion, activity
 propagation) want the whole constraint system as arrays: costs as one
-float vector, the constraint matrix as one ``scipy.sparse`` CSR over
-the free columns, and per-row sense/rhs vectors.
+float vector, the constraint matrix as three canonical CSR arrays over
+the free columns, and per-row sense/rhs vectors.  Everything here is
+numpy: HiGHS takes the CSR arrays as they are, so a process that only
+solves with it never imports ``scipy.sparse``; :meth:`MatrixModel.csr`
+wraps them as a ``scipy.sparse`` matrix for the consumers that want one
+(branch and bound, the presolve passes).
 
 :class:`MatrixModel` is that form, with a lossless bridge both ways:
 
@@ -19,6 +23,13 @@ the free columns, and per-row sense/rhs vectors.
   inside a constraint come back in column order with duplicate
   indices summed — the same normalisation every consumer (presolve
   rows, backend matrices, feasibility checks) already applies.
+
+The CSR arrays are exactly what ``scipy.sparse`` builds from the same
+triplets and canonicalises (``csr_matrix((data, (rows, cols)))`` then
+``sum_duplicates()``): columns ascending within each row, duplicate
+terms summed in insertion order, zero sums kept, int32 ``indptr`` and
+``indices``.  So HiGHS gets the same input, and lands on the same
+optimal vertex, whichever way the matrix was built.
 """
 
 from __future__ import annotations
@@ -27,7 +38,6 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import sparse
 
 from .model import CODE_SENSE, SENSE_EQ, SENSE_GE, SENSE_LE, IPModel
 
@@ -56,8 +66,12 @@ class MatrixModel:
     col_index: np.ndarray
     #: cost vector over the free columns (= var_costs[col_index])
     cost: np.ndarray
-    #: constraint matrix over the free columns, canonical CSR
-    a: sparse.csr_matrix
+    #: constraint matrix over the free columns, canonical CSR: row
+    #: ``i``'s terms are ``indices``/``data[indptr[i]:indptr[i + 1]]``,
+    #: columns ascending, no duplicates
+    indptr: np.ndarray
+    indices: np.ndarray
+    data: np.ndarray
     #: per-row sense codes (SENSE_LE / SENSE_GE / SENSE_EQ)
     sense: np.ndarray
     rhs: np.ndarray
@@ -89,16 +103,14 @@ class MatrixModel:
         orig_to_col = np.full(n_all, -1, dtype=np.intp)
         orig_to_col[col_index] = np.arange(len(col_index), dtype=np.intp)
 
-        n_rows = model.n_constraints
         # The model stores its rows only as flat buffers: one bulk
         # conversion, no per-row or per-term Python work.
-        rows = np.asarray(model._mx_rows, dtype=np.intp)
-        cols = orig_to_col[np.asarray(model._mx_cols, dtype=np.intp)]
-        data = np.asarray(model._mx_data, dtype=np.float64)
-        a = sparse.csr_matrix(
-            (data, (rows, cols)), shape=(n_rows, len(col_index))
+        indptr, indices, data = _canonical_csr(
+            np.asarray(model._mx_rows, dtype=np.intp),
+            orig_to_col[np.asarray(model._mx_cols, dtype=np.intp)],
+            np.asarray(model._mx_data, dtype=np.float64),
+            model.n_constraints, len(col_index),
         )
-        a.sum_duplicates()
         sense = np.asarray(model._row_sense, dtype=np.int8)
         rhs = np.asarray(model._row_rhs, dtype=np.float64)
         m = cls(
@@ -108,7 +120,9 @@ class MatrixModel:
             fixed_values=fixed_values,
             col_index=col_index,
             cost=var_costs[col_index],
-            a=a,
+            indptr=indptr,
+            indices=indices,
+            data=data,
             sense=sense,
             rhs=rhs,
             row_names=list(model._row_names),
@@ -134,12 +148,11 @@ class MatrixModel:
         # replayed fix(1) calls re-added their costs; restore the
         # original constant exactly
         model.objective_constant = self.objective_constant
-        a = self.a
-        for i in range(a.shape[0]):
-            lo, hi = a.indptr[i], a.indptr[i + 1]
+        for i in range(self.n_rows):
+            lo, hi = self.indptr[i], self.indptr[i + 1]
             terms = [
-                (float(a.data[k]),
-                 model.variables[self.col_index[a.indices[k]]])
+                (float(self.data[k]),
+                 model.variables[self.col_index[self.indices[k]]])
                 for k in range(lo, hi)
             ]
             model.add_constraint(
@@ -152,43 +165,35 @@ class MatrixModel:
 
     @property
     def n_rows(self) -> int:
-        return self.a.shape[0]
+        return len(self.indptr) - 1
 
     @property
     def n_free(self) -> int:
-        return self.a.shape[1]
+        return len(self.col_index)
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return self.n_rows, self.n_free
+
+    def csr(self):
+        """The constraint matrix as a ``scipy.sparse`` CSR matrix.
+
+        It shares this model's arrays, so callers must not modify it.
+        Only the consumers that already need scipy call this; it is
+        the one place this module imports it.
+        """
+        from scipy import sparse
+
+        return sparse.csr_matrix(
+            (self.data, self.indices, self.indptr), shape=self.shape
+        )
 
     def row_bounds(self) -> tuple[np.ndarray, np.ndarray]:
         """Per-row (lower, upper) bounds for interval-form consumers
-        (``scipy.optimize.LinearConstraint``)."""
+        (HiGHS's row bounds)."""
         lower = np.where(self.sense == SENSE_LE, -np.inf, self.rhs)
         upper = np.where(self.sense == SENSE_GE, np.inf, self.rhs)
         return lower, upper
-
-    def ub_eq_split(self):
-        """``(a_ub, b_ub, a_eq, b_eq)`` in ≤/= form for LP consumers.
-
-        Inequality rows keep their original interleaved order (GE rows
-        negated in place), matching what the per-term builder used to
-        produce, so LP pivoting — and therefore which optimal vertex a
-        degenerate model lands on — is unchanged.
-        """
-        ub_mask = self.sense != SENSE_EQ
-        eq_mask = ~ub_mask
-        a_ub = b_ub = a_eq = b_eq = None
-        if ub_mask.any():
-            signs = np.where(
-                self.sense[ub_mask] == SENSE_GE, -1.0, 1.0
-            )
-            rows = self.a[ub_mask]
-            a_ub = sparse.csr_matrix(
-                rows.multiply(signs[:, None])
-            )
-            b_ub = self.rhs[ub_mask] * signs
-        if eq_mask.any():
-            a_eq = self.a[eq_mask]
-            b_eq = self.rhs[eq_mask]
-        return a_ub, b_ub, a_eq, b_eq
 
     # -- semantics -------------------------------------------------------
 
@@ -203,7 +208,11 @@ class MatrixModel:
 
     def check_free(self, x: np.ndarray, tol: float = 1e-6) -> bool:
         """Feasibility of a 0/1 vector over the free columns."""
-        lhs = self.a @ x
+        lhs = np.bincount(
+            np.repeat(np.arange(self.n_rows), np.diff(self.indptr)),
+            weights=self.data * np.asarray(x, dtype=np.float64)[self.indices],
+            minlength=self.n_rows,
+        )
         if np.any((self.sense == SENSE_LE) & (lhs > self.rhs + tol)):
             return False
         if np.any((self.sense == SENSE_GE) & (lhs < self.rhs - tol)):
@@ -211,6 +220,38 @@ class MatrixModel:
         return not np.any(
             (self.sense == SENSE_EQ) & (np.abs(lhs - self.rhs) > tol)
         )
+
+
+def _canonical_csr(
+    rows: np.ndarray, cols: np.ndarray, data: np.ndarray,
+    n_rows: int, n_cols: int,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(indptr, indices, data)`` of the triplets, in the canonical
+    form ``scipy.sparse`` gives them.
+
+    A stable sort by (row, column) keeps duplicates in insertion
+    order, and ``bincount`` sums each run of them one term at a time
+    from 0.0, as scipy does (``add.reduceat`` sums runs of 8 or more
+    pairwise, which can round differently).  The model never stores a
+    zero coefficient, so starting from 0.0 flips no zero's sign.
+    scipy's per-row sort is stable only up to 16 terms a row; past
+    that, duplicates with inexact coefficients may sum in another
+    order there than here.
+    """
+    if not len(data):
+        return (np.zeros(n_rows + 1, dtype=np.int32),
+                np.zeros(0, dtype=np.int32), data)
+    key = rows.astype(np.int64) * n_cols + cols
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    first = np.ones(len(key), dtype=bool)
+    np.not_equal(key[1:], key[:-1], out=first[1:])
+    data = np.bincount(np.cumsum(first) - 1, weights=data[order])
+    key = key[first]
+    indptr = np.zeros(n_rows + 1, dtype=np.int32)
+    np.cumsum(np.bincount(key // n_cols, minlength=n_rows),
+              out=indptr[1:])
+    return indptr, (key % n_cols).astype(np.int32), data
 
 
 __all__ = [

@@ -1,11 +1,18 @@
 """MILP backend: HiGHS, driven through the binding scipy ships.
 
 This plays the role of the paper's CPLEX 6.0: an industrial-strength
-branch-and-cut solver.  ``scipy.optimize._highspy`` (scipy >= 1.15)
-exposes HiGHS's own ``Highs`` class; each solve builds one instance,
-hands it the model's cached CSR form (:meth:`IPModel.matrix`) row-wise
-— no per-solve conversion; fixed variables never reach the solver —
-and frees it when the solve ends.
+branch-and-cut solver.  ``scipy.optimize._highspy._core`` (scipy >=
+1.15) exposes HiGHS's own ``Highs`` class; each solve builds one
+instance, hands it the model's cached CSR arrays (:meth:`IPModel.matrix`)
+row-wise — no per-solve conversion; fixed variables never reach the
+solver — and frees it when the solve ends.
+
+That extension module is the only part of scipy this backend uses, and
+it links only the C++ runtime, so it is loaded by itself
+(:func:`_load_core`) rather than through ``scipy.optimize``, whose
+package init imports most of scipy.  It is registered under its real
+name, so a later ``import scipy.optimize`` (the branch-and-bound
+backend's ``linprog``) reuses the same module object.
 
 Each solve starts with the LP relaxation of that same matrix.  With the
 held rows most allocation models have an integral root: when the root
@@ -17,10 +24,13 @@ remaining time, starting from the LP it has just solved.
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
+import os
+import sys
 import time
 
 import numpy as np
-from scipy.optimize._highspy import _core as highspy
 
 from ..obs import define_counter
 from .model import IPModel
@@ -42,6 +52,33 @@ STAT_ROOT_INTEGRAL = define_counter(
     "solves closed by an integral root LP, with no MIP run",
 )
 
+#: the HiGHS binding's module name inside scipy
+CORE_MODULE = "scipy.optimize._highspy._core"
+
+
+def _load_core():
+    """The HiGHS binding, imported without its parent packages.
+
+    ``find_spec("scipy")`` locates scipy without importing it; the
+    extension is then loaded from its directory and entered in
+    ``sys.modules`` under its full name.  ``_highspy``'s own
+    ``__init__`` is empty, so skipping it (and ``scipy.optimize``'s)
+    changes nothing the binding sees.
+    """
+    core = sys.modules.get(CORE_MODULE)
+    if core is not None:
+        return core
+    scipy_dir = importlib.util.find_spec("scipy").submodule_search_locations
+    path = [os.path.join(d, "optimize", "_highspy") for d in scipy_dir]
+    spec = importlib.machinery.PathFinder.find_spec(CORE_MODULE, path)
+    core = importlib.util.module_from_spec(spec)
+    sys.modules[CORE_MODULE] = core
+    spec.loader.exec_module(core)
+    return core
+
+
+highspy = _load_core()
+
 _Status = highspy.HighsModelStatus
 #: model statuses that end a run on a limit rather than a proof
 _LIMITS = frozenset({_Status.kTimeLimit, _Status.kIterationLimit})
@@ -49,7 +86,6 @@ _LIMITS = frozenset({_Status.kTimeLimit, _Status.kIterationLimit})
 
 def _new_instance(matrix, presolve: bool, gap: float) -> "highspy._Highs":
     """A silent HiGHS instance holding the LP relaxation of ``matrix``."""
-    a = matrix.a
     n = matrix.n_free
     lp = highspy.HighsLp()
     lp.num_col_ = n
@@ -61,9 +97,9 @@ def _new_instance(matrix, presolve: bool, gap: float) -> "highspy._Highs":
     lp.a_matrix_.format_ = highspy.MatrixFormat.kRowwise
     lp.a_matrix_.num_col_ = n
     lp.a_matrix_.num_row_ = matrix.n_rows
-    lp.a_matrix_.start_ = a.indptr
-    lp.a_matrix_.index_ = a.indices
-    lp.a_matrix_.value_ = a.data
+    lp.a_matrix_.start_ = matrix.indptr
+    lp.a_matrix_.index_ = matrix.indices
+    lp.a_matrix_.value_ = matrix.data
     highs = highspy._Highs()
     highs.setOptionValue("output_flag", False)
     highs.setOptionValue("presolve", "on" if presolve else "off")

@@ -8,10 +8,12 @@ is checked in ``tests/test_presolve_equivalence.py``.
 
 import random
 
+import numpy as np
 import pytest
 
 from repro.allocation import validate_allocation
 from repro.bench import scaling_functions
+from repro.bench.workloads import ALL_BENCHMARKS
 from repro.core import AllocatorConfig, IPAllocator
 from repro.presolve import PresolveConfig, presolve_model
 from repro.solver import (
@@ -22,6 +24,7 @@ from repro.solver import (
     solve,
 )
 from repro.target import x86_target
+from tests.test_core_model import suite_models
 
 
 def random_model(seed):
@@ -106,6 +109,108 @@ def test_evaluate_rejects_out_of_range_index():
     with pytest.raises(IndexError, match="tiny"):
         m.evaluate({-1: 0})
     assert m.evaluate({0: 1, 1: 0}) == pytest.approx(1.0)
+
+
+# -- canonical CSR arrays ----------------------------------------------
+
+
+def scipy_csr(model):
+    """The oracle: the canonical CSR ``scipy.sparse`` builds from the
+    model's term triplets."""
+    from scipy import sparse
+
+    m = model.matrix()
+    a = sparse.csr_matrix(
+        (np.asarray(model._mx_data, dtype=np.float64),
+         (np.asarray(model._mx_rows, dtype=np.intp),
+          m.orig_to_col[np.asarray(model._mx_cols, dtype=np.intp)])),
+        shape=m.shape,
+    )
+    a.sum_duplicates()
+    return a
+
+
+def assert_scipy_csr(model):
+    m = model.matrix()
+    a = scipy_csr(model)
+    for name in ("indptr", "indices", "data"):
+        ours, theirs = getattr(m, name), getattr(a, name)
+        assert ours.dtype == theirs.dtype, (model.name, name)
+        # bit-identical, so a sum's rounding or a zero's sign counts
+        assert ours.tobytes() == theirs.tobytes(), (model.name, name)
+
+
+def duplicate_term_model(seed):
+    """Random 0-1 IP whose rows repeat variables: some repeats sum to
+    zero, some variables are fixed, and rows left with no free term
+    drop as vacuous."""
+    rng = random.Random(seed)
+    m = IPModel(f"dup{seed}")
+    n = rng.randint(3, 10)
+    xs = [m.add_var(f"x{i}", float(rng.randint(-5, 5))) for i in range(n)]
+    for v in rng.sample(xs, rng.randint(0, n // 2)):
+        m.fix(v, rng.randint(0, 1))
+    coefs = [-2.0, -1.0, -0.1, 0.3, 1.0, 1.7, 2.0]
+    for c in range(rng.randint(1, 10)):
+        pool = rng.sample(xs, rng.randint(1, 3))
+        terms = [(rng.choice(coefs), rng.choice(pool))
+                 for _ in range(rng.randint(1, 12))]
+        if rng.random() < 0.3:
+            v = rng.choice(xs)
+            terms += [(0.7, v), (-0.7, v)]
+        # a right-hand side no assignment violates: vacuous rows drop
+        # instead of raising
+        slack = sum(abs(coef) for coef, _ in terms) + 1.0
+        sense = rng.choice([Sense.LE, Sense.GE])
+        m.add_constraint(terms, sense,
+                         slack if sense is Sense.LE else -slack,
+                         name=f"c{c}")
+    return m, c + 1
+
+
+def test_matrix_csr_matches_scipy_on_random_models():
+    summed = zeros = dropped = 0
+    for seed in range(200):
+        model, rows_added = duplicate_term_model(seed)
+        assert_scipy_csr(model)
+        m = model.matrix()
+        summed += len(model._mx_data) > len(m.data)
+        zeros += bool(np.any(m.data == 0))
+        dropped += m.n_rows < rows_added
+    assert summed > 100 and zeros > 10 and dropped > 10
+
+
+def test_matrix_csr_matches_scipy_on_long_rows():
+    """Rows long enough that scipy's per-row sort is not an insertion
+    sort: duplicates with integral coefficients sum exactly in any
+    order."""
+    rng = random.Random(7)
+    model = IPModel("long")
+    xs = [model.add_var(f"x{i}", 1.0) for i in range(30)]
+    for c in range(20):
+        terms = [(float(rng.randint(-3, 3) or 1), rng.choice(xs))
+                 for _ in range(rng.randint(20, 80))]
+        model.add_constraint(terms, Sense.LE, 1000.0, name=f"c{c}")
+    assert_scipy_csr(model)
+
+
+def test_matrix_csr_matches_scipy_on_the_suite(x86):
+    checked = 0
+    for bench in ALL_BENCHMARKS:
+        for model in suite_models(bench.name, x86).values():
+            assert_scipy_csr(model)
+            checked += 1
+    assert checked == 47
+
+
+def test_matrix_csr_view_shares_the_arrays():
+    model, _ = duplicate_term_model(3)
+    m = model.matrix()
+    a = m.csr()
+    assert a.shape == m.shape
+    assert a.has_canonical_format
+    for name in ("indptr", "indices", "data"):
+        assert np.shares_memory(getattr(a, name), getattr(m, name))
 
 
 # -- matrix bridge round-trips -----------------------------------------

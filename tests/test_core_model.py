@@ -366,7 +366,7 @@ def root_lp_bound(model) -> float:
     cross-checked against the bound the scipy backend reports."""
     m = model.matrix()
     lower, upper = m.row_bounds()
-    res = milp(m.cost, constraints=[LinearConstraint(m.a, lower, upper)],
+    res = milp(m.cost, constraints=[LinearConstraint(m.csr(), lower, upper)],
                bounds=Bounds(0, 1))
     assert res.success, res.message
     bound = res.fun + m.evaluate_free(np.zeros(m.n_free))

@@ -35,8 +35,10 @@ def without_held(model):
     """``model`` rebuilt without its held rows (same variables)."""
     m = model.matrix()
     keep = np.array([not n.startswith("held/") for n in m.row_names])
+    a = m.csr()[keep]
     return dataclasses.replace(
-        m, a=m.a[keep], sense=m.sense[keep], rhs=m.rhs[keep],
+        m, indptr=a.indptr, indices=a.indices, data=a.data,
+        sense=m.sense[keep], rhs=m.rhs[keep],
         row_names=[n for n, k in zip(m.row_names, keep) if k],
     ).to_ip()
 
@@ -99,10 +101,9 @@ def rows_as_le(model):
     """Every row as ``(name, {col: coef}, rhs)`` in ``<=`` form (``>=``
     rows negated, ``==`` rows in both directions)."""
     m = model.matrix()
-    a = m.a
     for i in range(m.n_rows):
-        lo, hi = a.indptr[i], a.indptr[i + 1]
-        terms = dict(zip(a.indices[lo:hi].tolist(), a.data[lo:hi].tolist()))
+        lo, hi = m.indptr[i], m.indptr[i + 1]
+        terms = dict(zip(m.indices[lo:hi].tolist(), m.data[lo:hi].tolist()))
         sense, rhs, name = int(m.sense[i]), float(m.rhs[i]), m.row_names[i]
         if sense != SENSE_GE:
             yield name, terms, rhs

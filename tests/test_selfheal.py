@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import http.client
 import json
+import sys
 import time
 from pathlib import Path
 
@@ -456,6 +457,37 @@ def test_replica_drop_fault_site_counts(tmp_path):
 
 
 # -- shard supervision (subprocess fleet) ---------------------------------
+
+
+#: a stand-in shard: its banner, then far more than a pipe's 64 KiB on
+#: standard output (as HiGHS's C-level messages would write), then exit
+CHATTY_SHARD = (
+    "import sys\n"
+    "print('stand-in listening on 127.0.0.1:9 (test)', flush=True)\n"
+    "for _ in range(256):\n"
+    "    sys.stdout.write('x' * 1023 + '\\n')\n"
+    "sys.stdout.flush()\n"
+)
+
+
+class ChattyFleet(LocalShardFleet):
+    def command(self, shard_id, port, cache_dir):
+        return [sys.executable, "-c", CHATTY_SHARD]
+
+
+def test_fleet_drains_shard_stdout_after_the_banner():
+    """A shard's writes after its banner never block on a full pipe,
+    before or after a respawn."""
+    fleet = ChattyFleet(
+        count=1, cache_root=None, time_limit=8.0, fast_slo_ms=0.0)
+    fleet.start()
+    try:
+        assert fleet.shards[0].process.wait(timeout=30) == 0
+        fresh = fleet.respawn("shard-0")
+        assert fresh.port == 9
+        assert fresh.process.wait(timeout=30) == 0
+    finally:
+        fleet.stop()
 
 
 def test_supervisor_respawns_sigkilled_shard(tmp_path):
