@@ -60,10 +60,11 @@ fields of :class:`~repro.service.ServiceConfig` and
 each flag is named, typed, defaulted and documented by its field.
 
 Presolve is on by default.  The ``scipy`` backend hands the setting
-to HiGHS as its own presolve option; ``branch-bound`` and
-``brute-force`` solve a model shrunk by our presolve pipeline.
-``--no-presolve`` (or ``REPRO_PRESOLVE=0``) turns both off, so the
-backend gets the raw model.
+to HiGHS as the presolve option of its MIP run (its root LP always
+runs without presolve); ``branch-bound`` and ``brute-force`` solve a
+model shrunk by our presolve pipeline.  ``--no-presolve`` (or
+``REPRO_PRESOLVE=0``) turns both off, so the backend gets the raw
+model.
 
 Observability flags (accepted before or after the subcommand):
 
@@ -94,6 +95,8 @@ from __future__ import annotations
 
 import argparse
 import asyncio
+import contextlib
+import ctypes
 import dataclasses
 import json
 import os
@@ -244,6 +247,30 @@ def _report_write(report: RunReport | None, args) -> None:
     print(f"run report written to {args.report_json}", file=sys.stderr)
 
 
+@contextlib.contextmanager
+def stdout_to_stderr():
+    """Run a solve phase with file descriptor 1 pointed at fd 2.
+
+    HiGHS can write a line to fd 1 from C during a MIP run
+    (``HighsMipSolverData::transformNewIntegerFeasibleSolution``),
+    whatever its output options say.  ``alloc``, ``run`` and ``exp``
+    finish every solve before they print, so in this phase whatever
+    reaches fd 1 goes to stderr instead.  Buffered C stdio output is
+    flushed (libc ``fflush(NULL)``) before fd 1 is restored, and
+    worker processes forked inside the phase inherit the redirect.
+    """
+    sys.stdout.flush()
+    saved = os.dup(1)
+    os.dup2(2, 1)
+    try:
+        yield
+    finally:
+        sys.stdout.flush()
+        ctypes.CDLL(None).fflush(None)
+        os.dup2(saved, 1)
+        os.close(saved)
+
+
 def cmd_alloc(args) -> int:
     module = _load(args.file)
     target = TARGETS[args.target]()
@@ -253,21 +280,23 @@ def cmd_alloc(args) -> int:
         [module.functions[args.function]]
         if args.function else list(module)
     )
-    if isinstance(allocator, IPAllocator):
-        # The engine adds process-pool fan-out and cache replay; with
-        # fallback off, a failed function reports "failed" exactly as
-        # the bare allocator would.
-        engine = AllocationEngine(
-            target, allocator.config, _engine_config(args, fallback=False)
-        )
-        allocations = {
-            o.function: o.attempt
-            for o in engine.allocate_module(functions)
-        }
-    else:
-        allocations = {
-            fn.name: allocator.allocate(fn) for fn in functions
-        }
+    with stdout_to_stderr():
+        if isinstance(allocator, IPAllocator):
+            # The engine adds process-pool fan-out and cache replay;
+            # with fallback off, a failed function reports "failed"
+            # exactly as the bare allocator would.
+            engine = AllocationEngine(
+                target, allocator.config,
+                _engine_config(args, fallback=False),
+            )
+            allocations = {
+                o.function: o.attempt
+                for o in engine.allocate_module(functions)
+            }
+        else:
+            allocations = {
+                fn.name: allocator.allocate(fn) for fn in functions
+            }
     for fn in functions:
         alloc = allocations[fn.name]
         _report_collect(report, alloc)
@@ -293,27 +322,30 @@ def cmd_run(args) -> int:
     module = _load(args.file)
     run_args = [int(a) for a in args.args]
     reference = Interpreter(module).run(args.entry, run_args)
-    print(f"symbolic result: {reference.return_value} "
-          f"(cycles {reference.cycles:.0f}, steps {reference.steps})")
+    symbolic = (f"symbolic result: {reference.return_value} "
+                f"(cycles {reference.cycles:.0f}, steps {reference.steps})")
     if args.allocator == "none":
+        print(symbolic)
         return 0
     target = TARGETS[args.target]()
     allocator = _make_allocator(args, target)
     report = _report_sink(args)
     allocations = {}
-    for fn in module:
-        freq = profiled_frequencies(fn, reference.blocks_of(fn.name))
-        alloc = allocator.allocate(fn, freq)
-        _report_collect(report, alloc)
-        if not alloc.succeeded:
-            print(f"warning: {fn.name} not allocated "
-                  f"({alloc.status}); runs symbolically",
-                  file=sys.stderr)
-            continue
-        validate_allocation(alloc, target)
-        allocations[fn.name] = AllocatedFunction(
-            alloc.function, alloc.assignment
-        )
+    with stdout_to_stderr():
+        for fn in module:
+            freq = profiled_frequencies(fn, reference.blocks_of(fn.name))
+            alloc = allocator.allocate(fn, freq)
+            _report_collect(report, alloc)
+            if not alloc.succeeded:
+                print(f"warning: {fn.name} not allocated "
+                      f"({alloc.status}); runs symbolically",
+                      file=sys.stderr)
+                continue
+            validate_allocation(alloc, target)
+            allocations[fn.name] = AllocatedFunction(
+                alloc.function, alloc.assignment
+            )
+    print(symbolic)
     allocated = Interpreter(
         module, target=target, allocations=allocations
     ).run(args.entry, run_args)
@@ -348,12 +380,13 @@ def cmd_experiments(args) -> int:
         benchmarks = [load_benchmark("compress"), load_benchmark("cc1")]
     else:
         benchmarks = load_all()
-    suite = run_suite(
-        target, config, benchmarks,
-        report_path=getattr(args, "report_json", None),
-        engine=_engine_config(args),
-        trace_id=_resolve_trace_id(args),
-    )
+    with stdout_to_stderr():
+        suite = run_suite(
+            target, config, benchmarks,
+            report_path=getattr(args, "report_json", None),
+            engine=_engine_config(args),
+            trace_id=_resolve_trace_id(args),
+        )
     print(render_table1())
     print()
     print(render_table2(suite, config.time_limit))

@@ -292,49 +292,50 @@ class ORAAnalysis:
         self, s: VirtualRegister, block, i: int, instr: Instr,
         cur, mem, where: str,
     ) -> UseSite:
-        site = UseSite(vreg=s.name, block=block.name, index=i)
-        self.index.use_sites[(block.name, i, s.name)] = site
+        bname, name = block.name, s.name
+        site = UseSite(vreg=name, block=bname, index=i)
+        self.index.use_sites[(bname, i, name)] = site
 
-        s_cur = cur.get(s.name, {})
-        s_mem = mem.get(s.name)
-        rematable = s.name in self.index.remat_imm
-        copyin_ok = (
-            self.config.enable_copy_insertion
-            and self._copyin_allowed(instr, s)
+        s_cur = cur.get(name, {})
+        s_mem = mem.get(name)
+        new_action = self.table.new_action
+        # Each action's cost is the same in every register: price once.
+        load_cost = (self.cost.load(bname, s.type.bytes)
+                     if s_mem is not None else None)
+        remat_cost = (self.cost.remat(bname)
+                      if name in self.index.remat_imm else None)
+        copy_cost = (
+            self.cost.copy(bname)
+            if s_cur and self.config.enable_copy_insertion
+            and self._copyin_allowed(instr, s) else None
         )
-        data_bytes = s.type.bytes
 
         copyin_vars: list[Variable] = []
-        for r in self.adm[s.name]:
-            sv = SiteVars(cur=s_cur.get(r.name))
-            if s_mem is not None:
-                load_rec = self.table.new_action(
-                    ActionKind.LOAD, s.name,
-                    self.cost.load(block.name, data_bytes),
-                    block=block.name, index=i, reg=r.name,
-                )
+        for r in self.adm[name]:
+            r_name = r.name
+            sv = SiteVars(cur=s_cur.get(r_name))
+            if load_cost is not None:
+                sv.load = new_action(
+                    ActionKind.LOAD, name, load_cost,
+                    block=bname, index=i, reg=r_name,
+                ).var
                 # A load needs the value in memory (paper: x_load <= x_mem).
                 self.model.add_constraint(
-                    [(1.0, load_rec.var), (-1.0, s_mem)],
-                    Sense.LE, 0.0, f"loadmem/{s.name}/{where}/{r.name}",
+                    [(1.0, sv.load), (-1.0, s_mem)],
+                    Sense.LE, 0.0, f"loadmem/{name}/{where}/{r_name}",
                 )
-                sv.load = load_rec.var
-            if rematable:
-                remat_rec = self.table.new_action(
-                    ActionKind.REMAT, s.name,
-                    self.cost.remat(block.name),
-                    block=block.name, index=i, reg=r.name,
-                )
-                sv.remat = remat_rec.var
-            if copyin_ok and s_cur:
-                copy_rec = self.table.new_action(
-                    ActionKind.COPYIN, s.name,
-                    self.cost.copy(block.name),
-                    block=block.name, index=i, reg=r.name,
-                )
-                sv.copyin = copy_rec.var
-                copyin_vars.append(copy_rec.var)
-            site.by_reg[r.name] = sv
+            if remat_cost is not None:
+                sv.remat = new_action(
+                    ActionKind.REMAT, name, remat_cost,
+                    block=bname, index=i, reg=r_name,
+                ).var
+            if copy_cost is not None:
+                sv.copyin = new_action(
+                    ActionKind.COPYIN, name, copy_cost,
+                    block=bname, index=i, reg=r_name,
+                ).var
+                copyin_vars.append(sv.copyin)
+            site.by_reg[r_name] = sv
 
         # §5.1: sum_r copyin <= sum_r pre (copy only from a register,
         # and at most one inserted copy per use).
@@ -342,7 +343,7 @@ class ORAAnalysis:
             terms = [(1.0, v) for v in copyin_vars]
             terms.extend((-1.0, v) for v in s_cur.values())
             self.model.add_constraint(
-                terms, Sense.LE, 0.0, f"copyin-cap/{s.name}/{where}"
+                terms, Sense.LE, 0.0, f"copyin-cap/{name}/{where}"
             )
 
         # Implied "held" row: every must-allocate term of this use is
@@ -358,7 +359,7 @@ class ORAAnalysis:
             if sv.remat is not None
         )
         self.model.add_constraint(
-            held, Sense.GE, 1.0, f"held/{s.name}/{where}"
+            held, Sense.GE, 1.0, f"held/{name}/{where}"
         )
         return site
 

@@ -22,8 +22,9 @@ class AllocatorConfig:
     backend: str = "scipy"
     #: per-function solver time limit in seconds (paper: 1024 s)
     time_limit: float = 1024.0
-    #: presolve the model: HiGHS's own presolve for ``scipy``, our
-    #: model-reduction pipeline for the other backends (semantic for
+    #: presolve the model: HiGHS's own presolve in the MIP run for
+    #: ``scipy`` (its root LP never presolves), our model-reduction
+    #: pipeline for the other backends (semantic for
     #: fingerprints: it can change which equal-cost optimum comes back)
     presolve: bool = field(default_factory=presolve_enabled_default)
 
@@ -111,8 +112,9 @@ CONFIG_KNOBS = (
                help="optimize code size only (§4)"),
     ConfigKnob("presolve", "presolve", bool, "--no-presolve",
                flag_value=False,
-               help="solve the raw IP model: no HiGHS presolve (scipy) "
-                    "and no reduction pipeline (other backends); also "
+               help="solve the raw IP model: no HiGHS presolve in the "
+                    "MIP run (scipy; its root LP never presolves) and "
+                    "no reduction pipeline (other backends); also "
                     "REPRO_PRESOLVE=0"),
     ConfigKnob("code_size_weight", "code_size_weight", float),
     ConfigKnob("data_size_weight", "data_size_weight", float),

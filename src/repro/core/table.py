@@ -66,14 +66,6 @@ class DecisionVariableTable:
         self._by_site: dict[tuple[str, int], list[ActionRecord]] = {}
         self.solution: SolveResult | None = None
 
-    def add(self, record: ActionRecord) -> ActionRecord:
-        self.records.append(record)
-        if record.block is not None and record.index is not None:
-            self._by_site.setdefault(
-                (record.block, record.index), []
-            ).append(record)
-        return record
-
     def new_action(
         self,
         kind: ActionKind,
@@ -91,18 +83,21 @@ class DecisionVariableTable:
         ``kind/vreg[/block.index][/reg][/p<pos>]``.
         """
         if name is None:
-            bits = [kind.value, vreg]
+            name = f"{kind.value}/{vreg}"
             if block is not None:
-                bits.append(f"{block}.{index}")
+                name = f"{name}/{block}.{index}"
             if reg is not None:
-                bits.append(reg)
+                name = f"{name}/{reg}"
             if pos is not None:
-                bits.append(f"p{pos}")
-            name = "/".join(bits)
-        return self.add(ActionRecord(
-            var=self.model.add_var(name, cost), kind=kind, vreg=vreg,
-            block=block, index=index, reg=reg, pos=pos,
-        ))
+                name = f"{name}/p{pos}"
+        record = ActionRecord(
+            self.model.add_var(name, cost), kind, vreg, block, index,
+            reg, pos,
+        )
+        self.records.append(record)
+        if block is not None and index is not None:
+            self._by_site.setdefault((block, index), []).append(record)
+        return record
 
     # -- solution access (used by the rewrite module) -----------------------
 

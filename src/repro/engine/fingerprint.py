@@ -42,7 +42,7 @@ from ..target import TargetMachine
 #: ``tests/test_replay.py`` pins a digest of the allocator's output on
 #: two suite programs to this number, so a change that forgets the bump
 #: fails there.
-ALLOCATOR_VERSION = 4
+ALLOCATOR_VERSION = 5
 
 #: AllocatorConfig fields with no influence on the allocation itself.
 NON_SEMANTIC_CONFIG_FIELDS = frozenset({"validate"})

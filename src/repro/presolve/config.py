@@ -4,7 +4,8 @@ Presolve is on by default everywhere (CLI, engine, service, bare
 :func:`repro.solver.solve` calls); setting ``REPRO_PRESOLVE=0`` in the
 environment or passing ``--no-presolve`` disables it.  For the
 ``scipy`` backend only the master switch counts: it becomes HiGHS's own
-presolve option, and our pipeline does not run.  For ``branch-bound``
+presolve option for the MIP run (the root LP always runs without it),
+and our pipeline does not run.  For ``branch-bound``
 and ``brute-force`` each pass is individually toggleable so reductions
 can be ablated and bisected.
 """

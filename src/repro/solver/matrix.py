@@ -200,11 +200,28 @@ class MatrixModel:
     def evaluate_free(self, x: np.ndarray) -> float:
         """Objective of a 0/1 vector over the free columns.
 
-        Mirrors :meth:`IPModel.evaluate`: the constant (which carries
-        the cost of every variable fixed to 1) plus each free column's
-        ``cost * value``.
+        Bit-identical to :meth:`IPModel.evaluate` of the same point:
+        the constant (which carries the cost of every variable fixed
+        to 1), then the cost of each column set to 1, added one at a
+        time in ascending index order.
         """
-        return float(self.cost @ x) + self.objective_constant
+        total = self.objective_constant
+        for c in self.cost[np.asarray(x) == 1].tolist():
+            total += c
+        return total
+
+    def values_of(self, x: np.ndarray) -> dict[int, int]:
+        """A 0/1 vector over the free columns as a full assignment
+        ``{variable index: value}``: the free columns in column order,
+        then the build-time fixings (as ``complete_values`` gives it)."""
+        values = dict(zip(
+            self.col_index.tolist(),
+            np.asarray(x).astype(np.int64).tolist(),
+        ))
+        fixed = np.flatnonzero(self.fixed_values >= 0)
+        values.update(zip(fixed.tolist(),
+                          self.fixed_values[fixed].tolist()))
+        return values
 
     def check_free(self, x: np.ndarray, tol: float = 1e-6) -> bool:
         """Feasibility of a 0/1 vector over the free columns."""

@@ -167,7 +167,7 @@ class IPModel:
     # -- construction ---------------------------------------------------
 
     def add_var(self, name: str, cost: float = 0.0) -> Variable:
-        var = Variable(index=len(self.variables), name=name, cost=cost)
+        var = Variable(len(self.variables), name, cost)
         self.variables.append(var)
         self._matrix = None
         return var
@@ -203,12 +203,11 @@ class IPModel:
         start = len(cols)
         rhs_eff = rhs
         for coef, var in terms:
-            if coef == 0:
-                continue
             if var.fixed is None:
-                cols.append(var.index)
-                data.append(coef)
-            else:
+                if coef:
+                    cols.append(var.index)
+                    data.append(coef)
+            elif coef:
                 rhs_eff -= coef * var.fixed
         n_live = len(cols) - start
         if not n_live:

@@ -3,8 +3,9 @@
 This plays the role of the paper's CPLEX 6.0: an industrial-strength
 branch-and-cut solver.  ``scipy.optimize._highspy._core`` (scipy >=
 1.15) exposes HiGHS's own ``Highs`` class; each solve builds one
-instance, hands it the model's cached CSR arrays (:meth:`IPModel.matrix`)
-row-wise — no per-solve conversion; fixed variables never reach the
+instance, passes it the model's cached CSR arrays (:meth:`IPModel.matrix`)
+through the array form of ``passModel`` — no per-solve conversion and
+no ``HighsLp`` filled field by field; fixed variables never reach the
 solver — and frees it when the solve ends.
 
 That extension module is the only part of scipy this backend uses, and
@@ -14,12 +15,16 @@ package init imports most of scipy.  It is registered under its real
 name, so a later ``import scipy.optimize`` (the branch-and-bound
 backend's ``linprog``) reuses the same module object.
 
-Each solve starts with the LP relaxation of that same matrix.  With the
-held rows most allocation models have an integral root: when the root
-vertex is 0/1, feasible for the model and as cheap as the LP bound, it
-is a proven optimum and no MIP is run.  Otherwise the columns are made
-integer on the same instance and HiGHS's branch and cut runs on the
-remaining time, starting from the LP it has just solved.
+Each solve starts with the LP relaxation of that same matrix, run with
+HiGHS presolve off whatever the ``presolve`` setting: on models of the
+suite's size presolving the LP costs more than it saves.  With the held
+rows most allocation models have an integral root (35 of the 47 suite
+models): when the root vertex is 0/1, feasible for the model (checked
+on the CSR arrays) and as cheap as the LP bound, it is a proven optimum
+and no MIP is run.  Otherwise the columns are made integer on the same
+instance, HiGHS presolve is set as configured, and HiGHS's branch and
+cut runs on the remaining time, starting from the LP it has just
+solved.
 """
 
 from __future__ import annotations
@@ -82,29 +87,25 @@ highspy = _load_core()
 _Status = highspy.HighsModelStatus
 #: model statuses that end a run on a limit rather than a proof
 _LIMITS = frozenset({_Status.kTimeLimit, _Status.kIterationLimit})
+_ROWWISE = highspy.MatrixFormat.kRowwise.value
+_MINIMIZE = highspy.ObjSense.kMinimize.value
 
 
-def _new_instance(matrix, presolve: bool, gap: float) -> "highspy._Highs":
-    """A silent HiGHS instance holding the LP relaxation of ``matrix``."""
+def _new_instance(matrix, gap: float) -> "highspy._Highs":
+    """A silent HiGHS instance holding the LP relaxation of ``matrix``,
+    set up for the root LP: HiGHS presolve off."""
     n = matrix.n_free
-    lp = highspy.HighsLp()
-    lp.num_col_ = n
-    lp.num_row_ = matrix.n_rows
-    lp.col_cost_ = matrix.cost
-    lp.col_lower_ = np.zeros(n)
-    lp.col_upper_ = np.ones(n)
-    lp.row_lower_, lp.row_upper_ = matrix.row_bounds()
-    lp.a_matrix_.format_ = highspy.MatrixFormat.kRowwise
-    lp.a_matrix_.num_col_ = n
-    lp.a_matrix_.num_row_ = matrix.n_rows
-    lp.a_matrix_.start_ = matrix.indptr
-    lp.a_matrix_.index_ = matrix.indices
-    lp.a_matrix_.value_ = matrix.data
+    lower, upper = matrix.row_bounds()
     highs = highspy._Highs()
     highs.setOptionValue("output_flag", False)
-    highs.setOptionValue("presolve", "on" if presolve else "off")
+    highs.setOptionValue("presolve", "off")
     highs.setOptionValue("mip_rel_gap", float(gap))
-    highs.passModel(lp)
+    highs.passModel(
+        n, matrix.n_rows, len(matrix.data), _ROWWISE, _MINIMIZE, 0.0,
+        matrix.cost, np.zeros(n), np.ones(n), lower, upper,
+        matrix.indptr, matrix.indices, matrix.data,
+        np.zeros(n, dtype=np.int32),
+    )
     return highs
 
 
@@ -127,7 +128,7 @@ def solve_with_scipy(
     ``time_limit`` is in seconds (``None`` = unlimited) and covers the
     root LP and the MIP together; ``gap`` is the relative MIP gap at
     which the search may stop ("optimal" is only reported at gap 0);
-    ``presolve`` is HiGHS's own presolve switch.
+    ``presolve`` is HiGHS's own presolve switch for the MIP run.
     """
     matrix = model.matrix()
     n = matrix.n_free
@@ -143,12 +144,6 @@ def solve_with_scipy(
             build_seconds=matrix.build_seconds,
         )
 
-    def values_of(x) -> dict[int, int]:
-        rounded = np.rint(x).astype(np.int64).tolist()
-        return complete_values(
-            model, dict(zip(matrix.col_index.tolist(), rounded))
-        )
-
     def run(share: float = 1.0) -> "_Status":
         if time_limit is not None:
             left = time_limit - (time.perf_counter() - start)
@@ -158,25 +153,25 @@ def solve_with_scipy(
 
     STAT_SOLVES.incr()
     start = time.perf_counter()
-    highs = _new_instance(matrix, presolve, gap)
+    highs = _new_instance(matrix, gap)
     root_bound = None
     if run() == _Status.kOptimal:
         root_bound = (highs.getInfo().objective_function_value
                       + matrix.objective_constant)
         x = np.asarray(highs.getSolution().col_value)
-        if np.all(np.abs(x - np.round(x)) <= ROOT_TOL):
-            values = values_of(x)
-            objective = model.evaluate(values)
+        rounded = np.rint(x)
+        if np.all(np.abs(x - rounded) <= ROOT_TOL):
+            objective = matrix.evaluate_free(rounded)
             if (
-                model.check(values)
-                and objective <= root_bound + ROOT_TOL
+                objective <= root_bound + ROOT_TOL
+                and matrix.check_free(rounded)
             ):
                 STAT_ROOT_INTEGRAL.incr()
                 STAT_NODES.incr()
                 elapsed = time.perf_counter() - start
                 return SolveResult(
                     status=SolveStatus.OPTIMAL,
-                    values=values,
+                    values=matrix.values_of(rounded),
                     objective=objective,
                     solve_seconds=elapsed,
                     nodes=1,
@@ -191,6 +186,7 @@ def solve_with_scipy(
         n, np.arange(n, dtype=np.int32),
         np.full(n, highspy.HighsVarType.kInteger.value, dtype=np.uint8),
     )
+    highs.setOptionValue("presolve", "on" if presolve else "off")
     # The root LP's point stays on the instance as the MIP's start:
     # HiGHS fixes its integral columns and completes the rest with a
     # sub-MIP, then runs the full search.  Each phase gets the run's
@@ -211,14 +207,14 @@ def solve_with_scipy(
     timed_out = status in _LIMITS
 
     if _has_solution(highs, status):
-        values = values_of(highs.getSolution().col_value)
-        objective = model.evaluate(values)
+        x = np.rint(highs.getSolution().col_value)
+        objective = matrix.evaluate_free(x)
         nodes = int(highs.getInfo().mip_node_count)
         STAT_NODES.add(nodes)
         return SolveResult(
             status=SolveStatus.OPTIMAL if status == _Status.kOptimal
             else SolveStatus.FEASIBLE,
-            values=values,
+            values=matrix.values_of(x),
             objective=objective,
             solve_seconds=elapsed,
             nodes=nodes,

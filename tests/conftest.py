@@ -36,8 +36,9 @@ def highs(monkeypatch):
 
 
 def highs_presolve(highs) -> set:
-    """The ``presolve`` settings HiGHS ran with so far."""
-    return {presolve for _, _, presolve in highs.calls}
+    """The ``presolve`` settings HiGHS's MIP runs used so far (the root
+    LP always runs with presolve off)."""
+    return {presolve for is_mip, _, presolve in highs.calls if is_mip}
 
 
 @pytest.fixture(scope="session")

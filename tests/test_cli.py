@@ -1,8 +1,10 @@
 """Tests for the python -m repro command-line interface."""
 
+import numpy as np
 import pytest
 
-from repro.__main__ import main
+from repro.__main__ import main, stdout_to_stderr
+from repro.solver import IPModel, Sense, solve
 
 SOURCE = """
 int helper(int a) { return a * 3; }
@@ -96,3 +98,31 @@ class TestCLI:
         assert report["trace_id"].startswith("run-")
         assert report["functions"][0]["trace_id"] == \
             report["trace_id"]
+
+
+def knapsack_model(seed: int) -> IPModel:
+    """300 binaries with random negative costs under three random
+    30-term knapsack rows."""
+    rng = np.random.default_rng(seed)
+    m = IPModel("knapsacks")
+    xs = [m.add_var(f"x{i}", -float(rng.integers(1, 100)))
+          for i in range(300)]
+    for r in range(3):
+        cols = rng.choice(300, size=30, replace=False)
+        weights = rng.integers(1, 50, size=30)
+        m.add_constraint(
+            [(float(w), xs[j]) for w, j in zip(weights, cols)],
+            Sense.LE, float(weights.sum()) / 3, f"r{r}",
+        )
+    return m
+
+
+def test_solve_phase_keeps_highs_off_stdout(capfd):
+    # on this model HiGHS's MIP run writes
+    # "HighsMipSolverData::transformNewIntegerFeasibleSolution ..."
+    # lines to fd 1 from C, presolve on or off
+    with stdout_to_stderr():
+        solve(knapsack_model(7), "scipy", time_limit=30)
+    out, err = capfd.readouterr()
+    assert out == ""
+    assert "transformNewIntegerFeasibleSolution" in err

@@ -305,6 +305,19 @@ GOLDEN_BB_NODES = {
 }
 
 
+#: functions whose root LP vertex is integral, feasible and as cheap
+#: as the LP bound, so the scipy backend returns it with no MIP run
+#: (profiled frequencies, root LP without HiGHS presolve); the rest of
+#: each program's functions run the MIP
+GOLDEN_INTEGRAL_ROOTS = {
+    "compress": {"fill_input", "compress_block", "checksum", "main"},
+    "cc1": {
+        "fill_source", "is_digit", "tokenize", "precedence", "apply",
+        "evaluate", "symbol_stats", "main",
+    },
+}
+
+
 def model_digest(model, table) -> str:
     """sha256 over variables (index order: name, cost, fixing), the
     objective constant, rows (in order: name, sense, rhs, (col, coef)
@@ -399,3 +412,14 @@ def test_bb_nodes_golden(x86, program):
         for name, model in suite_models(program, x86).items()
     }
     assert nodes == GOLDEN_BB_NODES[program]
+
+
+@pytest.mark.parametrize("program", ["compress", "cc1"])
+def test_integral_roots_golden(x86, program, highs):
+    integral = set()
+    for name, model in suite_models(program, x86).items():
+        highs.calls.clear()
+        solve(model, "scipy", time_limit=60)
+        if not any(is_mip for is_mip, _, _ in highs.calls):
+            integral.add(name)
+    assert integral == GOLDEN_INTEGRAL_ROOTS[program]

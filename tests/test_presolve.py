@@ -259,7 +259,14 @@ class TestConfigPlumbing:
         assert presolve_enabled_default()
 
     def test_solve_follows_env(self, monkeypatch, highs):
-        m, _ = model_of([([(1, "x")], Sense.GE, 1)], {"x": 1.0})
+        # pairwise x_i + x_j <= 1 at cost -1 each: the root LP is
+        # fractional (every x at 0.5), so the MIP runs and shows the
+        # presolve setting it was given
+        pairs = [("a", "b"), ("a", "c"), ("b", "c")]
+        m, _ = model_of(
+            [([(1, i), (1, j)], Sense.LE, 1) for i, j in pairs],
+            {"a": -1.0, "b": -1.0, "c": -1.0},
+        )
         monkeypatch.setenv(PRESOLVE_ENV, "0")
         assert solve(m, backend="branch-bound").presolve is None
         assert solve(m).presolve is None

@@ -211,7 +211,7 @@ def test_golden_print_of_a_lowered_suite_function(x86):
 #: sha256 of the printed code and assignment of every IP allocation of
 #: compress and cc1, by the ALLOCATOR_VERSION that produces it
 ALLOCATOR_OUTPUT_DIGESTS = {
-    4: "5fede5dd976ca747c669c34ec1af92386f8ca23af1507658c44fb2089666b501",
+    5: "a8e2b35e996c58b285806be9de74c502f8b6acf5466963a4c9e0c274d1b77fb0",
 }
 
 

@@ -280,8 +280,9 @@ class TestAllocate:
         on_fn = on["result"]["functions"][0]
         off_fn = off["result"]["functions"][0]
         assert on_fn["status"] == off_fn["status"] == "optimal"
-        # the toggle reaches the solve: its own cache key, and HiGHS
-        # runs with its presolve on, then off
+        # the toggle reaches the solve: its own cache key, and HiGHS's
+        # MIP run (twice's root LP is fractional) has presolve on,
+        # then off
         assert not off_fn["cache_hit"]
         assert on_fn["fingerprint"] != off_fn["fingerprint"]
         assert (seen_on, highs_presolve(highs)) == ({True}, {False})

@@ -493,6 +493,22 @@ class TestRootLP:
         assert res.values[x.index] == 1
         assert mip_calls(highs) == [False, True]
 
+    @pytest.mark.parametrize("presolve", [True, False])
+    def test_root_lp_runs_without_presolve(self, highs, presolve):
+        # one fractional root (LP, then MIP) and one integral (LP only)
+        for model, _ in (triangle_model(), one_row_model(1, 1, Sense.GE, 1)):
+            solve(model, "scipy", presolve=presolve)
+        roots = [p for is_mip, _, p in highs.calls if not is_mip]
+        assert roots == [False, False]
+
+    @pytest.mark.parametrize("presolve", [True, False])
+    def test_mip_follows_the_presolve_setting(self, highs, presolve):
+        m, _ = triangle_model()
+        assert solve(m, "scipy", presolve=presolve).objective == -1.0
+        assert [(is_mip, p) for is_mip, _, p in highs.calls] == [
+            (False, False), (True, presolve),
+        ]
+
     def test_time_limit_is_shared(self, highs):
         highs.lp_delay = 0.2
         m, _ = triangle_model()
